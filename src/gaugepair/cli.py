@@ -34,11 +34,12 @@ from .fock import (
     make_registry,
 )
 from .gauge import (
+    mapped_column,
     operator_route_brackets,
     per_k_equivalence,
     residual_term_physicality,
     transform_brackets,
-    transformed_epsilon,
+    transformed_epsilon,  # imported only for perfbench/tracing.py to wrap
 )
 from .matelem import ConvergenceError, OscillatorId, form_factor_oracle, gaussian_form_factor
 from .perturbation import (
@@ -53,13 +54,18 @@ from .perturbation import (
     symmetric_diagram_sum,
 )
 from .quadrature import (
+    COULOMB,
     IntegralResult,
     QuadratureConfig,
     SeriesCoefficients,
     config_from_mapping,
-    epsilon_coulomb,
-    epsilon_lorentz,
+    epsilon_columns,
+    epsilon_coulomb,  # imported only for perfbench/tracing.py to wrap
+    epsilon_lorentz,  # imported only for perfbench/tracing.py to wrap
+    lorentz_column,
     series_coefficients,
+    series_columns,
+    series_from_terms,
 )
 
 EXIT_OK = 0
@@ -148,10 +154,10 @@ def _load(args) -> tuple[SystemParams, QuadratureConfig]:
 # ---------------------------------------------------------------------------
 
 def _epsilon_report(params: SystemParams, config: QuadratureConfig) -> EpsilonReport:
-    eps_c = epsilon_coulomb(params, config)
-    eps_l = epsilon_lorentz(params, config)
-    eps_t = transformed_epsilon(params, config)
-    coeffs = series_coefficients(params, config)
+    # one radial pass; c0 is the Coulomb column rescaled
+    eps_c, eps_l, eps_t, term1, term2 = epsilon_columns(params, config, (
+        COULOMB, lorentz_column(params), mapped_column(params), *series_columns(params)))
+    coeffs = series_from_terms(params, eps_c, term1, term2)
 
     gauge_gap = abs(eps_t.value - eps_l.value)
     gauge_tol = 10.0 * (eps_t.error_estimate + eps_l.error_estimate) + 1e-12 * abs(eps_l.value)
@@ -303,7 +309,7 @@ def _sweep_row(base: SystemParams, config: QuadratureConfig, axis: str,
         params = _params_for(base, axis, value)
         validate(params)
         report = _epsilon_report(params, config)
-    except (ValidationError, PoleError, ValueError):
+    except (ValidationError, PoleError):
         fields[-1] = "validation-error"
         return fields
     except ConvergenceError:

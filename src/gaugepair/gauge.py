@@ -52,7 +52,7 @@ from .matelem import (
     rho_fourier_element,
 )
 from .perturbation import PoleError, ResonanceError, coulomb_integrand, lorentz_bracket
-from .quadrature import IntegralResult, QuadratureConfig, epsilon_with_bracket
+from .quadrature import Column, IntegralResult, QuadratureConfig, epsilon_columns
 
 
 class TransformTermKind(Enum):
@@ -114,6 +114,17 @@ def per_k_equivalence(params: SystemParams, omega_gamma: float) -> PerKReport:
     )
 
 
+def mapped_column(params: SystemParams) -> Column:
+    """The summed mapped bracket as a column of the shared radial engine,
+    with the covariant bracket's pole at omega_a."""
+
+    def bracket(omega: np.ndarray) -> np.ndarray:
+        ident, lin, quad = transform_brackets(params, omega)
+        return ident + lin + quad
+
+    return Column(bracket, pole=True)
+
+
 def transformed_epsilon(params: SystemParams, config: QuadratureConfig) -> IntegralResult:
     """Integrate the summed mapped bracket with the shared radial engine
     (principal value across the resonance).
@@ -122,12 +133,7 @@ def transformed_epsilon(params: SystemParams, config: QuadratureConfig) -> Integ
     covariant one, so the result must match epsilon_lorentz to quadrature
     error -- any disagreement is a bug, not physics.
     """
-
-    def bracket(omega: np.ndarray) -> np.ndarray:
-        ident, lin, quad = transform_brackets(params, omega)
-        return ident + lin + quad
-
-    return epsilon_with_bracket(params, config, bracket, pole=True)
+    return epsilon_columns(params, config, [mapped_column(params)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gaugepair import cli
 from gaugepair.cli import (
     CSV_HEADER,
     EXIT_CONVERGENCE,
@@ -127,6 +128,19 @@ def test_sweep_invalid_rows_surface_in_status(tmp_path, capsys):
     assert code == EXIT_CONVERGENCE
     for row in out_csv.read_text().splitlines()[1:]:
         assert row.endswith(",validation-error")
+
+
+def test_sweep_lets_internal_faults_through(monkeypatch, tmp_path, capsys):
+    # a plain ValueError is a fault in the program, not an invalid sweep row
+    def broken(params, config):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "_epsilon_report", broken)
+    out_csv = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02",
+              "--points", "2", "--csv", str(out_csv)])
+    assert "validation-error" not in (out_csv.read_text() if out_csv.exists() else "")
 
 
 def test_sweep_rejects_empty_grid(capsys):

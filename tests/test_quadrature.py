@@ -7,19 +7,27 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gaugepair import cli, quadrature
 from gaugepair.core import SystemParams, ValidationError
+from gaugepair.gauge import mapped_column
 from gaugepair.matelem import ConvergenceError
 from gaugepair.quadrature import (
+    COULOMB,
+    Column,
     IntegralResult,
     QuadratureConfig,
     config_from_mapping,
     coulomb_closed_form,
+    epsilon_columns,
     epsilon_coulomb,
     epsilon_lorentz,
     g_of_k,
     angular_reduce,
+    lorentz_column,
     pv_radial,
+    radial_columns,
     series_coefficients,
+    series_columns,
 )
 
 from dipole_limit import c1_limit, c2_limit
@@ -102,6 +110,78 @@ def test_unreachable_tolerance_raises():
 def test_empty_domain_rejected():
     with pytest.raises(ValidationError):
         pv_radial(lambda k: k, None, CONFIG, (1.0, 1.0))
+
+
+# -- one pass, many columns --------------------------------------------------------
+
+def _report_columns(params):
+    return (COULOMB, lorentz_column(params), mapped_column(params), *series_columns(params))
+
+
+def test_every_column_of_a_pass_equals_its_one_column_pass():
+    columns = _report_columns(PARAMS)
+    together = epsilon_columns(PARAMS, COARSE, columns)
+    for column, result in zip(columns, together):
+        alone = epsilon_columns(PARAMS, COARSE, [column])[0]
+        assert result == alone  # value, error estimate, residue and nodes, exactly
+        if column.pole:
+            assert result.residue_imag != 0.0
+        else:
+            assert result.residue_imag == 0.0
+
+
+def test_late_column_leaves_an_early_converged_column_unchanged():
+    cfg = QuadratureConfig(radial_nodes=16)
+    smooth = Column(lambda k: k * k)  # exact on the first level
+    wiggly = Column(lambda k: np.sin(40.0 * k) * np.exp(k))  # needs several doublings
+
+    def base(k):
+        return np.ones_like(k)
+
+    for pole in (None, 1.5):
+        alone = radial_columns(base, [smooth], pole, cfg, (0.0, 4.0))[0]
+        both = radial_columns(base, [smooth, wiggly], pole, cfg, (0.0, 4.0))
+        assert both[0] == alone
+        assert both[1].nodes_used > 2 * both[0].nodes_used
+        assert both[1].value == pytest.approx(
+            (40.0 + math.exp(4.0) * (math.sin(160.0) - 40.0 * math.cos(160.0))) / 1601.0,
+            rel=1e-10)
+
+
+def test_coulomb_wrapper_returns_the_report_column():
+    report = cli._epsilon_report(PARAMS, CONFIG)
+    assert epsilon_coulomb(PARAMS, CONFIG).value == report.eps_coulomb.value
+    assert report.coefficients.c0.nodes_used == report.eps_coulomb.nodes_used
+
+
+def test_each_report_verb_evaluates_the_kernel_once_per_node(monkeypatch, capsys):
+    # one pass at the default point: 24,768 radial nodes (the window's two
+    # halves count twice) plus 2 residue samples; the separate passes it
+    # replaced evaluated 148,614 k for `epsilon` and 74,114 for `expand`
+    kernel = quadrature._g_batch
+    evaluated = []
+
+    def counting(ks, *args, **kwargs):
+        evaluated.append(np.size(ks))
+        return kernel(ks, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_g_batch", counting)
+    for verb in ("epsilon", "expand"):
+        evaluated.clear()
+        assert cli.main([verb, "--json"]) == cli.EXIT_OK
+        assert sum(evaluated) <= 24_962, verb
+    capsys.readouterr()
+
+
+def test_segment_holding_almost_nothing_settles_against_the_whole_integral():
+    # omega_a L/c = 400, d/L = 0.01: the segment right of the pole window holds
+    # about 1e-15 of the total and, judged against itself, never settles
+    # because of G's own rounding.  At 32 angular nodes G is under-resolved
+    # here (1e-5 relative near k = omega_a/c), so this runs at the default.
+    cfg = QuadratureConfig()
+    coeffs = series_coefficients(SystemParams(separation_l=400.0, dipole_d=4.0), cfg)
+    for result in (coeffs.c0, coeffs.c1, coeffs.c2):
+        assert result.error_estimate <= 3.0 * cfg.rel_tol * abs(result.value)
 
 
 # -- configuration ----------------------------------------------------------------
