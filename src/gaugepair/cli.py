@@ -1,9 +1,11 @@
 """Command-line front end: amplitude reports, parameter sweeps, invariant
 suites, and the small-registry oracle.
 
-Exit codes: 0 success, 1 validation, 2 convergence failure, 3 invariant
-failure.  All floats print with 9 significant digits; identical config and
-seed give byte-identical output.
+Exit codes: 0 success; 1 bad input, including an evaluation exactly on the
+resonance (PoleError); 2 quadrature non-convergence, an oracle failure, or a
+sweep with any row whose status is not "ok"; 3 invariant failure.  All floats
+print with 9 significant digits; identical config and seed give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 
 import numpy as np
 
 from .core import (
+    PARAM_KEYS,
     SystemParams,
     ValidationError,
     load_config,
@@ -82,20 +85,6 @@ def _round9(x: float) -> float:
     return float(f"{x:.9g}")
 
 
-@dataclass(frozen=True)
-class EpsilonReport:
-    params: SystemParams
-    eps_coulomb: IntegralResult
-    eps_lorentz: IntegralResult
-    eps_transformed: IntegralResult
-    ratio: float
-    coefficients: SeriesCoefficients
-    checks: tuple[tuple[str, bool], ...]
-
-    def all_checks_pass(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; remap to the validation code
     def error(self, message):  # noqa: A002 - argparse API
@@ -153,7 +142,26 @@ def _load(args) -> tuple[SystemParams, QuadratureConfig]:
 # epsilon / expand
 # ---------------------------------------------------------------------------
 
-def _epsilon_report(params: SystemParams, config: QuadratureConfig) -> EpsilonReport:
+def _integral(result: IntegralResult) -> dict:
+    return {
+        "value": result.value,
+        "error_estimate": result.error_estimate,
+        "residue_imag": result.residue_imag,
+        "nodes_used": result.nodes_used,
+    }
+
+
+def _params(params: SystemParams) -> dict:
+    return {key: getattr(params, key) for key in PARAM_KEYS}
+
+
+def _coefficients(coeffs: SeriesCoefficients) -> dict:
+    return {"c0": _integral(coeffs.c0), "c1": _integral(coeffs.c1), "c2": _integral(coeffs.c2)}
+
+
+def _epsilon_report(params: SystemParams, config: QuadratureConfig) -> dict:
+    """The amplitude report as one plain document of full-precision floats;
+    --json, the table and the sweep CSV row all render from it."""
     # one radial pass; c0 is the Coulomb column rescaled
     eps_c, eps_l, eps_t, term1, term2 = epsilon_columns(params, config, (
         COULOMB, lorentz_column(params), mapped_column(params), *series_columns(params)))
@@ -162,36 +170,47 @@ def _epsilon_report(params: SystemParams, config: QuadratureConfig) -> EpsilonRe
     gauge_gap = abs(eps_t.value - eps_l.value)
     gauge_tol = 10.0 * (eps_t.error_estimate + eps_l.error_estimate) + 1e-12 * abs(eps_l.value)
     sample = per_k_equivalence(params, 2.0 * params.omega_a)
-    checks = (
-        ("transformed matches covariant", gauge_gap <= gauge_tol),
-        ("per-mode residual vanishes",
-         abs(sample.residual) <= 1e-12 * abs(sample.bracket_lorentz)),
-    )
-    return EpsilonReport(
-        params=params,
-        eps_coulomb=eps_c,
-        eps_lorentz=eps_l,
-        eps_transformed=eps_t,
-        ratio=eps_l.value / eps_c.value,
-        coefficients=coeffs,
-        checks=checks,
-    )
+    return {
+        "params": _params(params),
+        "eps_coulomb": _integral(eps_c),
+        "eps_lorentz": _integral(eps_l),
+        "eps_transformed": _integral(eps_t),
+        "ratio": eps_l.value / eps_c.value,
+        "coefficients": _coefficients(coeffs),
+        "checks": {
+            "transformed matches covariant": gauge_gap <= gauge_tol,
+            "per-mode residual vanishes":
+                abs(sample.residual) <= 1e-12 * abs(sample.bracket_lorentz),
+        },
+    }
 
 
-def _params_rows(params: SystemParams) -> list[tuple[str, str]]:
-    return [
-        ("omega_a", _fmt(params.omega_a)),
-        ("omega_b", _fmt(params.omega_b)),
-        ("separation_l", _fmt(params.separation_l)),
-        ("dipole_d", _fmt(params.dipole_d)),
-        ("mass_m", _fmt(params.mass_m)),
-        ("charge_q", _fmt(params.charge_q)),
-    ]
+def _rounded(doc):
+    """Copy of a document with every float rounded to nine significant digits."""
+    if isinstance(doc, dict):
+        return {key: _rounded(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_rounded(value) for value in doc]
+    return _round9(doc) if isinstance(doc, float) else doc
 
 
-def _integral_rows(name: str, result: IntegralResult) -> list[tuple[str, str]]:
-    return [(name, f"{_fmt(result.value)}  (err {_fmt(result.error_estimate)},"
-                   f" residue {_fmt(result.residue_imag)}, nodes {result.nodes_used})")]
+def _leaves(doc: dict):
+    """(key, leaf) pairs of a report in document order, checks left out; an
+    integral result (a dict with a "value") is one leaf."""
+    for key, value in doc.items():
+        if key == "checks":
+            continue
+        if isinstance(value, dict) and "value" not in value:
+            yield from _leaves(value)
+        else:
+            yield key, value
+
+
+def _cell(leaf) -> str:
+    if isinstance(leaf, dict):
+        return (f"{_fmt(leaf['value'])}  (err {_fmt(leaf['error_estimate'])},"
+                f" residue {_fmt(leaf['residue_imag'])}, nodes {leaf['nodes_used']})")
+    return _fmt(leaf)
 
 
 def _print_table(rows: list[tuple[str, str]]) -> None:
@@ -200,76 +219,32 @@ def _print_table(rows: list[tuple[str, str]]) -> None:
         print(f"  {key:<{width}}  {value}")
 
 
-def _integral_dict(result: IntegralResult) -> dict:
-    return {
-        "value": _round9(result.value),
-        "error_estimate": _round9(result.error_estimate),
-        "residue_imag": _round9(result.residue_imag),
-        "nodes_used": result.nodes_used,
-    }
+def _print_verdicts(verdicts: dict) -> None:
+    for name, ok in verdicts.items():
+        print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
 
 
-def _params_dict(params: SystemParams) -> dict:
-    return {key: _round9(value) for key, value in (
-        ("omega_a", params.omega_a),
-        ("omega_b", params.omega_b),
-        ("separation_l", params.separation_l),
-        ("dipole_d", params.dipole_d),
-        ("mass_m", params.mass_m),
-        ("charge_q", params.charge_q),
-    )}
+def _render(args, title: str, doc: dict) -> None:
+    if args.json:
+        print(json.dumps(_rounded(doc), indent=2))
+        return
+    print(title)
+    _print_table([(key, _cell(leaf)) for key, leaf in _leaves(doc)])
+    _print_verdicts(doc.get("checks", {}))
 
 
 def cmd_epsilon(args) -> int:
     params, config = _load(args)
     report = _epsilon_report(params, config)
-    if args.json:
-        print(json.dumps({
-            "params": _params_dict(params),
-            "eps_coulomb": _integral_dict(report.eps_coulomb),
-            "eps_lorentz": _integral_dict(report.eps_lorentz),
-            "eps_transformed": _integral_dict(report.eps_transformed),
-            "ratio": _round9(report.ratio),
-            "coefficients": {
-                "c0": _integral_dict(report.coefficients.c0),
-                "c1": _integral_dict(report.coefficients.c1),
-                "c2": _integral_dict(report.coefficients.c2),
-            },
-            "checks": {name: ok for name, ok in report.checks},
-        }, indent=2))
-    else:
-        print("amplitude report")
-        rows = _params_rows(params)
-        rows += _integral_rows("eps_coulomb", report.eps_coulomb)
-        rows += _integral_rows("eps_lorentz", report.eps_lorentz)
-        rows += _integral_rows("eps_transformed", report.eps_transformed)
-        rows.append(("ratio", _fmt(report.ratio)))
-        rows += _integral_rows("c0", report.coefficients.c0)
-        rows += _integral_rows("c1", report.coefficients.c1)
-        rows += _integral_rows("c2", report.coefficients.c2)
-        _print_table(rows)
-        for name, ok in report.checks:
-            print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-    return EXIT_OK if report.all_checks_pass() else EXIT_INVARIANT
+    _render(args, "amplitude report", report)
+    return EXIT_OK if all(report["checks"].values()) else EXIT_INVARIANT
 
 
 def cmd_expand(args) -> int:
     params, config = _load(args)
     coeffs = series_coefficients(params, config)
-    if args.json:
-        print(json.dumps({
-            "params": _params_dict(params),
-            "c0": _integral_dict(coeffs.c0),
-            "c1": _integral_dict(coeffs.c1),
-            "c2": _integral_dict(coeffs.c2),
-        }, indent=2))
-    else:
-        print("series coefficients (c1 in detuning/splitting-frequency units,"
-              " c2 in squared units)")
-        rows = _integral_rows("c0", coeffs.c0)
-        rows += _integral_rows("c1", coeffs.c1)
-        rows += _integral_rows("c2", coeffs.c2)
-        _print_table(rows)
+    _render(args, "series coefficients (c1 in detuning/splitting-frequency units,"
+                  " c2 in squared units)", {"params": _params(params), **_coefficients(coeffs)})
     return EXIT_OK
 
 
@@ -304,27 +279,19 @@ def _params_for(base: SystemParams, axis: str, value: float) -> SystemParams:
 
 def _sweep_row(base: SystemParams, config: QuadratureConfig, axis: str,
                value: float) -> list[str]:
-    fields = [""] * len(CSV_HEADER)
+    blank = [""] * (len(CSV_HEADER) - 1)
     try:
         params = _params_for(base, axis, value)
         validate(params)
         report = _epsilon_report(params, config)
     except (ValidationError, PoleError):
-        fields[-1] = "validation-error"
-        return fields
+        return blank + ["validation-error"]
     except ConvergenceError:
-        fields[-1] = "convergence-error"
-        return fields
-    fields = [
-        _fmt(params.omega_a), _fmt(params.omega_b), _fmt(params.separation_l),
-        _fmt(params.dipole_d), _fmt(params.mass_m), _fmt(params.charge_q),
-        _fmt(report.eps_coulomb.value), _fmt(report.eps_lorentz.value),
-        _fmt(report.eps_transformed.value), _fmt(report.ratio),
-        _fmt(report.coefficients.c0.value), _fmt(report.coefficients.c1.value),
-        _fmt(report.coefficients.c2.value), _fmt(report.eps_lorentz.residue_imag),
-        "ok",
-    ]
-    return fields
+        return blank + ["convergence-error"]
+    leaves = {key: leaf["value"] if isinstance(leaf, dict) else leaf
+              for key, leaf in _leaves(report)}
+    leaves["residue"] = report["eps_lorentz"]["residue_imag"]
+    return [_fmt(leaves[name]) for name in CSV_HEADER[:-1]] + ["ok"]
 
 
 def cmd_sweep(args) -> int:
@@ -359,7 +326,7 @@ def cmd_sweep(args) -> int:
 # check
 # ---------------------------------------------------------------------------
 
-def _metric_suite(params: SystemParams, corrupt: bool) -> bool:
+def _metric_suite(corrupt: bool) -> bool:
     registry = make_registry(((1.3, 0.0, 0.0),), n_max=2, p_max=2)
     if corrupt:
         registry = registry.corrupted()
@@ -451,30 +418,26 @@ def cmd_check(args) -> int:
     params, _config = _load(args)
     rng = random.Random(args.seed)
     suites = (
-        ("metric sector", lambda: _metric_suite(params, args.corrupt == "metric")),
+        ("metric sector", lambda: _metric_suite(args.corrupt == "metric")),
         ("subsidiary condition", lambda: _subsidiary_suite(params, args.corrupt == "pair")),
         ("form factor oracle", lambda: _form_factor_suite(params, rng)),
         ("per-mode gauge equivalence", lambda: _per_k_suite(params, rng)),
         ("four-diagram reconstruction", lambda: _diagram_suite(params, rng)),
     )
-    results = []
+    results = {}
     for name, suite in suites:
         try:
-            passed = suite()
+            results[name] = suite()
         except Exception as exc:  # a crashed suite is a failed suite
             print(f"  [FAIL] {name}: {exc}", file=sys.stderr)
-            passed = False
-        results.append((name, passed))
+            results[name] = False
 
+    passed = all(results.values())
     if args.json:
-        print(json.dumps({
-            "suites": {name: ok for name, ok in results},
-            "all_passed": all(ok for _, ok in results),
-        }, indent=2))
+        print(json.dumps({"suites": results, "all_passed": passed}, indent=2))
     else:
-        for name, ok in results:
-            print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-    return EXIT_OK if all(ok for _, ok in results) else EXIT_INVARIANT
+        _print_verdicts(results)
+    return EXIT_OK if passed else EXIT_INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -492,20 +455,16 @@ def cmd_oracle(args) -> int:
     exponent, samples = oracle_scaling_exponent(params, registry)
     exact = all(residual == 0.0 for _, residual in samples)
     passed = exact or abs(exponent - 4.0) <= 0.2
+    verdict = "exact" if exact else ("pass" if passed else "fail")
 
     if args.json:
-        print(json.dumps({
-            "exponent": _round9(exponent),
-            "samples": [[_round9(q), _round9(r)] for q, r in samples],
-            "verdict": "exact" if exact else ("pass" if passed else "fail"),
-        }, indent=2))
+        doc = {"exponent": exponent, "samples": samples, "verdict": verdict}
+        print(json.dumps(_rounded(doc), indent=2))
     else:
         print("oracle report")
         rows = [("registry", f"+-k pair at |k| = {_fmt(k_mag)}")]
-        for q, residual in samples:
-            rows.append((f"residual at q = {_fmt(q)}", _fmt(residual)))
-        rows.append(("fitted exponent", _fmt(exponent)))
-        rows.append(("verdict", "exact" if exact else ("pass" if passed else "fail")))
+        rows += [(f"residual at q = {_fmt(q)}", _fmt(r)) for q, r in samples]
+        rows += [("fitted exponent", _fmt(exponent)), ("verdict", verdict)]
         _print_table(rows)
     return EXIT_OK if passed else EXIT_INVARIANT
 

@@ -55,7 +55,6 @@ class SystemParams:
     dipole_d: float | None = None
     mass_m: float = 1250.0  # derived dipole length 0.02 = separation_l/100
     charge_q: float = 1.0
-    eta: float = 0.0  # records which side of the pole; principal value is taken
     hbar: float = field(default=HBAR)
     c: float = field(default=C)
     eps0: float = field(default=EPS0)
@@ -73,21 +72,6 @@ class SystemParams:
     def omega_l(self) -> float:
         """Light-crossing frequency c / separation_l."""
         return self.c / self.separation_l
-
-    def oscillator_frequency(self, which: str) -> float:
-        if which == "A":
-            return self.omega_a
-        if which == "B":
-            return self.omega_b
-        raise ValueError(f"unknown oscillator {which!r}")
-
-    def oscillator_center(self, which: str) -> float:
-        """x coordinate of the oscillator center (A at origin, B at separation_l)."""
-        if which == "A":
-            return 0.0
-        if which == "B":
-            return self.separation_l
-        raise ValueError(f"unknown oscillator {which!r}")
 
     def implied_mass(self, omega: float) -> float:
         """Mass that gives this oscillator the shared dipole length at frequency omega.
@@ -116,7 +100,6 @@ def validate(params: SystemParams) -> list[tuple[str, str]]:
         "dipole_d": p.dipole_d,
         "mass_m": p.mass_m,
         "charge_q": p.charge_q,
-        "eta": p.eta,
     }
     for name, value in numbers.items():
         if not math.isfinite(value):

@@ -258,37 +258,6 @@ class StateVector:
             out[new] = out.get(new, 0.0) + a * math.sqrt(n)
         return StateVector(self.registry, out)
 
-    # -- oscillator ladders ---------------------------------------------------
-
-    def raise_oscillator(self, which: str) -> "StateVector":
-        n_max = self.registry.n_max
-        out: dict[OccupationState, complex] = {}
-        for occ, a in self._amp.items():
-            n = occ.level_a if which == "A" else occ.level_b
-            if n + 1 > n_max:
-                raise TruncationError(f"oscillator {which} would exceed n_max = {n_max}")
-            new = (
-                OccupationState(n + 1, occ.level_b, occ.photons)
-                if which == "A"
-                else OccupationState(occ.level_a, n + 1, occ.photons)
-            )
-            out[new] = out.get(new, 0.0) + a * math.sqrt(n + 1)
-        return StateVector(self.registry, out)
-
-    def lower_oscillator(self, which: str) -> "StateVector":
-        out: dict[OccupationState, complex] = {}
-        for occ, a in self._amp.items():
-            n = occ.level_a if which == "A" else occ.level_b
-            if n == 0:
-                continue
-            new = (
-                OccupationState(n - 1, occ.level_b, occ.photons)
-                if which == "A"
-                else OccupationState(occ.level_a, n - 1, occ.photons)
-            )
-            out[new] = out.get(new, 0.0) + a * math.sqrt(n)
-        return StateVector(self.registry, out)
-
     # -- metric ----------------------------------------------------------------
 
     def apply_metric(self) -> "StateVector":

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -53,14 +51,6 @@ from .matelem import (
 )
 from .perturbation import PoleError, ResonanceError, coulomb_integrand, lorentz_bracket
 from .quadrature import Column, IntegralResult, QuadratureConfig, epsilon_columns
-
-
-class TransformTermKind(Enum):
-    """Order-by-order split of the mapped second-order amplitude."""
-
-    IDENTITY_ON_SECOND = "identity_on_second"  # unit operator, second-order state
-    LINEAR_ON_FIRST = "linear_on_first"  # one power of the exponent, first-order state
-    QUADRATIC_ON_ZEROTH = "quadratic_on_zeroth"  # half the exponent squared, bare state
 
 
 @dataclass(frozen=True)

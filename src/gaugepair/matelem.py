@@ -19,7 +19,6 @@ Every function returns 0 when charge_q = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,25 +38,11 @@ class OscillatorId(Enum):
     B = "B"
 
     def frequency(self, params: SystemParams) -> float:
-        return params.oscillator_frequency(self.value)
+        return params.omega_a if self is OscillatorId.A else params.omega_b
 
     def center(self, params: SystemParams) -> float:
-        return params.oscillator_center(self.value)
-
-
-class Process(Enum):
-    SCALAR_EMIT = "scalar_emit"
-    SCALAR_ABSORB = "scalar_absorb"
-    LONG_EMIT = "long_emit"
-    LONG_ABSORB = "long_absorb"
-    RHO_FOURIER = "rho_fourier"
-
-
-@dataclass(frozen=True)
-class TransitionElement:
-    value: complex
-    process: Process
-    k_vector: tuple[float, float, float]
+        """x coordinate of the oscillator center (A at origin, B at separation_l)."""
+        return 0.0 if self is OscillatorId.A else params.separation_l
 
 
 def _k_parts(k_vector) -> tuple[float, float]:
@@ -163,19 +148,6 @@ def rho_fourier_element(params: SystemParams, osc: OscillatorId, k_vector, sign:
         * gaussian_form_factor(params, kx)
         / (2.0 * math.pi) ** 1.5
     )
-
-
-def transition_element(
-    params: SystemParams, process: Process, osc: OscillatorId, k_vector
-) -> TransitionElement:
-    fn = {
-        Process.SCALAR_EMIT: scalar_emission,
-        Process.SCALAR_ABSORB: scalar_absorption,
-        Process.LONG_EMIT: longitudinal_emission,
-        Process.LONG_ABSORB: longitudinal_absorption,
-        Process.RHO_FOURIER: rho_fourier_element,
-    }[process]
-    return TransitionElement(fn(params, osc, k_vector), process, tuple(k_vector))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .fock import (
 from .matelem import (
     TWO_PI_CUBED,
     OscillatorId,
+    _k_parts,
     exponential_matrix,
     mode_scale,
 )
@@ -100,23 +101,20 @@ def diagram_integrand(params: SystemParams, spec: DiagramSpec, k_vector) -> comp
     -(omega_b + omega_gamma).  Longitudinal diagrams get the extra factor
     -(omega_a omega_b / omega_gamma^2).
     """
-    kx = float(k_vector[0])
-    k_norm = math.sqrt(sum(float(c) ** 2 for c in k_vector))
-    if k_norm == 0.0:
-        raise ValueError("zero wave vector")
+    kx, k_norm = _k_parts(k_vector)
     omega = params.c * k_norm
     kd = kx * params.dipole_d
     kl = kx * params.separation_l
 
     if spec.order_type is ExchangeOrder.RESONANT:
-        denom = complex(params.omega_a - omega, params.eta)
+        denom = params.omega_a - omega
         if denom == 0:
             raise PoleError(
                 f"on the resonance omega_gamma = omega_a = {params.omega_a} with no regulator"
             )
         phase = cmath.exp(1j * kl)
     else:
-        denom = complex(-(params.omega_b + omega), params.eta)
+        denom = -(params.omega_b + omega)
         phase = cmath.exp(-1j * kl)
 
     value = (kd * kd / k_norm) * phase * math.exp(-kd * kd) / denom
@@ -159,8 +157,7 @@ def lorentz_bracket(params: SystemParams, omega_gamma):
 def combined_bracket_form(params: SystemParams, k_vector) -> float:
     """Closed form of symmetric_diagram_sum:
     -2 (k.d)^2 cos(k_x L) exp(-(k.d)^2) B(omega) / (k omega/c)."""
-    kx = float(k_vector[0])
-    k_norm = math.sqrt(sum(float(c) ** 2 for c in k_vector))
+    kx, k_norm = _k_parts(k_vector)
     omega = params.c * k_norm
     kd = kx * params.dipole_d
     bracket = lorentz_bracket(params, omega)
@@ -206,10 +203,7 @@ def expansion_terms(params: SystemParams, omega_gamma, order: int):
 def coulomb_integrand(params: SystemParams, k_vector) -> float:
     """First-order Coulomb-gauge d^3k integrand, full prefactor included:
     -(q^2/(eps0 delta_e (2pi)^3)) ((k.d)^2/k^2) cos(k_x L) exp(-(k.d)^2)."""
-    kx = float(k_vector[0])
-    k_norm = math.sqrt(sum(float(c) ** 2 for c in k_vector))
-    if k_norm == 0.0:
-        raise ValueError("zero wave vector")
+    kx, k_norm = _k_parts(k_vector)
     kd = kx * params.dipole_d
     return (
         -(params.charge_q**2 / (params.eps0 * params.delta_e * TWO_PI_CUBED))

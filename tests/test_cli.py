@@ -130,6 +130,34 @@ def test_sweep_invalid_rows_surface_in_status(tmp_path, capsys):
         assert row.endswith(",validation-error")
 
 
+def test_sweep_with_one_invalid_row_exits_nonzero(coarse_cfg, tmp_path, capsys):
+    out_csv = tmp_path / "mixed.csv"
+    code = main(
+        [
+            "--config", coarse_cfg,
+            "sweep", "--axis", "dipole_d",
+            "--from", "0.02", "--to", "-0.01", "--points", "2",
+            "--csv", str(out_csv),
+        ]
+    )
+    assert code == EXIT_CONVERGENCE
+    statuses = [row.rsplit(",", 1)[1] for row in out_csv.read_text().splitlines()[1:]]
+    assert statuses == ["ok", "validation-error"]
+
+
+def test_stalled_quadrature_exits_convergence(tmp_path, capsys):
+    cfg = tmp_path / "unreachable.cfg"
+    cfg.write_text("radial_nodes = 32\nangular_nodes = 32\nrel_tol = 1e-20\n")
+    assert main(["--config", str(cfg), "epsilon"]) == EXIT_CONVERGENCE
+    assert "radial quadrature stalled" in capsys.readouterr().err
+
+
+def test_oracle_mode_on_resonance_exits_convergence(capsys):
+    # |k| = omega_a / c puts a registry mode on the resonance
+    assert main(["oracle", "--oracle-k", "1.0"]) == EXIT_CONVERGENCE
+    assert "degenerate with the start state" in capsys.readouterr().err
+
+
 def test_sweep_lets_internal_faults_through(monkeypatch, tmp_path, capsys):
     # a plain ValueError is a fault in the program, not an invalid sweep row
     def broken(params, config):

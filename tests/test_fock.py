@@ -59,8 +59,6 @@ def test_truncation_walls_error_loudly(registry):
     vac = StateVector.vacuum(registry)
     with pytest.raises(TruncationError):
         vac.create(1).create(1).create(1).create(1)
-    with pytest.raises(TruncationError):
-        vac.raise_oscillator("A").raise_oscillator("A").raise_oscillator("A")
 
 
 def test_registry_mismatch_rejected(registry):

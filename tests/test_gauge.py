@@ -12,7 +12,6 @@ from gaugepair.core import SystemParams, ValidationError
 from gaugepair.fock import make_registry
 from gaugepair.gauge import (
     PerKReport,
-    TransformTermKind,
     operator_route_brackets,
     per_k_equivalence,
     residual_first_order_state,
@@ -73,14 +72,6 @@ def test_per_k_report_fields():
     assert report.bracket_lorentz == pytest.approx(
         report.bracket_identity + report.bracket_linear + report.bracket_quadratic
     )
-
-
-def test_term_kinds_are_exhaustive():
-    assert {k.value for k in TransformTermKind} == {
-        "identity_on_second",
-        "linear_on_first",
-        "quadratic_on_zeroth",
-    }
 
 
 # -- operator route -----------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from gaugepair.core import SystemParams
 from gaugepair.matelem import (
     OscillatorId,
-    Process,
     displacement_element,
     exponential_matrix,
     form_factor_oracle,
@@ -20,7 +19,6 @@ from gaugepair.matelem import (
     rho_fourier_element,
     scalar_absorption,
     scalar_emission,
-    transition_element,
 )
 
 PARAMS = SystemParams()
@@ -79,14 +77,6 @@ def test_rho_fourier_reflection_conjugates(k, osc):
     direct = rho_fourier_element(PARAMS, osc, k)
     reflected = rho_fourier_element(PARAMS, osc, k, sign=-1)
     assert reflected == pytest.approx(direct.conjugate(), abs=1e-18)
-
-
-def test_transition_element_dispatch():
-    k = (0.9, 0.0, 0.0)
-    te = transition_element(PARAMS, Process.LONG_ABSORB, OscillatorId.B, k)
-    assert te.value == longitudinal_absorption(PARAMS, OscillatorId.B, k)
-    assert te.process is Process.LONG_ABSORB
-    assert te.k_vector == k
 
 
 def test_mode_scale_frequency_dependence():

@@ -150,8 +150,9 @@ def test_late_column_leaves_an_early_converged_column_unchanged():
 
 def test_coulomb_wrapper_returns_the_report_column():
     report = cli._epsilon_report(PARAMS, CONFIG)
-    assert epsilon_coulomb(PARAMS, CONFIG).value == report.eps_coulomb.value
-    assert report.coefficients.c0.nodes_used == report.eps_coulomb.nodes_used
+    assert epsilon_coulomb(PARAMS, CONFIG).value == report["eps_coulomb"]["value"]
+    assert (report["coefficients"]["c0"]["nodes_used"]
+            == report["eps_coulomb"]["nodes_used"])
 
 
 def test_each_report_verb_evaluates_the_kernel_once_per_node(monkeypatch, capsys):
