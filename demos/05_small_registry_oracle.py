@@ -13,7 +13,6 @@ from dataclasses import replace
 from gaugepair.core import SystemParams
 from gaugepair.fock import make_registry
 from gaugepair.perturbation import (
-    InteractionOperator,
     discrete_second_order,
     exact_diagonalization_oracle,
     oracle_scaling_exponent,
@@ -25,8 +24,7 @@ REGISTRY = make_registry(((1.7, 0.0, 0.0), (-1.7, 0.0, 0.0)), n_max=2, p_max=2)
 
 def main() -> None:
     res = exact_diagonalization_oracle(PARAMS, REGISTRY)
-    op = InteractionOperator(PARAMS, REGISTRY)
-    eps_pt = discrete_second_order(PARAMS, REGISTRY, operator=op)
+    eps_pt = discrete_second_order(PARAMS, REGISTRY)
 
     print(f"basis dimension {res.dimension} "
           f"(2 oscillators x {len(REGISTRY)} modes, truncated)")

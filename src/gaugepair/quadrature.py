@@ -46,6 +46,10 @@ from .perturbation import expansion_terms, lorentz_bracket
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+# Smallest rel_tol accepted: two levels of a panel sum cannot be asked to
+# agree more closely than their rounding, a few tens of eps of |value|.
+ROUNDING_FLOOR = 32.0 * np.finfo(float).eps
+
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _LEGGAUSS_CACHE:
@@ -81,8 +85,10 @@ class QuadratureConfig:
             )
         if not (0.0 < self.pole_window < 1.0):
             raise ValidationError("pole_window must sit in (0, 1)")
-        if self.rel_tol <= 0.0:
-            raise ValidationError("rel_tol must be positive")
+        if not self.rel_tol >= ROUNDING_FLOOR:
+            raise ValidationError(
+                f"rel_tol = {self.rel_tol} is below the rounding floor {ROUNDING_FLOOR:.1e}"
+            )
 
 
 def config_from_mapping(mapping: dict[str, float | int]) -> QuadratureConfig:
@@ -243,10 +249,8 @@ def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
     Segments are refined in lockstep, so at every comparison each column's
     whole integral is known.  A column stops refining a segment once two
     successive levels agree to rel_tol of the segment's own |value| or of the
-    column's sum of |value| over the segments, or to the rounding floor
-    32 eps of its own |value|.
+    column's sum of |value| over the segments.
     """
-    eps_floor = 32.0 * np.finfo(float).eps
     nodes = config.radial_nodes
     shape = (len(segments), len(columns))
     value, delta = np.zeros(shape), np.full(shape, math.inf)
@@ -266,10 +270,7 @@ def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
             scale = np.maximum(np.abs(value), np.abs(prev))
             settled = ((delta <= config.rel_tol * scale)
                        | (delta <= config.rel_tol * np.abs(value).sum(axis=0)))
-            floored = live & ~settled & (delta <= eps_floor * scale)
-            if floored.any() and config.rel_tol < eps_floor:
-                _stalled(delta[floored].max(), config)  # tolerance below the rounding floor
-            done |= live & (settled | floored)
+            done |= live & settled
         if done.all():
             return value, delta, used
         for s in range(len(segments)):

@@ -146,10 +146,18 @@ def test_sweep_with_one_invalid_row_exits_nonzero(coarse_cfg, tmp_path, capsys):
 
 
 def test_stalled_quadrature_exits_convergence(tmp_path, capsys):
+    # two angular nodes leave G(k) too rough for the radial levels to agree
     cfg = tmp_path / "unreachable.cfg"
-    cfg.write_text("radial_nodes = 32\nangular_nodes = 32\nrel_tol = 1e-20\n")
+    cfg.write_text("radial_nodes = 2\nangular_nodes = 2\nrel_tol = 1e-14\n")
     assert main(["--config", str(cfg), "epsilon"]) == EXIT_CONVERGENCE
     assert "radial quadrature stalled" in capsys.readouterr().err
+
+
+def test_tolerance_below_rounding_exits_validation(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("rel_tol = 1e-20\n")
+    assert main(["--config", str(cfg), "epsilon"]) == EXIT_VALIDATION
+    assert "below the rounding floor" in capsys.readouterr().err
 
 
 def test_oracle_mode_on_resonance_exits_convergence(capsys):

@@ -1,6 +1,7 @@
 """Diagram integrands, bracket closed forms, and the two discrete oracles."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gaugepair.core import SystemParams
-from gaugepair.fock import PolarizationKind, make_registry
+from gaugepair.fock import PRUNE_TOL, OccupationState, PolarizationKind, StateVector, make_registry
 from gaugepair.perturbation import (
     ALL_DIAGRAMS,
     DiagramSpec,
     ExchangeOrder,
+    InteractionOperator,
     OracleError,
     PoleError,
     ResonanceError,
@@ -208,6 +210,94 @@ def test_registry_mode_on_resonance_errors():
     reg = make_registry([(PARAMS.omega_a / PARAMS.c, 0.0, 0.0)])
     with pytest.raises(ResonanceError):
         discrete_second_order(PARAMS, reg)
+
+
+def _two_apply_second_order(params, registry):
+    """The second-order sum with both vertices applied as whole states."""
+    op = InteractionOperator(params, registry)
+    start = StateVector.basis(registry, level_a=1, level_b=0)
+    (start_occ,) = [occ for occ, _ in start.terms()]
+    target = OccupationState(0, 1, (0,) * len(registry))
+    e_n, e_m = op.energy_of(start_occ), op.energy_of(target)
+    psi1 = StateVector(registry, {occ: amp / (e_n - op.energy_of(occ))
+                                  for occ, amp in op.apply(start).terms() if occ != start_occ})
+    return op.apply(psi1).amplitude(target) / (e_n - e_m)
+
+
+def test_second_order_at_benchmark_size():
+    # 48 k-vectors in a box of side 5, off k = 0 and off the shell |k| = 1,
+    # each carrying its d^3k cell
+    rng = random.Random(48)
+    ks = []
+    while len(ks) < 48:
+        k = tuple(rng.uniform(-2.5, 2.5) for _ in range(3))
+        norm = math.sqrt(sum(c * c for c in k))
+        if norm >= 0.05 and abs(norm - 1.0) >= 0.05:
+            ks.append(k)
+    weight = 5.0**3 / len(ks)
+    reg = make_registry(ks, weights=[weight] * len(ks))
+    amp = discrete_second_order(PARAMS, reg)
+    assert repr(amp) == repr(_two_apply_second_order(PARAMS, reg))
+    riemann = sum(
+        weight * common_prefactor(PARAMS)
+        * sum(diagram_integrand(PARAMS, s, k) for s in ALL_DIAGRAMS)
+        for k in ks
+    )
+    assert abs(amp - riemann) <= 1e-12 * abs(riemann)
+
+
+# -- InteractionOperator.coefficient against the whole state -----------------------
+
+def _mixed_state(reg):
+    """Several terms inside the registry's bounds, multi-photon ones included."""
+    last, top = len(reg) - 1, min(reg.p_max, 2)
+    labels = [
+        (1, 0, {}),
+        (0, 1, {0: 1}),
+        (reg.n_max, 0, {last: top}),
+        (1, 1, {0: 1, last: 1}),
+        (0, reg.n_max, {0: top, last: 1}),
+    ]
+    state = StateVector(reg, {})
+    for i, (la, lb, photons) in enumerate(labels):
+        amp = complex(0.3 + 0.1 * i, 0.2 - 0.15 * i)
+        state = state + amp * StateVector.basis(reg, la, lb, photons)
+    return state
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("p_max", [1, 2])
+def test_coefficient_equals_applied_amplitude(p_max, n_max, cap):
+    ks = ((0.6, 0.0, 0.0), (-1.9, 0.3, 0.4))
+    full = (PolarizationKind.LONGITUDINAL, PolarizationKind.SCALAR)
+    for kinds in ((PolarizationKind.SCALAR,), full):
+        clean = make_registry(ks, kinds=kinds, weights=(0.11, 0.07), n_max=n_max, p_max=p_max)
+        for reg in (clean, clean.corrupted()):
+            op = InteractionOperator(PARAMS, reg, total_photon_cap=cap)
+            state = _mixed_state(reg)
+            whole = op.apply(state)
+            assert len(whole) > 0
+            for target, _ in (*whole.terms(), *state.terms()):
+                # bit for bit, signed zeros included
+                assert repr(op.coefficient(target, state)) == repr(whole.amplitude(target))
+            # a faint start: its weakest images fall below PRUNE_TOL and are dropped
+            start = StateVector.basis(reg, 1, 0)
+            images = op.apply(start)
+            sizes = [abs(a) for _, a in images.terms()]
+            faint = (PRUNE_TOL / math.sqrt(min(sizes) * max(sizes))) * start
+            faint_whole = op.apply(faint)
+            assert len(faint_whole) < len(images)
+            for target, _ in images.terms():
+                assert repr(op.coefficient(target, faint)) == repr(faint_whole.amplitude(target))
+            # every vertex moves exactly one photon: nothing reaches the start's
+            # own photon counts, a two-photon change, or a level past n_max
+            vacuum = (0,) * len(reg)
+            for target in (OccupationState(0, 1, vacuum),
+                           OccupationState(0, 1, (1,) + vacuum[2:] + (1,)),
+                           OccupationState(n_max + 1, 0, (1,) + vacuum[1:])):
+                assert images.amplitude(target) == 0.0
+                assert op.coefficient(target, start) == 0.0
 
 
 # -- exact diagonalization ---------------------------------------------------------

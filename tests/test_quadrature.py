@@ -102,9 +102,10 @@ def test_pv_radial_without_pole_is_plain_quadrature():
 
 
 def test_unreachable_tolerance_raises():
-    cfg = QuadratureConfig(rel_tol=1e-18)
+    # a kink inside a panel converges only algebraically under panel doubling
+    cfg = QuadratureConfig(rel_tol=1e-12)
     with pytest.raises(ConvergenceError):
-        pv_radial(lambda k: np.sin(13.0 * k) ** 2, None, cfg, (0.0, 1.0))
+        pv_radial(lambda k: np.abs(k - 1.0 / 3.0), None, cfg, (0.0, 1.0))
 
 
 def test_empty_domain_rejected():
@@ -196,11 +197,17 @@ def test_segment_holding_almost_nothing_settles_against_the_whole_integral():
         dict(pole_window=0.0),
         dict(pole_window=1.0),
         dict(rel_tol=0.0),
+        dict(rel_tol=1e-18),  # below the rounding floor
     ],
 )
 def test_config_invariants(kwargs):
     with pytest.raises(ValidationError):
         QuadratureConfig(**kwargs)
+
+
+def test_config_accepts_the_rounding_floor():
+    floor = quadrature.ROUNDING_FLOOR
+    assert QuadratureConfig(rel_tol=floor).rel_tol == floor
 
 
 def test_config_from_mapping_ignores_foreign_keys():
