@@ -59,7 +59,7 @@ def main(argv=None) -> None:
     x = params.delta_e / (params.hbar * params.omega_l)
     y = params.delta_e / (params.hbar * params.omega_a)
     print()
-    c0, c1, c2 = coeffs.as_tuple()
+    c0, c1, c2 = coeffs.c0.value, coeffs.c1.value, coeffs.c2.value
     print("splitting series of the ratio: (c0 + c1*(de/hw_l) + c2*(de/hw_a)^2) / c0")
     print("(the c are normalized to the closed form, the ratio to eps_C = c0 * closed form)")
     print(f"  c0 = {c0:+.7f}")

@@ -87,6 +87,10 @@ class ModeRegistry:
     def __len__(self) -> int:
         return len(self.modes)
 
+    def label(self, level_a: int, level_b: int) -> "OccupationState":
+        """Basis label with these oscillator levels and no photons."""
+        return OccupationState(level_a, level_b, (0,) * len(self.modes))
+
     def scalar_count(self, photons: tuple[int, ...]) -> int:
         return sum(
             n for n, mode in zip(photons, self.modes) if mode.kind is PolarizationKind.SCALAR

@@ -49,7 +49,13 @@ from .matelem import (
     mode_scale,
     rho_fourier_element,
 )
-from .perturbation import PoleError, ResonanceError, coulomb_integrand, lorentz_bracket
+from .perturbation import (
+    PoleError,
+    coulomb_integrand,
+    lorentz_bracket,
+    resolvent,
+    uncoupled_energy,
+)
 from .quadrature import Column, IntegralResult, QuadratureConfig, epsilon_columns
 
 
@@ -75,16 +81,16 @@ def transform_brackets(params: SystemParams, omega_gamma):
     not only through the expansion order.  Accepts scalars or arrays.
     """
     w = np.asarray(omega_gamma, dtype=float)
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValidationError("photon frequency must be positive")
-    if np.any(w == params.omega_a):
+    if (w == params.omega_a).any():
         raise PoleError(f"bracket undefined on the resonance omega = {params.omega_a}")
     de = params.delta_e / params.hbar
     identity = np.ones_like(w)
     linear = (de / (2.0 * w)) * (
         params.omega_a / (params.omega_a - w) + params.omega_b / (params.omega_b + w)
     )
-    quadratic = -de / (2.0 * w) * np.ones_like(w)
+    quadratic = -de / (2.0 * w)
     if w.ndim == 0:
         return float(identity), float(linear), float(quadratic)
     return identity, linear, quadratic
@@ -158,19 +164,6 @@ def _apply_two_level(
     return StateVector(registry, amps)
 
 
-def _apply_charge_fourier(
-    params: SystemParams,
-    registry: ModeRegistry,
-    state: StateVector,
-    osc: OscillatorId,
-    k_vector: tuple[float, float, float],
-    sign: int,
-) -> StateVector:
-    # the two-level charge density carries the same element in both directions
-    element = rho_fourier_element(params, osc, k_vector, sign)
-    return _apply_two_level(registry, state, osc, element, element)
-
-
 def apply_inverse_transform_linear(
     params: SystemParams, registry: ModeRegistry, state: StateVector
 ) -> StateVector:
@@ -197,14 +190,44 @@ def apply_inverse_transform_linear(
         lowered = state.annihilate(idx)
         raised = state.create(idx)
         for osc in (OscillatorId.A, OscillatorId.B):
+            # the two-level charge density carries the same element both ways
             if not lowered.is_zero():
-                total = total + coeff * _apply_charge_fourier(
-                    params, registry, lowered, osc, mode.k_vector, -1
-                )
+                element = rho_fourier_element(params, osc, mode.k_vector, -1)
+                total = total + coeff * _apply_two_level(registry, lowered, osc, element, element)
             if not raised.is_zero():
-                total = total + (-sigma(idx) * coeff) * _apply_charge_fourier(
-                    params, registry, raised, osc, mode.k_vector, +1
+                element = rho_fourier_element(params, osc, mode.k_vector, +1)
+                total = total + (-sigma(idx) * coeff) * _apply_two_level(
+                    registry, raised, osc, element, element
                 )
+    return total
+
+
+def _residual_coupling(params: SystemParams, registry: ModeRegistry, state: StateVector,
+                       corrupt: bool = False) -> StateVector:
+    """The residual longitudinal-scalar coupling applied to state.
+
+    Each longitudinal mode couples through the metric-null pair at its wave
+    vector: the creating half raises a_l^dag - a_s^dag (metric-adjoint
+    daggers), the annihilating half lowers a_l - a_s.  corrupt=True flips the
+    relative sign inside the created pair -- the negative control.
+    """
+    total = StateVector(registry, {})
+    for idx, mode in enumerate(registry.modes):
+        if mode.kind is not PolarizationKind.LONGITUDINAL:
+            continue
+        _, s_idx = registry.pair_at(mode.k_vector)
+        sw = math.sqrt(registry.weights[idx])
+        for osc in (OscillatorId.A, OscillatorId.B):
+            emission = longitudinal_emission(params, osc, mode.k_vector)
+            absorption = longitudinal_absorption(params, osc, mode.k_vector)
+            created = _apply_two_level(registry, state, osc, -sw * emission, sw * emission)
+            if not created.is_zero():
+                raised_l = created.create_physical(idx)
+                raised_s = created.create_physical(s_idx)
+                total = total + ((raised_l + raised_s) if corrupt else (raised_l - raised_s))
+            annihilated = _apply_two_level(registry, state, osc, sw * absorption, -sw * absorption)
+            if not annihilated.is_zero():
+                total = total + (annihilated.annihilate(idx) - annihilated.annihilate(s_idx))
     return total
 
 
@@ -217,44 +240,13 @@ def residual_first_order_state(params: SystemParams, registry: ModeRegistry) -> 
     the vacuum -- and every created quantum enters through the metric-null
     pair combination, so the result satisfies the subsidiary condition.
     """
-    start_energy = params.hbar * params.omega_a
-    total = StateVector(registry, {})
-    for idx, mode in enumerate(registry.modes):
-        if mode.kind is not PolarizationKind.LONGITUDINAL:
-            continue
-        sw = math.sqrt(registry.weights[idx])
-        for osc in (OscillatorId.A, OscillatorId.B):
-            emission = longitudinal_emission(params, osc, mode.k_vector)
-            if osc is OscillatorId.A:
-                ket = StateVector.basis(registry, level_a=0, level_b=0)
-                element = sw * emission
-                energy = params.hbar * mode.omega
-            else:
-                ket = StateVector.basis(registry, level_a=1, level_b=1)
-                element = -sw * emission
-                energy = params.hbar * (params.omega_a + params.omega_b + mode.omega)
-            denom = start_energy - energy
-            if abs(denom) < 1e-12 * max(1.0, abs(start_energy)):
-                raise ResonanceError(
-                    f"registry mode at omega = {mode.omega} is degenerate with the start state"
-                )
-            total = total + (element / denom) * physical_pair_raise(ket, mode.k_vector)
-    return total
+    start = StateVector.basis(registry, level_a=1, level_b=0)
+    energy = uncoupled_energy(params, registry, registry.label(1, 0))
+    return resolvent(params, registry, _residual_coupling(params, registry, start), energy)
 
 
-def _paired_registry(
-    k_vector: tuple[float, float, float], weight: float
-) -> ModeRegistry:
-    negated = tuple(-component for component in k_vector)
-    return make_registry((k_vector, negated), weights=(weight, weight), n_max=2, p_max=2)
-
-
-def operator_route_brackets(
-    params: SystemParams,
-    k_vector: tuple[float, float, float],
-    weight: float = 1.0,
-    registry: ModeRegistry | None = None,
-) -> tuple[float, float]:
+def operator_route_brackets(params: SystemParams, k_vector: tuple[float, float, float],
+                            weight: float = 1.0) -> tuple[float, float]:
     """(linear, quadratic) brackets via explicit state algebra on a +-k mode
     registry, normalized exactly like transform_brackets.
 
@@ -263,14 +255,14 @@ def operator_route_brackets(
     cannot reach the vacuum-sector target, so the final projection discards
     them, matching the single-photon truncation used throughout.
     """
-    if registry is None:
-        registry = _paired_registry(k_vector, weight)
+    negated = tuple(-component for component in k_vector)
+    registry = make_registry((k_vector, negated), weights=(weight, weight), n_max=2, p_max=2)
     norm = 2.0 * weight * coulomb_integrand(params, k_vector)
     if abs(norm) < 1e-300:
         raise ValidationError(
             "static-route integrand vanishes at this wavevector; bracket undefined"
         )
-    target = OccupationState(0, 1, (0,) * len(registry))
+    target = registry.label(0, 1)
 
     first_order = residual_first_order_state(params, registry)
     mapped_once = apply_inverse_transform_linear(params, registry, first_order)
@@ -294,13 +286,8 @@ def operator_route_brackets(
 # Subsidiary condition for the residual coupling
 # ---------------------------------------------------------------------------
 
-def residual_term_physicality(
-    params: SystemParams,
-    k_vector: tuple[float, float, float],
-    registry: ModeRegistry | None = None,
-    photon_quanta: int = 0,
-    corrupt: bool = False,
-) -> float:
+def residual_term_physicality(params: SystemParams, k_vector: tuple[float, float, float],
+                              photon_quanta: int = 0, corrupt: bool = False) -> float:
     """Apply the residual longitudinal-scalar coupling to a physical state
     and return the subsidiary-condition violation of the result.
 
@@ -309,37 +296,8 @@ def residual_term_physicality(
     inside the created photon pair -- the negative control that must produce
     a nonzero violation.
     """
-    if registry is None:
-        registry = make_registry(
-            (k_vector,), n_max=2, p_max=max(2, photon_quanta + 2)
-        )
-
+    registry = make_registry((k_vector,), n_max=2, p_max=max(2, photon_quanta + 2))
     start = StateVector.basis(registry, level_a=1, level_b=0)
     for _ in range(photon_quanta):
         start = physical_pair_raise(start, k_vector)
-
-    total = StateVector(registry, {})
-    for idx, mode in enumerate(registry.modes):
-        if mode.kind is not PolarizationKind.LONGITUDINAL:
-            continue
-        _, s_idx = registry.pair_at(mode.k_vector)
-        sw = math.sqrt(registry.weights[idx])
-        for osc in (OscillatorId.A, OscillatorId.B):
-            emission = longitudinal_emission(params, osc, mode.k_vector)
-            absorption = longitudinal_absorption(params, osc, mode.k_vector)
-            created = _apply_two_level(
-                registry, start, osc, -sw * emission, sw * emission
-            )
-            if not created.is_zero():
-                raised_l = created.create_physical(idx)
-                raised_s = created.create_physical(s_idx)
-                pair = (raised_l + raised_s) if corrupt else (raised_l - raised_s)
-                total = total + pair
-            annihilated = _apply_two_level(
-                registry, start, osc, sw * absorption, -sw * absorption
-            )
-            if not annihilated.is_zero():
-                total = total + (
-                    annihilated.annihilate(idx) - annihilated.annihilate(s_idx)
-                )
-    return check_subsidiary(total, k_vector)
+    return check_subsidiary(_residual_coupling(params, registry, start, corrupt), k_vector)

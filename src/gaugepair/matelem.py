@@ -211,19 +211,13 @@ def _eigenfunction(n: int, x: np.ndarray, length: float) -> np.ndarray:
     return norm * eval_hermite(n, u) * np.exp(-0.5 * u * u)
 
 
-def form_factor_oracle(
-    params: SystemParams,
-    osc: OscillatorId,
-    k_x: float,
-    nodes: int = 64,
-    rel_tol: float = 1e-10,
-) -> complex:
+def form_factor_oracle(params: SystemParams, osc: OscillatorId, k_x: float) -> complex:
     """integral of phi_0(x) exp(-i k_x x) phi_1(x) dx by Gauss-Hermite quadrature.
 
     Independent check of the (-i k_x d) exp(-(k_x d)^2/2) closed form: builds
     the eigenfunctions explicitly and never touches the matrix-element code.
-    Convergence is verified by doubling the node count; disagreement beyond
-    rel_tol raises ConvergenceError with the residual.
+    Convergence is verified by doubling the node count from 64; disagreement
+    beyond 1e-10 relative raises ConvergenceError with the residual.
     """
     if not math.isfinite(k_x):
         raise ValueError("k_x must be finite")
@@ -242,11 +236,11 @@ def form_factor_oracle(
         )
         return complex(np.sum(w * f) * math.sqrt(2.0) * d)
 
-    coarse = quad(nodes)
-    fine = quad(2 * nodes)
+    coarse = quad(64)
+    fine = quad(128)
     scale = max(abs(fine), abs(k_x) * d)  # -> 0 limit handled by absolute floor
     residual = abs(fine - coarse)
-    if scale > 0 and residual > rel_tol * scale + 1e-14:
+    if scale > 0 and residual > 1e-10 * scale + 1e-14:
         raise ConvergenceError(
             f"form-factor quadrature did not settle: residual {residual:.3e} at k_x = {k_x}"
         )

@@ -146,9 +146,9 @@ def lorentz_bracket(params: SystemParams, omega_gamma):
     omega -> infinity.  Accepts a scalar or an ndarray of frequencies.
     """
     w = np.asarray(omega_gamma, dtype=float)
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise ValueError("omega_gamma must be positive")
-    if np.any(w == params.omega_a):
+    if (w == params.omega_a).any():
         raise PoleError(f"bracket pole at omega_gamma = omega_a = {params.omega_a}")
     wa, wb = params.omega_a, params.omega_b
     out = 0.5 * ((wa * wb - w * w) / w) * (1.0 / (wa - w) - 1.0 / (wb + w))
@@ -184,18 +184,18 @@ def expansion_terms(params: SystemParams, omega_gamma, order: int):
     from the pole.  Accepts a scalar or an ndarray of frequencies.
     """
     w = np.asarray(omega_gamma, dtype=float)
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise ValueError("omega_gamma must be positive")
     wa = params.omega_a
     de = params.delta_e / params.hbar
     if order == 0:
         out = np.ones_like(w)
     elif order == 1:
-        if np.any(w == wa):
+        if (w == wa).any():
             raise PoleError(f"first-order term pole at omega_gamma = omega_a = {wa}")
         out = 0.5 * (wa * wa + w * w) / (w * (wa + w) * (wa - w)) * de
     elif order == 2:
-        out = 0.5 * de * de / ((wa + w) ** 2) * np.ones_like(w)
+        out = 0.5 * de * de / ((wa + w) ** 2)
     else:
         raise ValueError(f"order must be 0, 1, or 2, got {order}")
     return float(out) if out.ndim == 0 else out
@@ -379,23 +379,48 @@ class InteractionOperator:
                 total = total + amp * c * photon_factor
         return complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
 
-    def energy_of(self, occ: OccupationState) -> float:
-        """Uncoupled energy hbar (omega_a n_a + omega_b n_b + sum omega_j n_j).
-
-        Every kind contributes +hbar omega per quantum here: in the ordinary
-        representation the scalar sector's sign lives in the metric, not in
-        the diagonal.
-        """
-        p = self.params
-        e = p.omega_a * occ.level_a + p.omega_b * occ.level_b
-        for n, mode in zip(occ.photons, self.registry.modes):
-            e += mode.omega * n
-        return p.hbar * e
-
 
 # ---------------------------------------------------------------------------
-# Discrete second-order amplitude (operator route)
+# Energy denominators and the discrete second-order amplitude (operator route)
 # ---------------------------------------------------------------------------
+
+def uncoupled_energy(params: SystemParams, registry: ModeRegistry, occ: OccupationState) -> float:
+    """Uncoupled energy hbar (omega_a n_a + omega_b n_b + sum omega_j n_j).
+
+    Every kind contributes +hbar omega per quantum here: in the ordinary
+    representation the scalar sector's sign lives in the metric, not in the
+    diagonal.
+    """
+    e = params.omega_a * occ.level_a + params.omega_b * occ.level_b
+    for n, mode in zip(occ.photons, registry.modes):
+        e += mode.omega * n
+    return params.hbar * e
+
+
+def resolvent(params: SystemParams, registry: ModeRegistry, state: StateVector,
+              energy: float, skip: OccupationState | None = None) -> StateVector:
+    """(energy - H_0)^-1 on state: each term divided by energy minus its
+    uncoupled energy, the term labelled skip left out.
+
+    A term within 1e-12 relative of energy has no denominator; that raises
+    ResonanceError naming the term's photon modes.
+    """
+    out: dict[OccupationState, complex] = {}
+    for occ, amp in state.terms():
+        if occ == skip:
+            continue
+        denom = energy - uncoupled_energy(params, registry, occ)
+        if abs(denom) < 1e-12 * max(1.0, abs(energy)):
+            mode_desc = ", ".join(f"mode {i} ({mode.kind.value}, omega={mode.omega})"
+                                  for i, mode in enumerate(registry.modes) if occ.photons[i])
+            raise ResonanceError(
+                f"intermediate state degenerate with the start state via {mode_desc}; "
+                "move the registry off the resonance"
+            )
+        # summed onto 0.0 as every StateVector sum is, so a zero part is +0
+        out[occ] = 0.0 + amp / denom
+    return StateVector(registry, out)
+
 
 def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> complex:
     """Second-order amplitude of |0_A 1_B, no photons> on a finite registry.
@@ -409,31 +434,12 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     if len(registry) == 0:
         return 0.0 + 0.0j
     op = InteractionOperator(params, registry)
-    start = StateVector.basis(registry, level_a=1, level_b=0)
-    target_occ = OccupationState(0, 1, (0,) * len(registry))
-    (start_occ,) = [occ for occ, _ in start.terms()]
-    e_n = op.energy_of(start_occ)
-    e_m = op.energy_of(target_occ)
-
-    first = op.apply(start)
-    weighted: dict[OccupationState, complex] = {}
-    for occ, amp in first.terms():
-        if occ == start_occ:
-            continue  # the printed formula excludes |l> = |n>
-        denom = e_n - op.energy_of(occ)
-        if abs(denom) < 1e-12 * max(1.0, abs(e_n)):
-            hot = [i for i, c in enumerate(occ.photons) if c > 0]
-            mode_desc = ", ".join(
-                f"mode {i} ({registry.modes[i].kind.value}, omega={registry.modes[i].omega})"
-                for i in hot
-            )
-            raise ResonanceError(
-                f"intermediate state degenerate with the start state via {mode_desc}; "
-                "move the registry off the resonance"
-            )
-        weighted[occ] = amp / denom
-    psi1 = StateVector(registry, weighted)
-    return op.coefficient(target_occ, psi1) / (e_n - e_m)
+    start, target = registry.label(1, 0), registry.label(0, 1)
+    e_n = uncoupled_energy(params, registry, start)
+    # the printed formula excludes |l> = |n>
+    first = op.apply(StateVector.basis(registry, level_a=1, level_b=0))
+    psi1 = resolvent(params, registry, first, e_n, skip=start)
+    return op.coefficient(target, psi1) / (e_n - uncoupled_energy(params, registry, target))
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +463,11 @@ def _enumerate_photon_tuples(n_modes: int, per_mode: int, total: int):
             yield (head,) + tail
 
 
-def exact_diagonalization_oracle(
-    params: SystemParams,
-    registry: ModeRegistry,
-    total_photon_cap: int = 2,
-    reality_tol: float = 1e-10,
-) -> OracleResult:
+REALITY_TOL = 1e-10  # largest |Im E|, relative to the spectrum's scale, taken as real
+
+
+def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
+                                 total_photon_cap: int = 2) -> OracleResult:
     """Diagonalize the full coupled Hamiltonian on the truncated basis.
 
     Returns the |0_A 1_B, 0 photons> coefficient of the eigenvector
@@ -472,7 +477,7 @@ def exact_diagonalization_oracle(
     Self-adjointness under the indefinite metric makes metric-weight times
     matrix Hermitian in the ordinary sense, so a general eigensolve of the
     weighted matrix must return a real spectrum; a non-real eigenvalue there
-    beyond reality_tol signals a sign bug in the couplings and raises.  The
+    beyond REALITY_TOL signals a sign bug in the couplings and raises.  The
     bare matrix is only pseudo-Hermitian, and truncation lets degenerate
     longitudinal/scalar photon levels mix into complex-conjugate pairs; those
     spectator branches are tolerated, but the tracked branch must stay real.
@@ -493,7 +498,7 @@ def exact_diagonalization_oracle(
 
     h = np.zeros((dim, dim), dtype=complex)
     for j, occ in enumerate(basis):
-        h[j, j] = op.energy_of(occ)
+        h[j, j] = uncoupled_energy(params, registry, occ)
         column = op.apply(StateVector.basis(registry, occ.level_a, occ.level_b,
                                             {i: c for i, c in enumerate(occ.photons) if c}))
         for out_occ, amp in column.terms():
@@ -508,15 +513,15 @@ def exact_diagonalization_oracle(
     weighted_vals = scipy.linalg.eigvals(eta[:, None] * h)
     scale = max(1.0, float(np.max(np.abs(weighted_vals.real))))
     max_imag = float(np.max(np.abs(weighted_vals.imag)))
-    if max_imag > reality_tol * scale:
+    if max_imag > REALITY_TOL * scale:
         raise OracleError(
             f"metric-weighted spectrum not real: max |Im(E)| = {max_imag:.3e} "
             "(self-adjointness under the metric is broken)"
         )
 
     eigvals, eigvecs = scipy.linalg.eig(h)
-    i_start = index[OccupationState(1, 0, (0,) * len(registry))]
-    i_target = index[OccupationState(0, 1, (0,) * len(registry))]
+    i_start = index[registry.label(1, 0)]
+    i_target = index[registry.label(0, 1)]
     norms = np.linalg.norm(eigvecs, axis=0)
     overlaps = np.abs(eigvecs[i_start, :]) / norms
     order = np.argsort(overlaps)[::-1]
@@ -526,7 +531,7 @@ def exact_diagonalization_oracle(
             "eigenvector tracking ambiguous: two branches overlap the start state "
             f"({overlaps[best]:.3f} vs {overlaps[runner]:.3f}); reduce the coupling"
         )
-    if abs(eigvals[best].imag) > reality_tol * scale:
+    if abs(eigvals[best].imag) > REALITY_TOL * scale:
         raise OracleError(
             f"tracked eigenvalue is not real (Im = {eigvals[best].imag:.3e}); "
             "the perturbative branch merged into a complex pair - reduce the coupling"
@@ -542,9 +547,7 @@ def exact_diagonalization_oracle(
 
 
 def oracle_scaling_exponent(
-    params: SystemParams,
-    registry: ModeRegistry,
-    total_photon_cap: int = 2,
+    params: SystemParams, registry: ModeRegistry
 ) -> tuple[float, list[tuple[float, float]]]:
     """Fit |eps_pt - eps_exact| ~ q^p across charge q, q/2, q/4.
 
@@ -556,7 +559,7 @@ def oracle_scaling_exponent(
     for divisor in (1.0, 2.0, 4.0):
         p_q = replace(params, charge_q=params.charge_q / divisor)
         eps_pt = discrete_second_order(p_q, registry)
-        eps_ed = exact_diagonalization_oracle(p_q, registry, total_photon_cap).epsilon_exact
+        eps_ed = exact_diagonalization_oracle(p_q, registry).epsilon_exact
         samples.append((p_q.charge_q, abs(eps_pt - eps_ed)))
     (q0, r0), (_, r1), (_, r2) = samples
     if r0 == 0.0 and r1 == 0.0:

@@ -117,76 +117,33 @@ class IntegralResult:
 # ---------------------------------------------------------------------------
 
 def _angular_panels(k: float, separation_l: float, dipole_d: float) -> int:
-    # one panel comfortably resolves ~6 cosine periods and a moderate Gaussian
+    # kL/(2 pi)/6 panels: cos(k L u) runs through kL/pi periods on [-1, 1], so
+    # one panel holds up to about 12 of them; one more panel per 4 of k d for
+    # the Gaussian
     return 1 + int(k * separation_l / (2.0 * math.pi) / 6.0) + int(k * dipole_d / 4.0)
 
 
-def _g_batch(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int,
-             n_panels: int | None = None, with_abs: bool = False):
-    """Vectorized G(k) for a batch; panel count set by the largest k present
-    unless n_panels is given.
+def _g_batch(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int) -> np.ndarray:
+    """G(k) = 2 pi * int_{-1}^{1} u^2 exp(-(k d u)^2) cos(k L u) du for a batch
+    of k, on one angular panel count set by the largest k present.
 
-    with_abs also returns 2 pi * sum_i |w_i f_i| per k: the absolute size of
-    the terms G sums, which sets its rounding error.
+    The full angular content of the exchange integrands: u is the cosine of
+    the angle between k and the oscillator axis.  G(0) = 4 pi / 3.
     """
     if ks.size == 0:
         return np.zeros(0)
-    if n_panels is None:
-        n_panels = _angular_panels(float(np.max(np.abs(ks))), separation_l, dipole_d)
+    n_panels = _angular_panels(float(np.max(np.abs(ks))), separation_l, dipole_d)
     u, w, half = _panel_nodes(-1.0, 1.0, n_panels, nodes)
     weights = (np.broadcast_to(w, (n_panels, nodes)) * half[:, None]).ravel()
     u_sq = u * u
     out = np.empty(ks.shape[0])
-    sizes = np.empty(ks.shape[0])
     # block so the (k x u) work matrix stays ~16 MB regardless of panel count
     block = max(1, 2_000_000 // u.size)
     for start in range(0, ks.shape[0], block):
         ku = np.outer(ks[start:start + block], u)
         vals = u_sq[None, :] * np.exp(-((dipole_d * ku) ** 2)) * np.cos(separation_l * ku)
         out[start:start + block] = vals @ weights
-        if with_abs:
-            sizes[start:start + block] = np.abs(vals) @ weights
-    if with_abs:
-        return 2.0 * math.pi * out, 2.0 * math.pi * sizes
     return 2.0 * math.pi * out
-
-
-def g_of_k(k: float, separation_l: float, dipole_d: float,
-           nodes: int = 64, n_panels: int | None = None) -> float:
-    """G(k) = 2 pi * int_{-1}^{1} u^2 exp(-(k d u)^2) cos(k L u) du.
-
-    The full angular content of the exchange integrands: u is the cosine of
-    the angle between k and the oscillator axis.  G(0) = 4 pi / 3.
-    """
-    return float(_g_batch(np.array([float(k)]), separation_l, dipole_d, nodes, n_panels)[0])
-
-
-# Rounding allowance of angular_reduce, in units of eps * sum |w_i f_i|.  The
-# gap between two resolved levels reaches 20 of those units over k in
-# [0.01, 400] at the default geometry (9.4 at k = 190), so 64 leaves a margin
-# of 3x; an under-resolved level misses by more than 1e13 of them.
-_ANGULAR_ROUNDING_UNITS = 64.0
-
-
-def angular_reduce(params: SystemParams, k: float, nodes: int | None = None) -> float:
-    """G(k) for the configured geometry, with an explicit convergence check.
-
-    The two panel levels must agree to 1e-10 relative, or to the rounding
-    size of the fine level's sum where |G| is too small for that to be
-    resolvable (G(k) cancels heavily once k L is large).
-    """
-    n = nodes or 64
-    base = _angular_panels(k, params.separation_l, params.dipole_d)
-    coarse = g_of_k(k, params.separation_l, params.dipole_d, n, base)
-    fine, abs_sum = (float(a[0]) for a in _g_batch(
-        np.array([float(k)]), params.separation_l, params.dipole_d, n, 2 * base, with_abs=True))
-    allowed = max(1e-10 * abs(fine), _ANGULAR_ROUNDING_UNITS * np.finfo(float).eps * abs_sum)
-    if abs(fine - coarse) > allowed:
-        raise ConvergenceError(
-            f"angular reduction did not settle at k = {k}: residual "
-            f"{abs(fine - coarse):.3e} (allowed {allowed:.3e})"
-        )
-    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +175,20 @@ class _Segment:
 
 def _segment_sums(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
                   seg: _Segment, panels: int, nodes: int) -> list[float]:
-    """One level of one segment: the base once per point set, then each
-    column's panel sums, reduced in a fixed order."""
+    """One level of one segment: the base once, then each column's panel
+    sums, reduced in a fixed order.
+
+    A window's p + t and p - t points go to the base as one array, so both
+    halves see one angular panel count and their 1/t parts cancel.
+    """
     pts, w, half = _panel_nodes(seg.lo, seg.hi, panels, nodes)
-    ks = [pts] if seg.centre is None else [seg.centre + pts, seg.centre - pts]
-    bases = [np.asarray(base(k), dtype=float) for k in ks]
+    ks = pts if seg.centre is None else np.concatenate([seg.centre + pts, seg.centre - pts])
+    base_vals = np.asarray(base(ks), dtype=float)
     sums = []
     for col in columns:
-        vals = col.times(bases[0], ks[0])
+        vals = col.times(base_vals, ks)
         if seg.centre is not None:
-            vals = vals + col.times(bases[1], ks[1])
+            vals = vals[:pts.size] + vals[pts.size:]
         panel_sums = (vals.reshape(panels, nodes) * w[None, :]).sum(axis=1) * half
         # compensated, order-fixed reduction: deterministic for a given config
         sums.append(math.fsum(panel_sums.tolist()))
@@ -241,9 +202,15 @@ def _stalled(residual: float, config: QuadratureConfig) -> NoReturn:
     )
 
 
+# Panel doublings per segment, and radial nodes per segment and level, before
+# a pass gives up as stalled.
+_MAX_LEVELS = 10
+_NODE_BUDGET = 4_000_000
+
+
 def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
-            segments: Sequence[_Segment], config: QuadratureConfig, max_levels: int = 10,
-            node_budget: int = 4_000_000) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            segments: Sequence[_Segment],
+            config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, error estimates, nodes used), each indexed [segment, column].
 
     Segments are refined in lockstep, so at every comparison each column's
@@ -256,7 +223,7 @@ def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
     value, delta = np.zeros(shape), np.full(shape, math.inf)
     used, done = np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
     panels = [seg.panels for seg in segments]
-    for level in range(max_levels):
+    for level in range(_MAX_LEVELS):
         prev = value.copy()
         for s, seg in enumerate(segments):
             live = ~done[s]
@@ -276,7 +243,7 @@ def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
         for s in range(len(segments)):
             if not done[s].all():
                 panels[s] *= 2
-                if panels[s] * nodes > node_budget:
+                if panels[s] * nodes > _NODE_BUDGET:
                     _stalled(delta[s][~done[s]].max(), config)
     _stalled(delta[~done].max(), config)
 
@@ -452,9 +419,6 @@ class SeriesCoefficients:
     c0: IntegralResult
     c1: IntegralResult
     c2: IntegralResult
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.c0.value, self.c1.value, self.c2.value)
 
 
 def series_from_terms(params: SystemParams, term0: IntegralResult, term1: IntegralResult,

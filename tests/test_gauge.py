@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugepair.core import SystemParams, ValidationError
-from gaugepair.fock import make_registry
+from gaugepair.fock import PolarizationKind, StateVector, make_registry, physical_pair_raise
 from gaugepair.gauge import (
     PerKReport,
     operator_route_brackets,
@@ -19,7 +19,8 @@ from gaugepair.gauge import (
     transform_brackets,
     transformed_epsilon,
 )
-from gaugepair.perturbation import PoleError, lorentz_bracket
+from gaugepair.matelem import OscillatorId, longitudinal_emission
+from gaugepair.perturbation import PoleError, ResonanceError, lorentz_bracket
 from gaugepair.quadrature import QuadratureConfig, epsilon_lorentz
 
 PARAMS = SystemParams()
@@ -96,6 +97,52 @@ def test_first_order_state_is_nonempty_and_finite():
     state = residual_first_order_state(PARAMS, reg)
     amps = [a for _, a in state.terms()]
     assert amps and all(np.isfinite(a) for a in amps)
+
+
+def _hand_built_first_order_state(params, registry):
+    """The residual first-order state with its kets, element signs and
+    energies written out: oscillator A drops to |0_A 0_B> at energy hbar omega,
+    oscillator B climbs to |1_A 1_B> at hbar (omega_a + omega_b + omega)."""
+    start_energy = params.hbar * params.omega_a
+    total = StateVector(registry, {})
+    for idx, mode in enumerate(registry.modes):
+        if mode.kind is not PolarizationKind.LONGITUDINAL:
+            continue
+        sw = math.sqrt(registry.weights[idx])
+        for osc in (OscillatorId.A, OscillatorId.B):
+            emission = longitudinal_emission(params, osc, mode.k_vector)
+            if osc is OscillatorId.A:
+                ket = StateVector.basis(registry, level_a=0, level_b=0)
+                element = sw * emission
+                energy = params.hbar * mode.omega
+            else:
+                ket = StateVector.basis(registry, level_a=1, level_b=1)
+                element = -sw * emission
+                energy = params.hbar * (params.omega_a + params.omega_b + mode.omega)
+            pair = physical_pair_raise(ket, mode.k_vector)
+            total = total + (element / (start_energy - energy)) * pair
+    return total
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.6, 0.48, 0.64)])
+@pytest.mark.parametrize("weight", [1.0, 0.037])
+@pytest.mark.parametrize("k_mag", [0.3, 0.9, 1.9, 3.3])
+def test_first_order_state_equals_hand_built_sum(k_mag, weight, direction):
+    k = tuple(k_mag * c for c in direction)
+    reg = make_registry((k, tuple(-c for c in k)), weights=(weight, weight), n_max=2, p_max=2)
+    state = residual_first_order_state(PARAMS, reg)
+    reference = _hand_built_first_order_state(PARAMS, reg)
+    # term by term in order, bit for bit, signed zeros included
+    assert len(state) == 8
+    assert ([(occ, repr(a)) for occ, a in state.terms()]
+            == [(occ, repr(a)) for occ, a in reference.terms()])
+
+
+def test_first_order_state_rejects_a_mode_on_resonance():
+    k = (PARAMS.omega_a / PARAMS.c, 0.0, 0.0)
+    reg = make_registry((k, (-k[0], 0.0, 0.0)), n_max=2, p_max=2)
+    with pytest.raises(ResonanceError, match="degenerate with the start state"):
+        residual_first_order_state(PARAMS, reg)
 
 
 # -- physicality of the mapped states -------------------------------------------------

@@ -28,6 +28,7 @@ from gaugepair.perturbation import (
     lorentz_bracket,
     oracle_scaling_exponent,
     symmetric_diagram_sum,
+    uncoupled_energy,
 )
 
 PARAMS = SystemParams()
@@ -218,8 +219,9 @@ def _two_apply_second_order(params, registry):
     start = StateVector.basis(registry, level_a=1, level_b=0)
     (start_occ,) = [occ for occ, _ in start.terms()]
     target = OccupationState(0, 1, (0,) * len(registry))
-    e_n, e_m = op.energy_of(start_occ), op.energy_of(target)
-    psi1 = StateVector(registry, {occ: amp / (e_n - op.energy_of(occ))
+    e_n = uncoupled_energy(params, registry, start_occ)
+    e_m = uncoupled_energy(params, registry, target)
+    psi1 = StateVector(registry, {occ: amp / (e_n - uncoupled_energy(params, registry, occ))
                                   for occ, amp in op.apply(start).terms() if occ != start_occ})
     return op.apply(psi1).amplitude(target) / (e_n - e_m)
 

@@ -13,6 +13,7 @@ from gaugepair.gauge import mapped_column
 from gaugepair.matelem import ConvergenceError
 from gaugepair.quadrature import (
     COULOMB,
+    _g_batch,
     Column,
     IntegralResult,
     QuadratureConfig,
@@ -21,8 +22,6 @@ from gaugepair.quadrature import (
     epsilon_columns,
     epsilon_coulomb,
     epsilon_lorentz,
-    g_of_k,
-    angular_reduce,
     lorentz_column,
     pv_radial,
     radial_columns,
@@ -39,8 +38,14 @@ COARSE = QuadratureConfig(radial_nodes=32, angular_nodes=32)
 
 # -- angular reduction -----------------------------------------------------------
 
+def _g(k):
+    """G(k) from the kernel the radial pass runs, at the default geometry and nodes."""
+    return float(_g_batch(np.array([k]), PARAMS.separation_l, PARAMS.dipole_d,
+                          CONFIG.angular_nodes)[0])
+
+
 def test_g_at_zero_is_full_solid_angle_moment():
-    assert g_of_k(0.0, 2.0, 0.02) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
+    assert _g(0.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("k", [0.3, 2.0, 17.0, 190.0])
@@ -54,20 +59,7 @@ def test_angular_reduce_matches_reference_quadrature(k):
     # quad reports an error estimate larger than |G| once k L is large.  The
     # absolute target sits below |G(190)| = 3.6e-9, as the default 1.5e-8 does not.
     ref, err = quad(envelope, -1.0, 1.0, weight="cos", wvar=k * length, epsabs=1e-17, limit=200)
-    assert angular_reduce(PARAMS, k) == pytest.approx(2.0 * math.pi * ref, abs=10 * err + 1e-13)
-
-
-def test_angular_reduce_settles_across_the_radial_domain():
-    # k up to the radial cutoff 8/d; past k ~ 119 |G| falls below 1e-6 and the
-    # levels agree only to the rounding size of the sum, not to 1e-10 |G|
-    for k in np.linspace(0.01, 8.0 / PARAMS.dipole_d, 4001):
-        angular_reduce(PARAMS, float(k))
-
-
-@pytest.mark.parametrize("k", [17.0, 190.0])
-def test_angular_reduce_rejects_under_resolved_levels(k):
-    with pytest.raises(ConvergenceError):
-        angular_reduce(PARAMS, k, nodes=4)
+    assert _g(k) == pytest.approx(2.0 * math.pi * ref, abs=10 * err + 1e-13)
 
 
 # -- principal value -------------------------------------------------------------
@@ -178,12 +170,20 @@ def test_each_report_verb_evaluates_the_kernel_once_per_node(monkeypatch, capsys
 def test_segment_holding_almost_nothing_settles_against_the_whole_integral():
     # omega_a L/c = 400, d/L = 0.01: the segment right of the pole window holds
     # about 1e-15 of the total and, judged against itself, never settles
-    # because of G's own rounding.  At 32 angular nodes G is under-resolved
-    # here (1e-5 relative near k = omega_a/c), so this runs at the default.
+    # because of G's own rounding.
     cfg = QuadratureConfig()
     coeffs = series_coefficients(SystemParams(separation_l=400.0, dipole_d=4.0), cfg)
     for result in (coeffs.c0, coeffs.c1, coeffs.c2):
         assert result.error_estimate <= 3.0 * cfg.rel_tol * abs(result.value)
+
+
+def test_window_halves_share_one_angular_panel_count():
+    # at 32 angular nodes and omega_a L/c = 400, G is off by 1e-5 relative
+    # near k = omega_a/c; the window's p + t and p - t halves still see one G,
+    # so their 1/t parts cancel and the c1 column settles
+    coeffs = series_coefficients(SystemParams(separation_l=400.0, dipole_d=4.0), COARSE)
+    for result in (coeffs.c0, coeffs.c1, coeffs.c2):
+        assert result.error_estimate <= 3.0 * COARSE.rel_tol * abs(result.value)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -278,7 +278,8 @@ def test_dipole_limit_reproduces_both_limits():
 
 def test_engine_matches_dipole_limit_at_default_point():
     # the finite-d correction |c0 - 1| bounds the gap to the d -> 0 values
-    c0, c1, c2 = _coeffs_at(PARAMS.separation_l).as_tuple()
+    coeffs = _coeffs_at(PARAMS.separation_l)
+    c0, c1, c2 = coeffs.c0.value, coeffs.c1.value, coeffs.c2.value
     finite_d = abs(c0 - 1.0)
     assert abs(c1 / c1_limit(2.0) - 1.0) < finite_d
     assert abs(c2 / c2_limit(2.0) - 1.0) < finite_d
