@@ -48,7 +48,7 @@ def main() -> None:
     pair = physical_pair_raise(vac, K)
     print("  ordinary amplitudes of the pair state:")
     for occ, amp in sorted(pair.terms(), key=lambda t: t[0].photons):
-        print(f"    photons {occ.photons}: {amp.real:+.0f}")
+        print(f"    photons {dict(occ.photons)}: {amp.real:+.0f}")
     print(f"  residual of the gauge condition: {check_subsidiary(pair, K):.3e}  (must be 0)")
 
     bad = physical_pair_raise(StateVector.vacuum(registry.corrupted()), K)

@@ -11,7 +11,8 @@ Natural units: hbar = c = eps0 = 1.  All frequencies are angular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 HBAR = 1.0
 C = 1.0
@@ -55,9 +56,9 @@ class SystemParams:
     dipole_d: float | None = None
     mass_m: float = 1250.0  # derived dipole length 0.02 = separation_l/100
     charge_q: float = 1.0
-    hbar: float = field(default=HBAR)
-    c: float = field(default=C)
-    eps0: float = field(default=EPS0)
+    hbar: ClassVar[float] = HBAR
+    c: ClassVar[float] = C
+    eps0: ClassVar[float] = EPS0
 
     def __post_init__(self) -> None:
         if self.dipole_d is None:

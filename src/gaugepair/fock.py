@@ -15,9 +15,9 @@ switch, which is therefore also the negative-control knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
 
 PRUNE_TOL = 1e-15
 
@@ -87,14 +87,8 @@ class ModeRegistry:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def label(self, level_a: int, level_b: int) -> "OccupationState":
-        """Basis label with these oscillator levels and no photons."""
-        return OccupationState(level_a, level_b, (0,) * len(self.modes))
-
-    def scalar_count(self, photons: tuple[int, ...]) -> int:
-        return sum(
-            n for n, mode in zip(photons, self.modes) if mode.kind is PolarizationKind.SCALAR
-        )
+    def scalar_count(self, occ: "OccupationState") -> int:
+        return sum(n for j, n in occ.photons if self.modes[j].kind is PolarizationKind.SCALAR)
 
     def raising_sign(self, index: int) -> int:
         """Sign of the physical (metric-adjoint) raising operator vs ordinary create."""
@@ -146,14 +140,42 @@ def make_registry(
 
 @dataclass(frozen=True)
 class OccupationState:
-    """Basis label: oscillator A level, oscillator B level, per-mode photon counts."""
+    """Basis label: oscillator A and B levels, and the non-zero photon counts
+    as (mode, count) pairs sorted by mode, so a label costs O(photons), not
+    O(modes).  photons may be given as a mapping or any iterable of pairs."""
 
     level_a: int
     level_b: int
-    photons: tuple[int, ...]
+    photons: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        pairs = self.photons.items() if isinstance(self.photons, Mapping) else self.photons
+        object.__setattr__(self, "photons", tuple(sorted((j, n) for j, n in pairs if n)))
+
+    @classmethod
+    def _from_canonical(cls, level_a: int, level_b: int, photons: tuple[tuple[int, int], ...]):
+        """Label from photons already in canonical form, skipping the conversion."""
+        occ = object.__new__(cls)
+        occ.__dict__.update(level_a=level_a, level_b=level_b, photons=photons)
+        return occ
+
+    def count(self, mode: int) -> int:
+        return dict(self.photons).get(mode, 0)
 
     def total_photons(self) -> int:
-        return sum(self.photons)
+        return sum(n for _, n in self.photons)
+
+    def step(self, mode: int, raising: bool, p_max: int, cap: int | None = None):
+        """One ordinary ladder step on mode: (new label, sqrt factor), or None
+        where the step lowers an empty mode, raises past p_max photons in the
+        mode, or raises past cap photons in total.  Lowering never checks p_max."""
+        counts = dict(self.photons)
+        n = counts.get(mode, 0)
+        new = counts[mode] = n + 1 if raising else n - 1
+        full = new > p_max or (cap is not None and sum(counts.values()) > cap)
+        if new < 0 or (raising and full):
+            return None
+        return OccupationState(self.level_a, self.level_b, counts), math.sqrt(max(n, new))
 
 
 class StateVector:
@@ -183,13 +205,9 @@ class StateVector:
         registry: ModeRegistry,
         level_a: int = 0,
         level_b: int = 0,
-        photons: Mapping[int, int] | None = None,
+        photons: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> "StateVector":
-        counts = [0] * len(registry)
-        for idx, n in (photons or {}).items():
-            counts[idx] = n
-        occ = OccupationState(level_a, level_b, tuple(counts))
-        return cls(registry, {occ: 1.0 + 0.0j})
+        return cls(registry, {OccupationState(level_a, level_b, photons): 1.0 + 0.0j})
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -240,26 +258,21 @@ class StateVector:
         p_max = self.registry.p_max
         out: dict[OccupationState, complex] = {}
         for occ, a in self._amp.items():
-            n = occ.photons[index]
-            if n + 1 > p_max:
+            stepped = occ.step(index, True, p_max)
+            if stepped is None:
                 raise TruncationError(
                     f"mode {index} ({self.registry.modes[index].kind.value}) would exceed "
                     f"p_max = {p_max}"
                 )
-            photons = occ.photons[:index] + (n + 1,) + occ.photons[index + 1 :]
-            new = OccupationState(occ.level_a, occ.level_b, photons)
-            out[new] = out.get(new, 0.0) + a * math.sqrt(n + 1)
+            out[stepped[0]] = out.get(stepped[0], 0.0) + a * stepped[1]
         return StateVector(self.registry, out)
 
     def annihilate(self, index: int) -> "StateVector":
         out: dict[OccupationState, complex] = {}
         for occ, a in self._amp.items():
-            n = occ.photons[index]
-            if n == 0:
-                continue
-            photons = occ.photons[:index] + (n - 1,) + occ.photons[index + 1 :]
-            new = OccupationState(occ.level_a, occ.level_b, photons)
-            out[new] = out.get(new, 0.0) + a * math.sqrt(n)
+            stepped = occ.step(index, False, self.registry.p_max)
+            if stepped is not None:
+                out[stepped[0]] = out.get(stepped[0], 0.0) + a * stepped[1]
         return StateVector(self.registry, out)
 
     # -- metric ----------------------------------------------------------------
@@ -272,7 +285,7 @@ class StateVector:
         return StateVector(
             self.registry,
             {
-                occ: a * (sign ** self.registry.scalar_count(occ.photons))
+                occ: a * (sign ** self.registry.scalar_count(occ))
                 for occ, a in self._amp.items()
             },
         )
@@ -312,7 +325,7 @@ def indefinite_inner(bra: StateVector, ket: StateVector) -> complex:
     for occ, a in bra._amp.items():
         b = ket._amp.get(occ)
         if b is not None:
-            total += a.conjugate() * b * (sign ** bra.registry.scalar_count(occ.photons))
+            total += a.conjugate() * b * (sign ** bra.registry.scalar_count(occ))
     return total
 
 

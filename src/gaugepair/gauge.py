@@ -241,7 +241,7 @@ def residual_first_order_state(params: SystemParams, registry: ModeRegistry) -> 
     pair combination, so the result satisfies the subsidiary condition.
     """
     start = StateVector.basis(registry, level_a=1, level_b=0)
-    energy = uncoupled_energy(params, registry, registry.label(1, 0))
+    energy = uncoupled_energy(params, registry, OccupationState(1, 0))
     return resolvent(params, registry, _residual_coupling(params, registry, start), energy)
 
 
@@ -262,7 +262,7 @@ def operator_route_brackets(params: SystemParams, k_vector: tuple[float, float, 
         raise ValidationError(
             "static-route integrand vanishes at this wavevector; bracket undefined"
         )
-    target = registry.label(0, 1)
+    target = OccupationState(0, 1)
 
     first_order = residual_first_order_state(params, registry)
     mapped_once = apply_inverse_transform_linear(params, registry, first_order)

@@ -298,44 +298,26 @@ class InteractionOperator:
                 vertices.append(_Vertex(j, osc.value, False, lower_mat))
         return vertices
 
-    def _photon_step(self, occ: OccupationState, mode_index: int, raising: bool):
-        """(new count, sqrt factor) of one photon step on mode_index, or None
-        where the step leaves the kept space: the p_max wall, the total
-        photon cap, or lowering an empty mode."""
-        n_j = occ.photons[mode_index]
-        if raising:
-            if n_j + 1 > self.registry.p_max:
-                return None
-            if self.total_photon_cap is not None and occ.total_photons() + 1 > self.total_photon_cap:
-                return None
-            return n_j + 1, math.sqrt(n_j + 1)
-        if n_j == 0:
-            return None
-        return n_j - 1, math.sqrt(n_j)
-
     def apply(self, state: StateVector) -> StateVector:
         reg = self.registry
         n_levels = reg.n_max + 1
         out: dict[OccupationState, complex] = {}
         for occ, amp in state.terms():
             for v in self.vertices:
-                step = self._photon_step(occ, v.mode_index, v.raising)
-                if step is None:
+                stepped = occ.step(v.mode_index, v.raising, reg.p_max, self.total_photon_cap)
+                if stepped is None:
                     continue  # projected out
-                new_count, photon_factor = step
+                moved, photon_factor = stepped
                 level = occ.level_a if v.oscillator == "A" else occ.level_b
-                photons = (
-                    occ.photons[: v.mode_index] + (new_count,) + occ.photons[v.mode_index + 1 :]
-                )
                 column = v.matrix[:, level]
                 for m in range(n_levels):
                     c = column[m]
                     if abs(c) < 1e-300:
                         continue
                     if v.oscillator == "A":
-                        new_occ = OccupationState(m, occ.level_b, photons)
+                        new_occ = OccupationState._from_canonical(m, occ.level_b, moved.photons)
                     else:
-                        new_occ = OccupationState(occ.level_a, m, photons)
+                        new_occ = OccupationState._from_canonical(occ.level_a, m, moved.photons)
                     out[new_occ] = out.get(new_occ, 0.0) + amp * c * photon_factor
         return StateVector(reg, out)
 
@@ -343,28 +325,25 @@ class InteractionOperator:
         """apply(state).amplitude(target), forming no other term of apply(state).
 
         A term of the state reaches the target only through the one mode
-        where their photon counts differ, and only if they differ there by
-        one.  Contributions are summed in apply's order (terms, vertices,
-        levels) and pruned as StateVector prunes, so the value equals apply's
-        bit for bit.
+        where their photon counts differ, and only by one ladder step there.
+        Contributions are summed in apply's order (terms, vertices, levels)
+        and pruned as StateVector prunes, so the value equals apply's bit
+        for bit.
         """
         n_levels = self.registry.n_max + 1
         if not (target.level_a < n_levels and target.level_b < n_levels):
             return 0.0 + 0.0j
         total = 0.0
         for occ, amp in state.terms():
-            diff = [j for j, (n, t) in enumerate(zip(occ.photons, target.photons)) if n != t]
-            if len(diff) != 1:
+            modes = {j for j, _ in set(occ.photons).symmetric_difference(target.photons)}
+            if len(modes) != 1:
                 continue
-            (j,) = diff
-            change = target.photons[j] - occ.photons[j]
-            if change not in (1, -1):
+            (j,) = modes
+            raising = target.count(j) > occ.count(j)
+            stepped = occ.step(j, raising, self.registry.p_max, self.total_photon_cap)
+            if stepped is None or stepped[0].photons != target.photons:
                 continue
-            raising = change == 1
-            step = self._photon_step(occ, j, raising)
-            if step is None:
-                continue
-            photon_factor = step[1]
+            photon_factor = stepped[1]
             for v in self._by_step[(j, raising)]:
                 if v.oscillator == "A":
                     if occ.level_b != target.level_b:
@@ -392,8 +371,8 @@ def uncoupled_energy(params: SystemParams, registry: ModeRegistry, occ: Occupati
     diagonal.
     """
     e = params.omega_a * occ.level_a + params.omega_b * occ.level_b
-    for n, mode in zip(occ.photons, registry.modes):
-        e += mode.omega * n
+    for j, n in occ.photons:
+        e += registry.modes[j].omega * n
     return params.hbar * e
 
 
@@ -411,8 +390,8 @@ def resolvent(params: SystemParams, registry: ModeRegistry, state: StateVector,
             continue
         denom = energy - uncoupled_energy(params, registry, occ)
         if abs(denom) < 1e-12 * max(1.0, abs(energy)):
-            mode_desc = ", ".join(f"mode {i} ({mode.kind.value}, omega={mode.omega})"
-                                  for i, mode in enumerate(registry.modes) if occ.photons[i])
+            mode_desc = ", ".join(f"mode {i} ({registry.modes[i].kind.value}, "
+                                  f"omega={registry.modes[i].omega})" for i, _ in occ.photons)
             raise ResonanceError(
                 f"intermediate state degenerate with the start state via {mode_desc}; "
                 "move the registry off the resonance"
@@ -434,7 +413,7 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     if len(registry) == 0:
         return 0.0 + 0.0j
     op = InteractionOperator(params, registry)
-    start, target = registry.label(1, 0), registry.label(0, 1)
+    start, target = OccupationState(1, 0), OccupationState(0, 1)
     e_n = uncoupled_energy(params, registry, start)
     # the printed formula excludes |l> = |n>
     first = op.apply(StateVector.basis(registry, level_a=1, level_b=0))
@@ -492,15 +471,14 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
             for photons in _enumerate_photon_tuples(
                 len(registry), min(registry.p_max, total_photon_cap), total_photon_cap
             ):
-                basis.append(OccupationState(la, lb, tuple(photons)))
+                basis.append(OccupationState(la, lb, enumerate(photons)))
     index = {occ: i for i, occ in enumerate(basis)}
     dim = len(basis)
 
     h = np.zeros((dim, dim), dtype=complex)
     for j, occ in enumerate(basis):
         h[j, j] = uncoupled_energy(params, registry, occ)
-        column = op.apply(StateVector.basis(registry, occ.level_a, occ.level_b,
-                                            {i: c for i, c in enumerate(occ.photons) if c}))
+        column = op.apply(StateVector(registry, {occ: 1.0 + 0.0j}))
         for out_occ, amp in column.terms():
             i = index.get(out_occ)
             if i is not None:
@@ -508,7 +486,7 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
 
     sign = registry.scalar_metric_sign
     eta = np.array(
-        [float(sign ** registry.scalar_count(occ.photons)) for occ in basis]
+        [float(sign ** registry.scalar_count(occ)) for occ in basis]
     )
     weighted_vals = scipy.linalg.eigvals(eta[:, None] * h)
     scale = max(1.0, float(np.max(np.abs(weighted_vals.real))))
@@ -520,8 +498,8 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
         )
 
     eigvals, eigvecs = scipy.linalg.eig(h)
-    i_start = index[registry.label(1, 0)]
-    i_target = index[registry.label(0, 1)]
+    i_start = index[OccupationState(1, 0)]
+    i_target = index[OccupationState(0, 1)]
     norms = np.linalg.norm(eigvecs, axis=0)
     overlaps = np.abs(eigvecs[i_start, :]) / norms
     order = np.argsort(overlaps)[::-1]

@@ -214,7 +214,7 @@ def test_06_indefinite_metric_sector(verdict_log):
             state = new * (1.0 / new.ordinary_norm())
 
     vac = StateVector.vacuum(registry)
-    vac_occ = OccupationState(0, 0, (0, 0))
+    vac_occ = OccupationState(0, 0)
     lowered = apply_scalar_sector_identity(vac, scal_idx)
     worst = max(worst, abs(lowered.amplitude(vac_occ) - (-1.0)))
 

@@ -24,6 +24,13 @@ def test_default_point_is_self_consistent():
     assert validate(p) == []
 
 
+@pytest.mark.parametrize("unit", ["hbar", "c", "eps0"])
+def test_natural_units_are_not_parameters(unit):
+    assert getattr(SystemParams(), unit) == 1.0
+    with pytest.raises(TypeError):
+        SystemParams(**{unit: 2.0})
+
+
 def test_derived_dipole_matches_formula():
     assert derive_dipole(1250.0, 1.0) == pytest.approx(0.02, rel=1e-15)
     assert derive_dipole(1.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0))

@@ -48,11 +48,38 @@ def test_mode_rejects_inconsistent_frequency():
 def test_ordinary_ladder_factors(registry):
     vac = StateVector.vacuum(registry)
     two = vac.create(0).create(0)
-    occ = OccupationState(0, 0, (2, 0))
+    occ = OccupationState(0, 0, {0: 2})
     assert two.amplitude(occ) == pytest.approx(math.sqrt(2.0))
     # number operator: a^+ a scales the sqrt(2)|2> term by its count
     assert two.annihilate(0).create(0).amplitude(occ) == pytest.approx(2.0 * math.sqrt(2.0))
     assert vac.annihilate(0).is_zero()
+
+
+def test_label_keeps_only_nonzero_counts_in_mode_order():
+    from_mapping = OccupationState(0, 1, {3: 1, 0: 0})
+    from_pairs = OccupationState(0, 1, ((3, 1),))
+    assert from_mapping == from_pairs
+    assert hash(from_mapping) == hash(from_pairs)
+    assert from_mapping.photons == ((3, 1),)
+    assert OccupationState(0, 0, {2: 1, 0: 3}).photons == ((0, 3), (2, 1))
+    assert from_mapping.count(3) == 1 and from_mapping.count(0) == 0
+    # a dense count tuple is not a list of (mode, count) pairs
+    with pytest.raises(TypeError):
+        OccupationState(0, 1, (0, 1))
+
+
+def test_step_walls_and_factors():
+    occ = OccupationState(1, 0, {0: 2})
+    assert OccupationState(0, 0).step(0, False, p_max=3) is None  # empty mode
+    assert occ.step(0, True, p_max=2) is None  # p_max
+    assert occ.step(1, True, p_max=3, cap=2) is None  # total photon cap
+    assert occ.step(1, True, p_max=3, cap=3) == (OccupationState(1, 0, {0: 2, 1: 1}), 1.0)
+    assert occ.step(0, True, p_max=3) == (OccupationState(1, 0, {0: 3}), math.sqrt(3.0))
+    assert occ.step(0, False, p_max=3) == (OccupationState(1, 0, {0: 1}), math.sqrt(2.0))
+    # lowering never checks p_max, even from above it
+    for p_max in (0, 1, 2):
+        assert occ.step(0, False, p_max) == (OccupationState(1, 0, {0: 1}), math.sqrt(2.0))
+    assert OccupationState(0, 0, {0: 1}).step(0, False, 0) == (OccupationState(0, 0), 1.0)
 
 
 def test_truncation_walls_error_loudly(registry):
@@ -90,7 +117,7 @@ def test_longitudinal_norms_stay_positive(registry):
 def test_scalar_sector_identity(registry):
     long_idx, scal_idx = registry.pair_at(K)
     vac = StateVector.vacuum(registry)
-    vac_occ = OccupationState(0, 0, (0, 0))
+    vac_occ = OccupationState(0, 0)
     assert apply_scalar_sector_identity(vac, scal_idx).amplitude(vac_occ) == -1.0
     assert apply_scalar_sector_identity(vac, long_idx).amplitude(vac_occ) == +1.0
     # the corrupted registry flips the scalar sector back to +1
@@ -105,12 +132,8 @@ def test_subsidiary_condition(registry):
     raised = physical_pair_raise(vac, K)
     # ordinary amplitudes: |1_l> + |1_s>
     long_idx, scal_idx = registry.pair_at(K)
-    one_l = [0, 0]
-    one_l[long_idx] = 1
-    one_s = [0, 0]
-    one_s[scal_idx] = 1
-    assert raised.amplitude(OccupationState(0, 0, tuple(one_l))) == 1.0
-    assert raised.amplitude(OccupationState(0, 0, tuple(one_s))) == 1.0
+    assert raised.amplitude(OccupationState(0, 0, {long_idx: 1})) == 1.0
+    assert raised.amplitude(OccupationState(0, 0, {scal_idx: 1})) == 1.0
     assert check_subsidiary(raised, K) == 0.0
     assert check_subsidiary(physical_pair_raise(raised, K), K) == 0.0
 
@@ -136,7 +159,7 @@ amplitudes = st.complex_numbers(
 def _state(draw_terms):
     return StateVector(
         _REG,
-        {OccupationState(la, lb, (nl, ns)): a for (la, lb, nl, ns), a in draw_terms.items()},
+        {OccupationState(la, lb, {0: nl, 1: ns}): a for (la, lb, nl, ns), a in draw_terms.items()},
     )
 
 

@@ -218,7 +218,7 @@ def _two_apply_second_order(params, registry):
     op = InteractionOperator(params, registry)
     start = StateVector.basis(registry, level_a=1, level_b=0)
     (start_occ,) = [occ for occ, _ in start.terms()]
-    target = OccupationState(0, 1, (0,) * len(registry))
+    target = OccupationState(0, 1)
     e_n = uncoupled_energy(params, registry, start_occ)
     e_m = uncoupled_energy(params, registry, target)
     psi1 = StateVector(registry, {occ: amp / (e_n - uncoupled_energy(params, registry, occ))
@@ -240,6 +240,25 @@ def test_second_order_at_benchmark_size():
     reg = make_registry(ks, weights=[weight] * len(ks))
     amp = discrete_second_order(PARAMS, reg)
     assert repr(amp) == repr(_two_apply_second_order(PARAMS, reg))
+    riemann = sum(
+        weight * common_prefactor(PARAMS)
+        * sum(diagram_integrand(PARAMS, s, k) for s in ALL_DIAGRAMS)
+        for k in ks
+    )
+    assert abs(amp - riemann) <= 1e-12 * abs(riemann)
+
+
+def test_second_order_at_continuum_scale():
+    # 1,024 k-vectors: each term of the sum costs O(photons), not O(modes)
+    rng = random.Random(1024)
+    ks = []
+    while len(ks) < 1024:
+        k = tuple(rng.uniform(-2.5, 2.5) for _ in range(3))
+        norm = math.sqrt(sum(c * c for c in k))
+        if norm >= 0.05 and abs(norm - 1.0) >= 0.05:
+            ks.append(k)
+    weight = 5.0**3 / len(ks)
+    amp = discrete_second_order(PARAMS, make_registry(ks, weights=[weight] * len(ks)))
     riemann = sum(
         weight * common_prefactor(PARAMS)
         * sum(diagram_integrand(PARAMS, s, k) for s in ALL_DIAGRAMS)
@@ -294,10 +313,9 @@ def test_coefficient_equals_applied_amplitude(p_max, n_max, cap):
                 assert repr(op.coefficient(target, faint)) == repr(faint_whole.amplitude(target))
             # every vertex moves exactly one photon: nothing reaches the start's
             # own photon counts, a two-photon change, or a level past n_max
-            vacuum = (0,) * len(reg)
-            for target in (OccupationState(0, 1, vacuum),
-                           OccupationState(0, 1, (1,) + vacuum[2:] + (1,)),
-                           OccupationState(n_max + 1, 0, (1,) + vacuum[1:])):
+            for target in (OccupationState(0, 1),
+                           OccupationState(0, 1, {0: 1, len(reg) - 1: 1}),
+                           OccupationState(n_max + 1, 0, {0: 1})):
                 assert images.amplitude(target) == 0.0
                 assert op.coefficient(target, start) == 0.0
 
