@@ -51,7 +51,8 @@ def main(argv=None) -> None:
     print()
     print("covariant (virtual-photon-exchange) route")
     print(f"  quadrature   {eps_l.value:.9e}  (+- {eps_l.error_estimate:.1e})")
-    print(f"  on-shell residue estimate {eps_l.residue_imag:.3e}  (reported, never added)")
+    print(f"  on-shell residue {eps_l.residue_imag:.3e}"
+          "  (exact, from the closed form; reported, never added)")
     print()
     print(f"ratio covariant/static = {eps_l.value / eps_c.value:.9f}")
 

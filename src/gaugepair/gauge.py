@@ -56,7 +56,7 @@ from .perturbation import (
     resolvent,
     uncoupled_energy,
 )
-from .quadrature import Column, IntegralResult, QuadratureConfig, epsilon_columns
+from .quadrature import Column, Fractions, IntegralResult, QuadratureConfig, epsilon_columns
 
 
 @dataclass(frozen=True)
@@ -111,19 +111,39 @@ def per_k_equivalence(params: SystemParams, omega_gamma: float) -> PerKReport:
 
 
 def mapped_column(params: SystemParams) -> Column:
-    """The summed mapped bracket as a column of the shared radial engine,
-    with the covariant bracket's pole at omega_a."""
+    """The summed mapped bracket as a column of both radial routes, with the
+    covariant bracket's pole at omega_a.
+
+    Its partial fractions are the sum of the three pieces', each divided by
+    omega (de = delta_e/hbar):
+      identity:  1/omega;
+      linear:    (de/2) [2/omega^2 + (1/omega_a - 1/omega_b)/omega
+                         + (1/omega_a)/(omega_a - omega) + (1/omega_b)/(omega_b + omega)],
+                 from omega_a/(omega^2 (omega_a - omega)) and
+                 omega_b/(omega^2 (omega_b + omega));
+      quadratic: -(de/2)/omega^2.
+    """
+    wa, wb = params.omega_a, params.omega_b
+    half = 0.5 * params.delta_e / params.hbar
+    identity = Fractions((("inv", 0.0, 1.0),))
+    linear = Fractions((
+        ("inv2", 0.0, 2.0 * half),
+        ("inv", 0.0, half * (1.0 / wa - 1.0 / wb)),
+        ("pole", wa, half / wa),
+        ("plus", wb, half / wb),
+    ))
+    quadratic = Fractions((("inv2", 0.0, -half),))
 
     def bracket(omega: np.ndarray) -> np.ndarray:
         ident, lin, quad = transform_brackets(params, omega)
         return ident + lin + quad
 
-    return Column(bracket, pole=True)
+    return Column(bracket, pole=True, fractions=identity + linear + quadratic)
 
 
 def transformed_epsilon(params: SystemParams, config: QuadratureConfig) -> IntegralResult:
-    """Integrate the summed mapped bracket with the shared radial engine
-    (principal value across the resonance).
+    """Integrate the summed mapped bracket by the k_x route (principal value
+    across the resonance).
 
     The per-mode identity makes this integrand pointwise equal to the
     covariant one, so the result must match epsilon_lorentz to quadrature

@@ -1,35 +1,64 @@
-"""Reduction of the exchange integrals to 1-D radial quadrature, principal
-value across the resonance, and series-coefficient extraction.
+"""The exchange integrals, reduced to one dimension in k_x, with the
+spherical engine kept as their oracle; principal value across the
+resonance, and series-coefficient extraction.
 
-The radial integrand k^2 G(k) grows linearly in k while oscillating with
-period 2 pi / L; only the Gaussian cutoff near k ~ 1/d tames it, so the
-integral is conditionally convergent and panel placement matters.  Composite
-Gauss-Legendre with panels about one oscillation period wide is exact to
-machine precision per panel; the adaptive loop doubles the panel count until
-two successive levels agree.
+Every amplitude is a ball integral over |k| < K of
+(k_x/k)^2 exp(-(d k_x)^2) cos(L k_x) B(c k), with a different rational
+bracket B.  Two reductions of it exist here, sharing no node:
 
-Every amplitude is the same integral int k^2 G(k) B(ck) dk with a different
-bracket B, so one radial pass integrates a list of brackets on one node set:
-G(k) is evaluated once per segment and level, and each bracket is a column
-with its own convergence test, level count, error estimate and residue.  A
-column stops refining a segment once two successive levels agree to rel_tol
-of that segment's own |value| or of the column's whole integral (the sum of
-|value| over the segments, refined in lockstep).  The second branch matters
-where a segment holds almost nothing of the total: once k L is large, G's
-own rounding keeps such a segment from settling relative to itself.
+* The k_x route (epsilon_columns, the production path).  In cylindrical
+  coordinates about the oscillator axis the k_perp integral is closed form:
+      int_0^K k^2 G(k) B(ck) dk
+          = 4 pi int_0^K k_x^2 exp(-(d k_x)^2) cos(L k_x) H(c k_x) dk_x,
+      H(w) = PV int_w^{cK} B(v)/v dv,
+  and H comes from hand-derived partial fractions of B(v)/v (Fractions),
+  evaluated in forms that do not cancel where w >> omega_a.  What is left is
+  one Gaussian-weighted integral in k_x, taken on one composite
+  Gauss-Legendre node set for every column.  Panels are about one period of
+  cos(L k_x) wide and graded geometrically toward k_x = 0 (where the
+  integrand goes as k_x^2 log k_x) and toward omega_a/c from both sides
+  (where log|omega_a - c k_x| sits).  The graded panels near the pole are
+  built in the distance from it, so no node lands on it.  Each level halves
+  every panel; a column settles once two levels agree to rel_tol of its
+  value or to the rounding size of its sum, eps * sum |w_i f_i|, and reports
+  their difference plus that rounding size as its error estimate.  The
+  on-shell residue is closed form: p^3 G(p) = 4 pi int_0^p k_x^2
+  exp(-(d k_x)^2) cos(L k_x) dk_x on the same nodes, with p = omega_a/c.
+  Config keys: radial_nodes (nodes per panel), kmax_over_invd (K) and
+  rel_tol (the stopping rule, and the number of halvings in the graded
+  panels, log2(1/rel_tol)).
 
-The resonance is handled by a symmetric window: on [pole-w, pole+w] the
-integral is rewritten as int_0^w [f(pole+t) + f(pole-t)] dt, where the 1/t
-parts cancel pairwise and the quadrature never touches t = 0.  On a symmetric
-window this equals textbook pole subtraction with the log term identically
-zero.  The window half-width is clamped to the distance to the domain edges —
-an unclamped window can silently spill past k = 0 and corrupt the value.
-Whenever omega_a/c lies inside the domain, every column uses this pole-split
-layout, pole-free brackets too: for them the window is a change of variables.
+* The spherical engine (spherical_columns, the oracle; only tests call it).
+  The angular kernel G(k) = 2 pi int u^2 exp(-(k d u)^2) cos(k L u) du is
+  integrated on angular panels, then k^2 G(k) B(ck) radially.  That
+  integrand grows linearly in k while oscillating with period 2 pi / L; only
+  the Gaussian cutoff near k ~ 1/d tames it, so the integral is
+  conditionally convergent and panel placement matters.  Composite
+  Gauss-Legendre with panels about one oscillation period wide is exact to
+  machine precision per panel; the adaptive loop doubles the panel count
+  until two successive levels agree.  One radial pass integrates a list of
+  brackets on one node set: G(k) is evaluated once per segment and level,
+  and each bracket is a column with its own convergence test, level count,
+  error estimate and residue.  A column stops refining a segment once two
+  successive levels agree to rel_tol of that segment's own |value| or of the
+  column's whole integral (the sum of |value| over the segments, refined in
+  lockstep).  The second branch matters where a segment holds almost nothing
+  of the total: once k L is large, G's own rounding keeps such a segment
+  from settling relative to itself.
+  The resonance is handled by a symmetric window: on [pole-w, pole+w] the
+  integral is rewritten as int_0^w [f(pole+t) + f(pole-t)] dt, where the 1/t
+  parts cancel pairwise and the quadrature never touches t = 0.  On a
+  symmetric window this equals textbook pole subtraction with the log term
+  identically zero.  The window half-width is clamped to the distance to the
+  domain edges -- an unclamped window can silently spill past k = 0 and
+  corrupt the value.  Whenever omega_a/c lies inside the domain, every
+  column uses this pole-split layout, pole-free brackets too: for them the
+  window is a change of variables.  The residue is an O(h^2) finite
+  difference of the whole integrand across the window.  Config keys:
+  radial_nodes, angular_nodes, kmax_over_invd, pole_window, rel_tol.
 
 The on-shell residue (the imaginary part a +i eta regulator would produce) is
-estimated separately for the columns with a pole and reported, never folded
-into the value.
+reported for the columns with a pole, never folded into the value.
 """
 
 from __future__ import annotations
@@ -51,9 +80,26 @@ _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 ROUNDING_FLOOR = 32.0 * np.finfo(float).eps
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: numpy's rule polished by
+    Newton steps in extended precision.  numpy's own weights are off by up to
+    1.3e-12 relative at 64 nodes, and the same error repeats on every panel,
+    so on a sum of a hundred like-signed panels it adds up to 1e-10."""
     if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
+        x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+        for _ in range(2):
+            p, dp = _legendre(n, x)
+            x = x - p / dp
+        dp = _legendre(n, x)[1]
+        _LEGGAUSS_CACHE[n] = (x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float))
     return _LEGGAUSS_CACHE[n]
 
 
@@ -70,10 +116,10 @@ def _panel_nodes(lo: float, hi: float, n_panels: int,
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    radial_nodes: int = 64  # Gauss-Legendre nodes per radial panel
-    angular_nodes: int = 64  # nodes per angular panel
-    kmax_over_invd: float = 8.0  # radial cutoff in units of 1/dipole_d
-    pole_window: float = 0.5  # raw window = pole_window * pole, before clamping
+    radial_nodes: int = 64  # Gauss-Legendre nodes per k_x or radial panel
+    angular_nodes: int = 64  # nodes per angular panel (spherical engine)
+    kmax_over_invd: float = 8.0  # cutoff K in units of 1/dipole_d
+    pole_window: float = 0.5  # raw window = pole_window * pole (spherical engine)
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -112,15 +158,288 @@ class IntegralResult:
             raise ValueError("error estimate must be non-negative")
 
 
+# Panel doublings, and nodes per level (per segment and level in the
+# spherical engine), before a pass gives up as stalled.
+_MAX_LEVELS = 10
+_NODE_BUDGET = 4_000_000
+
+
+def _stalled(residual: float, config: QuadratureConfig) -> NoReturn:
+    raise ConvergenceError(
+        f"radial quadrature stalled at residual {residual:.3e} "
+        f"(requested rel_tol {config.rel_tol:.1e})"
+    )
+
+
 # ---------------------------------------------------------------------------
-# Angular reduction
+# Columns: one bracket B, in the two forms the two routes integrate
 # ---------------------------------------------------------------------------
 
-def _angular_panels(k: float, separation_l: float, dipole_d: float) -> int:
-    # kL/(2 pi)/6 panels: cos(k L u) runs through kL/pi periods on [-1, 1], so
-    # one panel holds up to about 12 of them; one more panel per 4 of k d for
-    # the Gaussian
-    return 1 + int(k * separation_l / (2.0 * math.pi) / 6.0) + int(k * dipole_d / 4.0)
+@dataclass(frozen=True)
+class Fractions:
+    """B(omega)/omega in partial fractions: a sum of (kind, shift, coefficient)
+    terms, kind one of "inv2" 1/omega^2, "inv" 1/omega, "pole"
+    1/(shift - omega), "plus" 1/(shift + omega) and "plus2"
+    1/(shift + omega)^2 (shift is ignored for the first two).
+
+    Adding two concatenates their terms, so a bracket derived piece by piece
+    stays a sum of its pieces' derivations.
+    """
+
+    terms: tuple[tuple[str, float, float], ...]
+
+    def __add__(self, other: Fractions) -> Fractions:
+        return Fractions(self.terms + other.terms)
+
+
+class Column(NamedTuple):
+    """One bracket B of a pass.  weight maps photon frequencies to B for the
+    spherical engine (None: B = 1); fractions is B(omega)/omega for the k_x
+    route.  pole marks a simple pole at omega_a; only such columns report a
+    residue, the others report 0.
+    """
+
+    weight: Callable[[np.ndarray], np.ndarray] | None
+    pole: bool = False
+    fractions: Fractions | None = None
+
+    def times(self, base_vals: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        return base_vals if self.weight is None else base_vals * self.weight(ks)
+
+
+# ---------------------------------------------------------------------------
+# The k_x route
+# ---------------------------------------------------------------------------
+
+def _log1p_excess(u: np.ndarray) -> np.ndarray:
+    """log(1 + u) - u/(1 + u), summed as its series where u < 1/8, where the
+    two terms would cancel to u^2/2."""
+    out = np.log1p(u) - u / (1.0 + u)
+    small = u < 0.125
+    if small.any():
+        us = u[small]
+        acc = np.zeros_like(us)
+        for n in range(20, 1, -1):  # sum over n >= 2 of (-1)^n (n-1)/n u^n
+            acc = acc * us + (-1) ** n * (n - 1) / n
+        out[small] = acc * us * us
+    return out
+
+
+def _antiderivative(kind: str, shift: float, w: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """F of one basis function, with int_w^W = F(w) - F(W).  off is
+    w - shift, exact near the pole."""
+    if kind == "inv2":
+        return 1.0 / w
+    if kind == "pole":  # of 1/(s - v) + 1/v: -log|1 - s/v| = -F
+        out = np.empty_like(w)
+        far = w > 2.0 * shift
+        out[far] = np.log1p(-shift / w[far])
+        out[~far] = np.log(np.abs(off[~far]) / w[~far])
+        return out
+    if kind == "excess":
+        return _log1p_excess(shift / w)
+    return 1.0 / (shift + w)  # "frac", of 1/(s + v)^2
+
+
+def _h_coefficients(fractions: Fractions) -> dict[tuple[str, float], float]:
+    """The fractions as coefficients of H's basis, each summed before use so
+    that parts which cancel exactly (the order-2 term's 1/(s + v)) never
+    enter as two large values:
+      "log"    log(W/w), from 1/v;
+      "inv2"   1/w - 1/W;
+      "pole"   F(w) - F(W), F = log|1 - s/w|, from 1/(s - v) + 1/v;
+      "excess" from 1/(s + v) - 1/v, whose integral log(1 + s/W) - log(1 + s/w)
+               is split as -[e(s/w) - e(s/W)] - s[1/(s + w) - 1/(s + W)],
+               e = _log1p_excess;
+      "frac"   1/(s + w) - 1/(s + W), from 1/(s + v)^2.
+    """
+    coeffs: dict[tuple[str, float], float] = {}
+
+    def add(key: tuple[str, float], coeff: float) -> None:
+        coeffs[key] = coeffs.get(key, 0.0) + coeff
+
+    for kind, shift, coeff in fractions.terms:
+        if kind == "inv":
+            add(("log", 0.0), coeff)
+        elif kind == "inv2":
+            add(("inv2", 0.0), coeff)
+        elif kind == "pole":
+            add(("log", 0.0), -coeff)
+            add(("pole", shift), coeff)
+        elif kind == "plus":
+            add(("log", 0.0), coeff)
+            add(("excess", shift), -coeff)
+            add(("frac", shift), -shift * coeff)
+        elif kind == "plus2":
+            add(("frac", shift), coeff)
+        else:
+            raise ValueError(f"unknown partial-fraction term {kind!r}")
+    return {key: coeff for key, coeff in coeffs.items() if coeff != 0.0}
+
+
+def _h_values(fractions: Fractions, w: np.ndarray, off: np.ndarray, w_hi: float,
+              off_hi: float, basis: dict) -> np.ndarray:
+    """H(w) = PV int_w^{w_hi} B(v)/v dv at every w.  basis caches each basis
+    function's values across the columns of one level."""
+    h = np.zeros_like(w)
+    for key, coeff in _h_coefficients(fractions).items():
+        if key not in basis:
+            if key[0] == "log":
+                basis[key] = np.log(w_hi / w)
+            else:
+                at = _antiderivative(*key, np.append(w, w_hi), np.append(off, off_hi))
+                basis[key] = at[:-1] - at[-1]
+        h += coeff * basis[key]
+    return h
+
+
+def _graded(anchor: float, sign: float, width: float, halvings: int) -> np.ndarray:
+    """Panels (anchor, sign, t_lo, t_hi) covering distances [0, width] from
+    anchor, halving toward it: [width/2, width], [width/4, width/2], ..."""
+    hi = width * 0.5 ** np.arange(halvings + 1)
+    lo = np.append(hi[1:], 0.0)
+    return np.column_stack([np.full(hi.size, anchor), np.full(hi.size, sign), lo, hi])
+
+
+def _uniform(lo: float, hi: float, n: int) -> np.ndarray:
+    edges = np.linspace(lo, hi, n + 1)
+    return np.column_stack([np.zeros(n), np.ones(n), edges[:-1], edges[1:]])
+
+
+def _kx_panels(pole: float | None, k_hi: float, per_unit: float, halvings: int) -> np.ndarray:
+    """Base panels on [0, k_hi] as rows (anchor, sign, t_lo, t_hi): the nodes
+    are anchor + sign * t.  Panels are about 1/per_unit wide; the ones next
+    to k_x = 0 and to the pole are graded toward it."""
+
+    def count(length: float) -> int:
+        return max(1, int(length * per_unit) + 1)
+
+    if pole is None:
+        n = count(k_hi)
+        return np.concatenate([_graded(0.0, 1.0, k_hi / n, halvings),
+                               _uniform(k_hi / n, k_hi, n - 1)])
+    n = count(pole)
+    if n == 1:
+        left = [_graded(0.0, 1.0, 0.5 * pole, halvings), _graded(pole, -1.0, 0.5 * pole, halvings)]
+    else:
+        width = pole / n
+        left = [_graded(0.0, 1.0, width, halvings), _uniform(width, pole - width, n - 2),
+                _graded(pole, -1.0, width, halvings)]
+    n = count(k_hi - pole)
+    width = (k_hi - pole) / n
+    right = [_graded(pole, 1.0, width, halvings), _uniform(pole + width, k_hi, n - 1)]
+    return np.concatenate(left + right)
+
+
+def _kx_nodes(panels: np.ndarray, level: int, nodes: int, pole: float | None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(k_x, low, k_x - pole, weights) with every base panel split into
+    2^level.
+
+    Nodes are measured from their sub-panel's left edge, so each rule covers
+    exactly the interval between two shared edges; measured from a rounded
+    midpoint, neighbours would overlap or leave gaps of an ulp.  k_x is the
+    rounded node and k_x + low the node itself: the dropped low bits
+    repeat in every panel of a binade, and panels one period of cos(L k_x)
+    wide would add their phase error coherently.
+    """
+    anchor, sign, lo, hi = panels.T
+    frac = np.arange(2**level + 1) / 2**level
+    t_edges = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+    x_edges = anchor[:, None] + sign[:, None] * t_edges
+    left = np.minimum(x_edges[:, :-1], x_edges[:, 1:]).reshape(-1, 1)
+    half = 0.5 * np.abs(x_edges[:, 1:] - x_edges[:, :-1]).reshape(-1, 1)
+    xg, wg = _leggauss(nodes)
+    sign = np.repeat(sign, 2**level)[:, None]
+    step = half * (1.0 + sign * xg[None, :])  # reversed where k_x falls with t
+    kx = left + step
+    back = kx - left  # two-sum: left + step = kx + low exactly
+    low = (left - (kx - back)) + (step - back)
+    if pole is None:
+        off = kx
+    else:  # distances from the pole, exact on the panels graded toward it
+        t_half = 0.5 * (t_edges[:, 1:] - t_edges[:, :-1]).reshape(-1, 1)
+        t = t_edges[:, :-1].reshape(-1, 1) + t_half * (1.0 + xg[None, :])
+        anchored = np.repeat(anchor == pole, 2**level)[:, None]
+        off = np.where(anchored, sign * t, kx - pole)
+    return kx.ravel(), low.ravel(), off.ravel(), (half * wg[None, :]).ravel()
+
+
+def _panel_sum(terms: np.ndarray, nodes: int) -> float:
+    # compensated, order-fixed reduction: deterministic for a given config
+    return math.fsum(terms.reshape(-1, nodes).sum(axis=1).tolist())
+
+
+def _kx_columns(params: SystemParams, config: QuadratureConfig,
+                columns: Sequence[Column]) -> list[IntegralResult]:
+    """int_0^K k^2 G(k) B(ck) dk for every column, by the k_x reduction."""
+    d, length, c = params.dipole_d, params.separation_l, params.c
+    k_hi = config.kmax_over_invd / d
+    k_pole = params.omega_a / c
+    pole = k_pole if 0.0 < k_pole < k_hi else None
+    if pole is None and any(col.pole for col in columns):
+        raise ValidationError(f"pole {k_pole} must sit strictly inside (0, {k_hi})")
+    nodes = config.radial_nodes
+    halvings = math.ceil(-math.log2(config.rel_tol))
+    panels = _kx_panels(pole, k_hi, length / (2.0 * math.pi), halvings)
+    w_hi, off_hi = c * k_hi, c * (k_hi - (pole or 0.0))
+
+    results: list[IntegralResult | None] = [None] * len(columns)
+    prev = [0.0] * len(columns)
+    unsettled, used = math.inf, 0
+    for level in range(_MAX_LEVELS):
+        if panels.shape[0] * 2**level * nodes > _NODE_BUDGET:
+            break
+        kx, low, off, weights = _kx_nodes(panels, level, nodes, pole)
+        used += kx.size
+        # 4 pi k_x^2 exp(-(d k_x)^2) cos(L k_x) at k_x + low, to first order
+        phase = length * kx
+        cos = np.cos(phase)
+        slope = (2.0 / kx - 2.0 * d * d * kx) * cos - length * np.sin(phase)
+        base = (weights * (4.0 * math.pi) * kx * kx * np.exp(-(d * kx) ** 2)
+                * (cos + low * slope))
+        basis: dict = {}
+        p3g = None
+        if level > 0:
+            unsettled = 0.0
+        for j, col in enumerate(columns):
+            if results[j] is not None:
+                continue
+            terms = base * _h_values(col.fractions, c * kx, c * off, w_hi, off_hi, basis)
+            value = _panel_sum(terms, nodes)
+            rounding = float(np.finfo(float).eps * np.abs(terms).sum())
+            delta = abs(value - prev[j])
+            prev[j] = value
+            if level == 0:
+                continue
+            if delta > config.rel_tol * abs(value) + rounding:
+                unsettled = max(unsettled, delta)
+                continue
+            residue = 0.0
+            if col.pole:
+                if p3g is None:  # p^3 G(p): the base integrated over [0, p]
+                    p3g = _panel_sum(np.where(off < 0.0, base, 0.0), nodes)
+                coeff = sum(cf for kind, _, cf in col.fractions.terms if kind == "pole")
+                residue = -math.pi * coeff * p3g
+            results[j] = IntegralResult(value=value, error_estimate=delta + rounding,
+                                        residue_imag=residue, nodes_used=used)
+        if all(r is not None for r in results):
+            return results
+    _stalled(unsettled, config)
+
+
+# ---------------------------------------------------------------------------
+# The spherical engine: angular reduction
+# ---------------------------------------------------------------------------
+
+def _angular_panels(k: float, separation_l: float, dipole_d: float, nodes: int) -> int:
+    # cos(k L u) runs through kL/pi periods on [-1, 1]; at 64 or more nodes a
+    # panel holds up to about 12 of them (kL/(2 pi)/6 panels), and one more
+    # panel per 4 of k d covers the Gaussian.  Fewer nodes take
+    # proportionally narrower panels, so G keeps its accuracy.
+    scale = max(1.0, 64.0 / nodes)
+    return (1 + int(k * separation_l / (2.0 * math.pi) / 6.0 * scale)
+            + int(k * dipole_d / 4.0 * scale))
 
 
 def _g_batch(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int) -> np.ndarray:
@@ -132,7 +451,7 @@ def _g_batch(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int) -
     """
     if ks.size == 0:
         return np.zeros(0)
-    n_panels = _angular_panels(float(np.max(np.abs(ks))), separation_l, dipole_d)
+    n_panels = _angular_panels(float(np.max(np.abs(ks))), separation_l, dipole_d, nodes)
     u, w, half = _panel_nodes(-1.0, 1.0, n_panels, nodes)
     weights = (np.broadcast_to(w, (n_panels, nodes)) * half[:, None]).ravel()
     u_sq = u * u
@@ -147,23 +466,9 @@ def _g_batch(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int) -
 
 
 # ---------------------------------------------------------------------------
-# One radial pass, many columns: composite Gauss-Legendre with panel doubling
-# and a principal value across a simple pole
+# The spherical engine: one radial pass, many columns, composite
+# Gauss-Legendre with panel doubling and a principal value across a simple pole
 # ---------------------------------------------------------------------------
-
-class Column(NamedTuple):
-    """One integrand of a radial pass: the shared base times weight (None: 1).
-
-    pole marks a simple pole at the pass's split point; only such columns
-    estimate and report a residue, the others report 0.
-    """
-
-    weight: Callable[[np.ndarray], np.ndarray] | None
-    pole: bool = False
-
-    def times(self, base_vals: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        return base_vals if self.weight is None else base_vals * self.weight(ks)
-
 
 @dataclass(frozen=True)
 class _Segment:
@@ -193,19 +498,6 @@ def _segment_sums(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Co
         # compensated, order-fixed reduction: deterministic for a given config
         sums.append(math.fsum(panel_sums.tolist()))
     return sums
-
-
-def _stalled(residual: float, config: QuadratureConfig) -> NoReturn:
-    raise ConvergenceError(
-        f"radial quadrature stalled at residual {residual:.3e} "
-        f"(requested rel_tol {config.rel_tol:.1e})"
-    )
-
-
-# Panel doublings per segment, and radial nodes per segment and level, before
-# a pass gives up as stalled.
-_MAX_LEVELS = 10
-_NODE_BUDGET = 4_000_000
 
 
 def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
@@ -329,22 +621,54 @@ def pv_radial(
 
 
 # ---------------------------------------------------------------------------
-# The exchange amplitudes as radial integrals
+# The exchange amplitudes
 # ---------------------------------------------------------------------------
 
-COULOMB = Column(None)  # B = 1: the static route and the zeroth series term
+# B = 1: the static route and the zeroth series term
+COULOMB = Column(None, fractions=Fractions((("inv", 0.0, 1.0),)))
 
 
 def lorentz_column(params: SystemParams) -> Column:
-    """The covariant bracket, with its simple pole at omega_a."""
-    return Column(lambda omega: lorentz_bracket(params, omega), pole=True)
+    """The covariant bracket, with its simple pole at omega_a.
+
+    With delta = omega_b - omega_a,
+    B/omega = (delta/2)/omega^2 + (1 + delta/2omega_a - delta/2omega_b)/omega
+              + (delta/2omega_a)/(omega_a - omega) + (delta/2omega_b)/(omega_b + omega).
+    """
+    wa, wb = params.omega_a, params.omega_b
+    half = 0.5 * (wb - wa)
+    fractions = Fractions((
+        ("inv2", 0.0, half),
+        ("inv", 0.0, 1.0 + half / wa - half / wb),
+        ("pole", wa, half / wa),
+        ("plus", wb, half / wb),
+    ))
+    return Column(lambda omega: lorentz_bracket(params, omega), pole=True, fractions=fractions)
 
 
 def series_columns(params: SystemParams) -> tuple[Column, Column]:
     """The first- and second-order splitting terms of the bracket; the
-    zeroth-order term is COULOMB."""
-    return (Column(lambda omega: expansion_terms(params, omega, 1), pole=True),
-            Column(lambda omega: expansion_terms(params, omega, 2)))
+    zeroth-order term is COULOMB.
+
+    With de = delta_e/hbar,
+    order 1: B/omega = (de/2) [1/omega^2 + (1/omega_a)/(omega_a - omega)
+                               + (1/omega_a)/(omega_a + omega)];
+    order 2: B/omega = (de^2/2) [1/(omega_a^2 omega) - 1/(omega_a^2 (omega_a + omega))
+                                 - 1/(omega_a (omega_a + omega)^2)].
+    """
+    wa = params.omega_a
+    de = params.delta_e / params.hbar
+    first = Fractions((
+        ("inv2", 0.0, 0.5 * de),
+        ("pole", wa, 0.5 * de / wa),
+        ("plus", wa, 0.5 * de / wa),
+    ))
+    k = 0.5 * de * de / (wa * wa)
+    # -k * wa, not -(de^2/2)/wa: the two 1/(omega_a + omega) parts of H then
+    # cancel exactly
+    second = Fractions((("inv", 0.0, k), ("plus", wa, -k), ("plus2", wa, -k * wa)))
+    return (Column(lambda omega: expansion_terms(params, omega, 1), pole=True, fractions=first),
+            Column(lambda omega: expansion_terms(params, omega, 2), fractions=second))
 
 
 def _rescale(result: IntegralResult, factor: float) -> IntegralResult:
@@ -356,15 +680,30 @@ def _rescale(result: IntegralResult, factor: float) -> IntegralResult:
     )
 
 
+def _prefactor(params: SystemParams) -> float:
+    d = params.dipole_d
+    return -(params.charge_q**2 * d * d / (params.eps0 * params.delta_e * TWO_PI_CUBED))
+
+
 def epsilon_columns(params: SystemParams, config: QuadratureConfig,
                     brackets: Sequence[Column]) -> list[IntegralResult]:
     """Amplitudes -(q^2 d^2 / (eps0 delta_e (2pi)^3)) * int k^2 G(k) B(ck) dk,
-    one per bracket, all from one radial pass.
+    one per bracket, all on one k_x node set.
 
-    Each bracket's weight maps an array of photon frequencies to B; None
-    means B = 1 (the Coulomb-gauge case).  All gauge variants share this one
-    engine and its node set, so their comparisons share quadrature behavior
-    exactly.
+    Each bracket's fractions give B(omega)/omega; COULOMB is B = 1.  All
+    gauge variants share this one route and its node set, so their
+    comparisons share quadrature behavior exactly.
+    """
+    prefactor = _prefactor(params)
+    return [_rescale(raw, prefactor) for raw in _kx_columns(params, config, brackets)]
+
+
+def spherical_columns(params: SystemParams, config: QuadratureConfig,
+                      brackets: Sequence[Column]) -> list[IntegralResult]:
+    """The amplitudes of epsilon_columns from the spherical engine: G(k) on
+    angular panels, then one adaptive radial pass with the pole window.
+
+    The oracle of the k_x route; it shares no node with it.
     """
     d = params.dipole_d
     k_hi = config.kmax_over_invd / d
@@ -381,9 +720,7 @@ def epsilon_columns(params: SystemParams, config: QuadratureConfig,
     split = k_pole if 0.0 < k_pole < k_hi or any(b.pole for b in brackets) else None
     raws = radial_columns(radial, columns, split, config, (0.0, k_hi),
                           min_panels_per_unit=per_unit)
-    prefactor = -(
-        params.charge_q**2 * d * d / (params.eps0 * params.delta_e * TWO_PI_CUBED)
-    )
+    prefactor = _prefactor(params)
     return [_rescale(raw, prefactor) for raw in raws]
 
 
@@ -395,7 +732,7 @@ def epsilon_coulomb(params: SystemParams, config: QuadratureConfig) -> IntegralR
 
 def epsilon_lorentz(params: SystemParams, config: QuadratureConfig) -> IntegralResult:
     """Second-order covariant-gauge amplitude: principal value of the
-    bracket-weighted radial integral."""
+    bracket-weighted integral."""
     return epsilon_columns(params, config, [lorentz_column(params)])[0]
 
 

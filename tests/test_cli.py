@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -146,7 +149,8 @@ def test_sweep_with_one_invalid_row_exits_nonzero(coarse_cfg, tmp_path, capsys):
 
 
 def test_stalled_quadrature_exits_convergence(tmp_path, capsys):
-    # two angular nodes leave G(k) too rough for the radial levels to agree
+    # two nodes per k_x panel shrink the error 16x a level, against a sum that
+    # cancels about 2e5-fold: ten levels leave it short of the tolerance
     cfg = tmp_path / "unreachable.cfg"
     cfg.write_text("radial_nodes = 2\nangular_nodes = 2\nrel_tol = 1e-14\n")
     assert main(["--config", str(cfg), "epsilon"]) == EXIT_CONVERGENCE
@@ -200,3 +204,55 @@ def test_unknown_subcommand_exits_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_VALIDATION
+
+
+# -- the benchmark's own output check, on the report verbs ---------------------------
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+def _report_points(every):
+    """Every `every`-th report point of the benchmark references, as
+    (config text, reference fields); the file is only read."""
+    refs = json.loads(REFERENCES.read_text(encoding="utf-8"))["report"]
+    points = []
+    for key in sorted(refs)[::every]:
+        sep_l, delta = (float(v) for v in re.fullmatch(r"L=(.+),delta=(.+)", key).groups())
+        # the report grid: omega_a = c = 1, d/L = 0.01
+        config = (f"omega_a = 1.0\nomega_b = {1.0 + delta!r}\n"
+                  f"separation_l = {sep_l!r}\ndipole_d = {0.01 * sep_l!r}\n")
+        points.append((config, refs[key]))
+    return points
+
+
+def _allowed_gap(ref, error_estimate):
+    # ten error estimates, 1e-9 relative, and half a unit in the 9th printed digit
+    half_digit = 0.5 * 10.0 ** (math.floor(math.log10(abs(ref))) - 8) if ref else 0.0
+    return 10.0 * error_estimate + 1e-9 * abs(ref) + half_digit
+
+
+@pytest.mark.parametrize("config,ref", _report_points(every=5))
+def test_report_verbs_match_benchmark_references(config, ref, tmp_path, capsys):
+    path = tmp_path / "point.cfg"
+    path.write_text(config)
+    docs = {}
+    for verb in ("epsilon", "expand"):
+        assert main(["--config", str(path), verb, "--json"]) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.err == "", verb
+        docs[verb] = json.loads(out.out)
+
+    report = docs["epsilon"]
+    assert all(report["checks"].values())
+    fields = {name: (report[name]["value"], report[name]["error_estimate"])
+              for name in ("eps_coulomb", "eps_lorentz", "eps_transformed")}
+    # the ratio is printed without an estimate: propagate the two it divides
+    c, l = fields["eps_coulomb"], fields["eps_lorentz"]
+    fields["ratio"] = (report["ratio"],
+                       abs(report["ratio"]) * (l[1] / abs(l[0]) + c[1] / abs(c[0])))
+    for doc, prefix in ((report["coefficients"], "epsilon "), (docs["expand"], "expand ")):
+        for name in ("c0", "c1", "c2"):
+            fields[prefix + name] = (doc[name]["value"], doc[name]["error_estimate"])
+    for name, (value, err) in fields.items():
+        expected = ref[name.split()[-1]]
+        assert abs(value - expected) <= _allowed_gap(expected, err), name
