@@ -147,9 +147,7 @@ PARAM_KEYS = {
 }
 QUADRATURE_KEYS = {
     "radial_nodes": int,
-    "angular_nodes": int,
     "kmax_over_invd": float,
-    "pole_window": float,
     "rel_tol": float,
 }
 KNOWN_KEYS = {**PARAM_KEYS, **QUADRATURE_KEYS}

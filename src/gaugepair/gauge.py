@@ -56,7 +56,7 @@ from .perturbation import (
     resolvent,
     uncoupled_energy,
 )
-from .quadrature import Column, Fractions, IntegralResult, QuadratureConfig, epsilon_columns
+from .quadrature import Column, IntegralResult, QuadratureConfig, epsilon_columns
 
 
 @dataclass(frozen=True)
@@ -125,14 +125,14 @@ def mapped_column(params: SystemParams) -> Column:
     """
     wa, wb = params.omega_a, params.omega_b
     half = 0.5 * params.delta_e / params.hbar
-    identity = Fractions((("inv", 0.0, 1.0),))
-    linear = Fractions((
+    identity = (("inv", 0.0, 1.0),)
+    linear = (
         ("inv2", 0.0, 2.0 * half),
         ("inv", 0.0, half * (1.0 / wa - 1.0 / wb)),
         ("pole", wa, half / wa),
         ("plus", wb, half / wb),
-    ))
-    quadratic = Fractions((("inv2", 0.0, -half),))
+    )
+    quadratic = (("inv2", 0.0, -half),)
 
     def bracket(omega: np.ndarray) -> np.ndarray:
         ident, lin, quad = transform_brackets(params, omega)

@@ -50,7 +50,7 @@ class ResonanceError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """Exact-diagonalization self-checks failed (tracking or spectrum reality)."""
+    """Exact-diagonalization self-checks failed (settling or spectrum reality)."""
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,6 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
 class OracleResult:
     epsilon_exact: complex
     max_imag_eigenvalue: float  # of the metric-weighted (ordinarily Hermitian) matrix
-    tracking_overlap: float  # winning |component| on the start basis state
     dimension: int
 
 
@@ -443,28 +442,16 @@ def _enumerate_photon_tuples(n_modes: int, per_mode: int, total: int):
 
 
 REALITY_TOL = 1e-10  # largest |Im E|, relative to the spectrum's scale, taken as real
+# sweeps for E before the branch counts as lost: at the default point and
+# |k| = 1.7, 4 settle q = 1 and 8 settle q = 30; q = 100 never settles
+PARTITION_SWEEPS = 20
 
 
-def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
-                                 total_photon_cap: int = 2) -> OracleResult:
-    """Diagonalize the full coupled Hamiltonian on the truncated basis.
-
-    Returns the |0_A 1_B, 0 photons> coefficient of the eigenvector
-    continuously connected to |1_A 0_B, 0 photons>, normalized to unit
-    coefficient on the latter.
-
-    Self-adjointness under the indefinite metric makes metric-weight times
-    matrix Hermitian in the ordinary sense, so a general eigensolve of the
-    weighted matrix must return a real spectrum; a non-real eigenvalue there
-    beyond REALITY_TOL signals a sign bug in the couplings and raises.  The
-    bare matrix is only pseudo-Hermitian, and truncation lets degenerate
-    longitudinal/scalar photon levels mix into complex-conjugate pairs; those
-    spectator branches are tolerated, but the tracked branch must stay real.
-    """
-    if len(registry) > 4:
-        raise ValueError("oracle is meant for small registries (<= 4 modes)")
+def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
+                           total_photon_cap: int) -> tuple[np.ndarray, list[OccupationState]]:
+    """The coupled Hamiltonian as a dense matrix on every basis state with at
+    most total_photon_cap photons, and that basis."""
     op = InteractionOperator(params, registry, total_photon_cap=total_photon_cap)
-
     basis: list[OccupationState] = []
     for la in range(registry.n_max + 1):
         for lb in range(registry.n_max + 1):
@@ -473,9 +460,8 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
             ):
                 basis.append(OccupationState(la, lb, enumerate(photons)))
     index = {occ: i for i, occ in enumerate(basis)}
-    dim = len(basis)
 
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((len(basis), len(basis)), dtype=complex)
     for j, occ in enumerate(basis):
         h[j, j] = uncoupled_energy(params, registry, occ)
         column = op.apply(StateVector(registry, {occ: 1.0 + 0.0j}))
@@ -483,6 +469,33 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
             i = index.get(out_occ)
             if i is not None:
                 h[i, j] += amp
+    return h, basis
+
+
+def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
+                                 total_photon_cap: int = 2) -> OracleResult:
+    """The |0_A 1_B, 0 photons> coefficient eps of the exact eigenvector of the
+    truncated Hamiltonian that grows out of |1_A 0_B, 0 photons>, normalized
+    to unit coefficient on the latter.
+
+    Partition onto P = {those two states}, Q every other (Feshbach; Loewdin):
+    the eigenpair solves E = H_eff[0,0] + H_eff[0,1] eps and
+    eps = H_eff[1,0] / (E - H_eff[1,1]), H_eff = H_PP + H_PQ (E - H_QQ)^-1 H_QP.
+    E is iterated from the start state's uncoupled energy by linear solves
+    until it stops moving at the rounding level: no eigenvector is read and
+    no branch picked.  E that does not settle in PARTITION_SWEEPS sweeps, or
+    is not real to REALITY_TOL, raises OracleError.
+
+    Self-adjointness under the indefinite metric makes metric-weight times
+    matrix Hermitian in the ordinary sense, so its spectrum must be real; a
+    non-real eigenvalue beyond REALITY_TOL signals a sign bug in the
+    couplings and raises.  The bare matrix is only pseudo-Hermitian, and
+    truncation lets degenerate longitudinal/scalar photon levels mix into
+    complex-conjugate pairs; those spectator branches are tolerated.
+    """
+    if len(registry) > 4:
+        raise ValueError("oracle is meant for small registries (<= 4 modes)")
+    h, basis = _truncated_hamiltonian(params, registry, total_photon_cap)
 
     sign = registry.scalar_metric_sign
     eta = np.array(
@@ -497,30 +510,31 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
             "(self-adjointness under the metric is broken)"
         )
 
-    eigvals, eigvecs = scipy.linalg.eig(h)
-    i_start = index[OccupationState(1, 0)]
-    i_target = index[OccupationState(0, 1)]
-    norms = np.linalg.norm(eigvecs, axis=0)
-    overlaps = np.abs(eigvecs[i_start, :]) / norms
-    order = np.argsort(overlaps)[::-1]
-    best, runner = order[0], order[1]
-    if params.charge_q != 0 and overlaps[runner] > 0.75 * overlaps[best]:
+    p = [basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))]
+    q = [i for i in range(len(basis)) if i not in p]
+    h_pp, h_pq = h[np.ix_(p, p)], h[np.ix_(p, q)]
+    h_qp, h_qq = h[np.ix_(q, p)], h[np.ix_(q, q)]
+    energy = h[p[0], p[0]]
+    for _ in range(PARTITION_SWEEPS):
+        h_eff = h_pp + h_pq @ np.linalg.solve(energy * np.eye(len(q)) - h_qq, h_qp)
+        epsilon = h_eff[1, 0] / (energy - h_eff[1, 1])
+        energy, previous = h_eff[0, 0] + h_eff[0, 1] * epsilon, energy
+        if abs(energy - previous) <= 4.0 * np.finfo(float).eps * scale:
+            break
+    else:
         raise OracleError(
-            "eigenvector tracking ambiguous: two branches overlap the start state "
-            f"({overlaps[best]:.3f} vs {overlaps[runner]:.3f}); reduce the coupling"
+            f"partition energy did not settle in {PARTITION_SWEEPS} sweeps "
+            "(no perturbative branch) - reduce the coupling"
         )
-    if abs(eigvals[best].imag) > REALITY_TOL * scale:
+    if abs(energy.imag) > REALITY_TOL * scale:
         raise OracleError(
-            f"tracked eigenvalue is not real (Im = {eigvals[best].imag:.3e}); "
+            f"partition energy is not real (Im = {energy.imag:.3e}); "
             "the perturbative branch merged into a complex pair - reduce the coupling"
         )
-    vec = eigvecs[:, best]
-    epsilon = vec[i_target] / vec[i_start]
     return OracleResult(
         epsilon_exact=complex(epsilon),
         max_imag_eigenvalue=max_imag,
-        tracking_overlap=float(overlaps[best]),
-        dimension=dim,
+        dimension=len(basis),
     )
 
 

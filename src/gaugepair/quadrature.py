@@ -11,7 +11,7 @@ bracket B.  Two reductions of it exist here, sharing no node:
       int_0^K k^2 G(k) B(ck) dk
           = 4 pi int_0^K k_x^2 exp(-(d k_x)^2) cos(L k_x) H(c k_x) dk_x,
       H(w) = PV int_w^{cK} B(v)/v dv,
-  and H comes from hand-derived partial fractions of B(v)/v (Fractions),
+  and H comes from hand-derived partial fractions of B(v)/v (Column.fractions),
   evaluated in forms that do not cancel where w >> omega_a.  What is left is
   one Gaussian-weighted integral in k_x, taken on one composite
   Gauss-Legendre node set for every column.  Panels are about one period of
@@ -53,9 +53,9 @@ bracket B.  Two reductions of it exist here, sharing no node:
   domain edges -- an unclamped window can silently spill past k = 0 and
   corrupt the value.  Whenever omega_a/c lies inside the domain, every
   column uses this pole-split layout, pole-free brackets too: for them the
-  window is a change of variables.  The residue is an O(h^2) finite
-  difference of the whole integrand across the window.  Config keys:
-  radial_nodes, angular_nodes, kmax_over_invd, pole_window, rel_tol.
+  window is a change of variables.  The residue is a central difference of
+  the whole integrand at pole +- 1e-6 pole.  Fields read: radial_nodes,
+  angular_nodes (no config-file key), kmax_over_invd, rel_tol.
 
 The on-shell residue (the imaginary part a +i eta regulator would produce) is
 reported for the columns with a pole, never folded into the value.
@@ -119,7 +119,6 @@ class QuadratureConfig:
     radial_nodes: int = 64  # Gauss-Legendre nodes per k_x or radial panel
     angular_nodes: int = 64  # nodes per angular panel (spherical engine)
     kmax_over_invd: float = 8.0  # cutoff K in units of 1/dipole_d
-    pole_window: float = 0.5  # raw window = pole_window * pole (spherical engine)
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -129,8 +128,6 @@ class QuadratureConfig:
             raise ValidationError(
                 "kmax_over_invd < 6 leaves a Gaussian tail above 1e-15"
             )
-        if not (0.0 < self.pole_window < 1.0):
-            raise ValidationError("pole_window must sit in (0, 1)")
         if not self.rel_tol >= ROUNDING_FLOOR:
             raise ValidationError(
                 f"rel_tol = {self.rel_tol} is below the rounding floor {ROUNDING_FLOOR:.1e}"
@@ -140,7 +137,7 @@ class QuadratureConfig:
 def config_from_mapping(mapping: dict[str, float | int]) -> QuadratureConfig:
     kwargs = {
         k: mapping[k]
-        for k in ("radial_nodes", "angular_nodes", "kmax_over_invd", "pole_window", "rel_tol")
+        for k in ("radial_nodes", "kmax_over_invd", "rel_tol")
         if k in mapping
     }
     return QuadratureConfig(**kwargs)
@@ -163,6 +160,8 @@ class IntegralResult:
 _MAX_LEVELS = 10
 _NODE_BUDGET = 4_000_000
 
+POLE_WINDOW = 0.5  # raw window = POLE_WINDOW * pole (spherical engine)
+
 
 def _stalled(residual: float, config: QuadratureConfig) -> NoReturn:
     raise ConvergenceError(
@@ -175,33 +174,19 @@ def _stalled(residual: float, config: QuadratureConfig) -> NoReturn:
 # Columns: one bracket B, in the two forms the two routes integrate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fractions:
-    """B(omega)/omega in partial fractions: a sum of (kind, shift, coefficient)
-    terms, kind one of "inv2" 1/omega^2, "inv" 1/omega, "pole"
-    1/(shift - omega), "plus" 1/(shift + omega) and "plus2"
-    1/(shift + omega)^2 (shift is ignored for the first two).
-
-    Adding two concatenates their terms, so a bracket derived piece by piece
-    stays a sum of its pieces' derivations.
-    """
-
-    terms: tuple[tuple[str, float, float], ...]
-
-    def __add__(self, other: Fractions) -> Fractions:
-        return Fractions(self.terms + other.terms)
-
-
 class Column(NamedTuple):
     """One bracket B of a pass.  weight maps photon frequencies to B for the
-    spherical engine (None: B = 1); fractions is B(omega)/omega for the k_x
-    route.  pole marks a simple pole at omega_a; only such columns report a
-    residue, the others report 0.
+    spherical engine (None: B = 1).  fractions is B(omega)/omega for the k_x
+    route, in partial fractions: a sum of (kind, shift, coefficient) terms,
+    kind one of "inv2" 1/omega^2, "inv" 1/omega, "pole" 1/(shift - omega),
+    "plus" 1/(shift + omega) and "plus2" 1/(shift + omega)^2 (shift is
+    ignored for the first two).  pole marks a simple pole at omega_a; only
+    such columns report a residue, the others report 0.
     """
 
     weight: Callable[[np.ndarray], np.ndarray] | None
     pole: bool = False
-    fractions: Fractions | None = None
+    fractions: tuple[tuple[str, float, float], ...] | None = None
 
     def times(self, base_vals: np.ndarray, ks: np.ndarray) -> np.ndarray:
         return base_vals if self.weight is None else base_vals * self.weight(ks)
@@ -241,7 +226,7 @@ def _antiderivative(kind: str, shift: float, w: np.ndarray, off: np.ndarray) -> 
     return 1.0 / (shift + w)  # "frac", of 1/(s + v)^2
 
 
-def _h_coefficients(fractions: Fractions) -> dict[tuple[str, float], float]:
+def _h_coefficients(fractions: tuple) -> dict[tuple[str, float], float]:
     """The fractions as coefficients of H's basis, each summed before use so
     that parts which cancel exactly (the order-2 term's 1/(s + v)) never
     enter as two large values:
@@ -258,7 +243,7 @@ def _h_coefficients(fractions: Fractions) -> dict[tuple[str, float], float]:
     def add(key: tuple[str, float], coeff: float) -> None:
         coeffs[key] = coeffs.get(key, 0.0) + coeff
 
-    for kind, shift, coeff in fractions.terms:
+    for kind, shift, coeff in fractions:
         if kind == "inv":
             add(("log", 0.0), coeff)
         elif kind == "inv2":
@@ -277,7 +262,7 @@ def _h_coefficients(fractions: Fractions) -> dict[tuple[str, float], float]:
     return {key: coeff for key, coeff in coeffs.items() if coeff != 0.0}
 
 
-def _h_values(fractions: Fractions, w: np.ndarray, off: np.ndarray, w_hi: float,
+def _h_values(fractions: tuple, w: np.ndarray, off: np.ndarray, w_hi: float,
               off_hi: float, basis: dict) -> np.ndarray:
     """H(w) = PV int_w^{w_hi} B(v)/v dv at every w.  basis caches each basis
     function's values across the columns of one level."""
@@ -419,7 +404,7 @@ def _kx_columns(params: SystemParams, config: QuadratureConfig,
             if col.pole:
                 if p3g is None:  # p^3 G(p): the base integrated over [0, p]
                     p3g = _panel_sum(np.where(off < 0.0, base, 0.0), nodes)
-                coeff = sum(cf for kind, _, cf in col.fractions.terms if kind == "pole")
+                coeff = sum(cf for kind, _, cf in col.fractions if kind == "pole")
                 residue = -math.pi * coeff * p3g
             results[j] = IntegralResult(value=value, error_estimate=delta + rounding,
                                         residue_imag=residue, nodes_used=used)
@@ -553,7 +538,7 @@ def radial_columns(
 
     pole_omega None: plain adaptive quadrature on one segment.  Otherwise the
     domain splits at pole_omega.  Window rule: half-width
-    w = min(pole_window * pole, pole - lo, hi - pole)/2, so the window never
+    w = min(POLE_WINDOW * pole, pole - lo, hi - pole)/2, so the window never
     reaches a domain edge.  Inside the window the symmetric pairing
     int_0^w [f(p+t) + f(p-t)] dt removes a simple pole exactly; outside,
     panel edges are pinned to pole +- w.  For pole columns the residue term
@@ -575,7 +560,7 @@ def radial_columns(
         p = float(pole_omega)
         if not (lo < p < hi):
             raise ValidationError(f"pole {p} must sit strictly inside ({lo}, {hi})")
-        w = min(config.pole_window * p, p - lo, hi - p) / 2.0
+        w = min(POLE_WINDOW * p, p - lo, hi - p) / 2.0
         if w <= 0.0:
             raise ValidationError("degenerate pole window")
         segments = (  # summed in this order: left, right, window
@@ -584,7 +569,7 @@ def radial_columns(
             _Segment(0.0, w, seg_panels(0.0, w), centre=p),
         )
         # base at p + h and p - h, shared by the residue estimates
-        h = 1e-2 * w
+        h = 1e-6 * p
         samples = [(k, base(k)) for k in (np.array([p + h]), np.array([p - h]))
                    if any(col.pole for col in columns)]
 
@@ -625,7 +610,7 @@ def pv_radial(
 # ---------------------------------------------------------------------------
 
 # B = 1: the static route and the zeroth series term
-COULOMB = Column(None, fractions=Fractions((("inv", 0.0, 1.0),)))
+COULOMB = Column(None, fractions=(("inv", 0.0, 1.0),))
 
 
 def lorentz_column(params: SystemParams) -> Column:
@@ -637,12 +622,12 @@ def lorentz_column(params: SystemParams) -> Column:
     """
     wa, wb = params.omega_a, params.omega_b
     half = 0.5 * (wb - wa)
-    fractions = Fractions((
+    fractions = (
         ("inv2", 0.0, half),
         ("inv", 0.0, 1.0 + half / wa - half / wb),
         ("pole", wa, half / wa),
         ("plus", wb, half / wb),
-    ))
+    )
     return Column(lambda omega: lorentz_bracket(params, omega), pole=True, fractions=fractions)
 
 
@@ -658,15 +643,15 @@ def series_columns(params: SystemParams) -> tuple[Column, Column]:
     """
     wa = params.omega_a
     de = params.delta_e / params.hbar
-    first = Fractions((
+    first = (
         ("inv2", 0.0, 0.5 * de),
         ("pole", wa, 0.5 * de / wa),
         ("plus", wa, 0.5 * de / wa),
-    ))
+    )
     k = 0.5 * de * de / (wa * wa)
     # -k * wa, not -(de^2/2)/wa: the two 1/(omega_a + omega) parts of H then
     # cancel exactly
-    second = Fractions((("inv", 0.0, k), ("plus", wa, -k), ("plus2", wa, -k * wa)))
+    second = (("inv", 0.0, k), ("plus", wa, -k), ("plus2", wa, -k * wa))
     return (Column(lambda omega: expansion_terms(params, omega, 1), pole=True, fractions=first),
             Column(lambda omega: expansion_terms(params, omega, 2), fractions=second))
 

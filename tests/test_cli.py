@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,8 @@ from gaugepair.cli import (
     main,
 )
 
-COARSE = "radial_nodes = 32\nangular_nodes = 32\nrel_tol = 1e-7\n"
+COARSE = "radial_nodes = 32\nrel_tol = 1e-7\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -152,7 +156,7 @@ def test_stalled_quadrature_exits_convergence(tmp_path, capsys):
     # two nodes per k_x panel shrink the error 16x a level, against a sum that
     # cancels about 2e5-fold: ten levels leave it short of the tolerance
     cfg = tmp_path / "unreachable.cfg"
-    cfg.write_text("radial_nodes = 2\nangular_nodes = 2\nrel_tol = 1e-14\n")
+    cfg.write_text("radial_nodes = 2\nrel_tol = 1e-14\n")
     assert main(["--config", str(cfg), "epsilon"]) == EXIT_CONVERGENCE
     assert "radial quadrature stalled" in capsys.readouterr().err
 
@@ -168,6 +172,33 @@ def test_oracle_mode_on_resonance_exits_convergence(capsys):
     # |k| = omega_a / c puts a registry mode on the resonance
     assert main(["oracle", "--oracle-k", "1.0"]) == EXIT_CONVERGENCE
     assert "degenerate with the start state" in capsys.readouterr().err
+
+
+def test_oracle_without_a_perturbative_branch_exits_convergence(tmp_path, capsys):
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text("charge_q = 100\n")
+    assert main(["--config", str(cfg), "oracle"]) == EXIT_CONVERGENCE
+    assert "oracle failure" in capsys.readouterr().err
+
+
+def test_oracle_verdict_does_not_move_with_blas_threads(tmp_path):
+    # omega_b = 1.02, |k| = 1.7: an eigenvector read of the ED amplitude fit
+    # exponent 4.305 on one BLAS thread and 4.232 on two, both failing
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("omega_b = 1.02\n")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaugepair.cli", "--config", str(cfg),
+             "oracle", "--oracle-k", "1.7", "--json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reports.append(json.loads(proc.stdout))
+    assert [r["verdict"] for r in reports] == ["pass", "pass"]
+    assert abs(reports[0]["exponent"] - reports[1]["exponent"]) <= 1e-6
 
 
 def test_sweep_lets_internal_faults_through(monkeypatch, tmp_path, capsys):
@@ -198,6 +229,11 @@ def test_config_errors_exit_validation(tmp_path, capsys):
     bad.write_text("banana = 3\n")
     assert main(["--config", str(bad), "expand"]) == EXIT_VALIDATION
     assert main(["--config", str(tmp_path / "missing.cfg"), "expand"]) == EXIT_VALIDATION
+    # the spherical engine's node count is no config key: no verb reads it
+    bad.write_text("angular_nodes = 32\n")
+    capsys.readouterr()
+    assert main(["--config", str(bad), "epsilon"]) == EXIT_VALIDATION
+    assert "unknown key 'angular_nodes'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_validation(capsys):

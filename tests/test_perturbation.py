@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from gaugepair.core import SystemParams
@@ -18,6 +19,7 @@ from gaugepair.perturbation import (
     OracleError,
     PoleError,
     ResonanceError,
+    _truncated_hamiltonian,
     combined_bracket_form,
     common_prefactor,
     coulomb_integrand,
@@ -328,14 +330,39 @@ ORACLE_REG = make_registry(((1.7, 0.0, 0.0), (-1.7, 0.0, 0.0)), n_max=2, p_max=2
 def test_oracle_zero_charge_gives_zero_exactly():
     res = exact_diagonalization_oracle(replace(PARAMS, charge_q=0.0), ORACLE_REG)
     assert res.epsilon_exact == 0.0
-    assert res.tracking_overlap == 1.0
 
 
 def test_oracle_weighted_spectrum_is_real():
     res = exact_diagonalization_oracle(PARAMS, ORACLE_REG)
     assert res.max_imag_eigenvalue < 1e-12
-    assert res.tracking_overlap > 0.999
     assert res.dimension == 135
+
+
+def _eigenvector_read(params, registry):
+    # the reference: a dense eigensolve of the same truncated H, the branch
+    # picked as the eigenvector with the largest share on the start state
+    h, basis = _truncated_hamiltonian(params, registry, total_photon_cap=2)
+    start, target = basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))
+    _, vecs = scipy.linalg.eig(h)
+    best = np.argmax(np.abs(vecs[start]) / np.linalg.norm(vecs, axis=0))
+    return vecs[target, best] / vecs[start, best]
+
+
+@pytest.mark.parametrize("charge", [10.0, 30.0])
+def test_oracle_partition_matches_a_dense_eigenvector_read(charge):
+    # strong enough that eps is O(0.03-0.25), far above the eigenvector's
+    # rounding, and weak enough that one branch clearly holds the start state
+    params = replace(PARAMS, charge_q=charge)
+    reference = _eigenvector_read(params, ORACLE_REG)
+    eps = exact_diagonalization_oracle(params, ORACLE_REG).epsilon_exact
+    assert abs(eps - reference) <= 1e-10 * abs(reference)
+
+
+def test_oracle_refuses_a_coupling_with_no_perturbative_branch():
+    # at q = 100 the start state holds only 0.62 of the nearest eigenvector;
+    # the partition energy keeps moving and the oracle refuses
+    with pytest.raises(OracleError, match="did not settle"):
+        exact_diagonalization_oracle(replace(PARAMS, charge_q=100.0), ORACLE_REG)
 
 
 def test_oracle_agrees_with_perturbation_theory():

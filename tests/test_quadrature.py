@@ -234,7 +234,7 @@ def test_fractions_equal_each_bracket_over_omega(delta):
     w = np.linspace(0.0, 50.0 * params.omega_a, 1002)[1:-1]
     w = w[np.abs(w - params.omega_a) > 1e-3]
     for column, bracket in _columns_and_brackets(params):
-        parts = np.array([c * _TERMS[kind](s, w) for kind, s, c in column.fractions.terms])
+        parts = np.array([c * _TERMS[kind](s, w) for kind, s, c in column.fractions])
         # relative to the terms' size, the rounding scale of their sum (B has a zero)
         gap = np.abs(parts.sum(axis=0) - bracket(w) / w)
         assert (gap <= 1e-13 * np.abs(parts).sum(axis=0)).all(), column
@@ -303,16 +303,17 @@ def test_kx_route_matches_spherical_oracle(x, delta):
         assert abs(a.value - b.value) <= bound, column
     # residue: -pi * prefactor * lim (p - k) k^2 G(k) B(ck), with the oracle's
     # G at the pole and the limit of (p - k) B(ck) by a central difference of
-    # the bracket alone (the oracle's own residue differences the whole
-    # integrand, whose regular part limits it to O(h^2) of the window)
+    # the bracket alone; the oracle's own residue, a central difference of the
+    # whole integrand, must agree with the k_x route's closed form
     p, h = params.omega_a / params.c, 1e-7
     g_pole = float(_g_batch(np.array([p]), x, params.dipole_d, CONFIG.angular_nodes)[0])
     prefactor = -(params.charge_q * params.dipole_d) ** 2 / (
         params.eps0 * params.delta_e * (2.0 * math.pi) ** 3)
-    for (column, bracket), result in zip(_columns_and_brackets(params), kx):
+    for (column, bracket), result, spherical in zip(_columns_and_brackets(params), kx, oracle):
         strength = 0.5 * h * (bracket(params.c * (p - h)) - bracket(params.c * (p + h)))
         expected = -math.pi * prefactor * p * p * g_pole * strength if column.pole else 0.0
         assert result.residue_imag == pytest.approx(expected, rel=1e-6), column
+        assert spherical.residue_imag == pytest.approx(result.residue_imag, rel=1e-6), column
 
 
 # -- configuration ----------------------------------------------------------------
@@ -323,8 +324,6 @@ def test_kx_route_matches_spherical_oracle(x, delta):
         dict(radial_nodes=1),
         dict(angular_nodes=0),
         dict(kmax_over_invd=5.0),
-        dict(pole_window=0.0),
-        dict(pole_window=1.0),
         dict(rel_tol=0.0),
         dict(rel_tol=1e-18),  # below the rounding floor
     ],
