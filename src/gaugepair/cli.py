@@ -69,6 +69,7 @@ from .quadrature import (
     series_coefficients,
     series_columns,
     series_from_terms,
+    series_normalizations,
 )
 
 EXIT_OK = 0
@@ -162,10 +163,11 @@ def _coefficients(coeffs: SeriesCoefficients) -> dict:
 def _epsilon_report(params: SystemParams, config: QuadratureConfig) -> dict:
     """The amplitude report as one plain document of full-precision floats;
     --json, the table and the sweep CSV row all render from it."""
+    norms = series_normalizations(params)
     # one radial pass; c0 is the Coulomb column rescaled
     eps_c, eps_l, eps_t, term1, term2 = epsilon_columns(params, config, (
         COULOMB, lorentz_column(params), mapped_column(params), *series_columns(params)))
-    coeffs = series_from_terms(params, eps_c, term1, term2)
+    coeffs = series_from_terms(norms, (eps_c, term1, term2))
 
     gauge_gap = abs(eps_t.value - eps_l.value)
     gauge_tol = 10.0 * (eps_t.error_estimate + eps_l.error_estimate) + 1e-12 * abs(eps_l.value)
@@ -447,8 +449,8 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     params, _config = _load(args)
     k_mag = args.oracle_k
-    if k_mag <= 0:
-        raise ValidationError("--oracle-k must be positive")
+    if not (k_mag > 0.0 and 0.0 < k_mag * k_mag < math.inf):  # |k|^2 sets the frequency
+        raise ValidationError(f"--oracle-k = {k_mag} must be positive with 0 < k^2 < inf")
     registry = make_registry(
         ((k_mag, 0.0, 0.0), (-k_mag, 0.0, 0.0)), n_max=2, p_max=2
     )

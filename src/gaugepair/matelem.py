@@ -18,6 +18,7 @@ Every function returns 0 when charge_q = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -27,6 +28,7 @@ from scipy.special import eval_genlaguerre, eval_hermite
 from .core import SystemParams
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
+_hermgauss = functools.cache(np.polynomial.hermite.hermgauss)  # the oracle's two rules
 
 
 class ConvergenceError(RuntimeError):
@@ -226,7 +228,7 @@ def form_factor_oracle(params: SystemParams, osc: OscillatorId, k_x: float) -> c
     def quad(n: int) -> complex:
         # Gauss-Hermite for weight exp(-t^2); the product phi_0 phi_1 carries
         # exp(-x^2/(2 d^2)), so substitute x = sqrt(2) d t.
-        t, w = np.polynomial.hermite.hermgauss(n)
+        t, w = _hermgauss(n)
         x = math.sqrt(2.0) * d * t
         f = (
             _eigenfunction(0, x, d)

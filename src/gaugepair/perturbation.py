@@ -17,12 +17,12 @@ a sign is wrong, which is the dominant failure mode in this calculation.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .core import SystemParams
 from .fock import (
@@ -50,7 +50,7 @@ class ResonanceError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """Exact-diagonalization self-checks failed (settling or spectrum reality)."""
+    """Exact-diagonalization self-checks failed (metric self-adjointness or settling)."""
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +428,11 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
 @dataclass(frozen=True)
 class OracleResult:
     epsilon_exact: complex
-    max_imag_eigenvalue: float  # of the metric-weighted (ordinarily Hermitian) matrix
+    metric_asymmetry: float  # ||anti-Hermitian part of metric-weighted H||_F
     dimension: int
 
 
-def _enumerate_photon_tuples(n_modes: int, per_mode: int, total: int):
-    if n_modes == 0:
-        yield ()
-        return
-    for head in range(min(per_mode, total) + 1):
-        for tail in _enumerate_photon_tuples(n_modes - 1, per_mode, total - head):
-            yield (head,) + tail
-
-
-REALITY_TOL = 1e-10  # largest |Im E|, relative to the spectrum's scale, taken as real
+REALITY_TOL = 1e-10  # ||eta H's anti-Hermitian part||_F and |Im E|, relative to max |H_ii|
 # sweeps for E before the branch counts as lost: at the default point and
 # |k| = 1.7, 4 settle q = 1 and 8 settle q = 30; q = 100 never settles
 PARTITION_SWEEPS = 20
@@ -452,23 +443,20 @@ def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
     """The coupled Hamiltonian as a dense matrix on every basis state with at
     most total_photon_cap photons, and that basis."""
     op = InteractionOperator(params, registry, total_photon_cap=total_photon_cap)
-    basis: list[OccupationState] = []
-    for la in range(registry.n_max + 1):
-        for lb in range(registry.n_max + 1):
-            for photons in _enumerate_photon_tuples(
-                len(registry), min(registry.p_max, total_photon_cap), total_photon_cap
-            ):
-                basis.append(OccupationState(la, lb, enumerate(photons)))
+    levels = range(registry.n_max + 1)
+    photons = itertools.product(range(min(registry.p_max, total_photon_cap) + 1),
+                                repeat=len(registry))
+    basis = [OccupationState(la, lb, enumerate(counts))
+             for la, lb, counts in itertools.product(levels, levels, list(photons))
+             if sum(counts) <= total_photon_cap]
     index = {occ: i for i, occ in enumerate(basis)}
 
     h = np.zeros((len(basis), len(basis)), dtype=complex)
     for j, occ in enumerate(basis):
         h[j, j] = uncoupled_energy(params, registry, occ)
         column = op.apply(StateVector(registry, {occ: 1.0 + 0.0j}))
-        for out_occ, amp in column.terms():
-            i = index.get(out_occ)
-            if i is not None:
-                h[i, j] += amp
+        for out_occ, amp in column.terms():  # op's caps are the basis's caps
+            h[index[out_occ], j] += amp
     return h, basis
 
 
@@ -478,6 +466,14 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     truncated Hamiltonian that grows out of |1_A 0_B, 0 photons>, normalized
     to unit coefficient on the latter.
 
+    Self-adjointness under the indefinite metric eta (Gupta) makes eta H
+    Hermitian in the ordinary sense; the Frobenius norm of its anti-Hermitian
+    part beyond REALITY_TOL times the largest uncoupled energy signals a sign
+    or scale slip in the vertices and raises OracleError.  That norm bounds
+    |Im| of every eigenvalue of eta H (Bendixson), so the spectrum is real to
+    the same tolerance.  The bare H is only pseudo-Hermitian; its spectator
+    branches may pair into complex conjugates, which the partition never reads.
+
     Partition onto P = {those two states}, Q every other (Feshbach; Loewdin):
     the eigenpair solves E = H_eff[0,0] + H_eff[0,1] eps and
     eps = H_eff[1,0] / (E - H_eff[1,1]), H_eff = H_PP + H_PQ (E - H_QQ)^-1 H_QP.
@@ -485,30 +481,19 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     until it stops moving at the rounding level: no eigenvector is read and
     no branch picked.  E that does not settle in PARTITION_SWEEPS sweeps, or
     is not real to REALITY_TOL, raises OracleError.
-
-    Self-adjointness under the indefinite metric makes metric-weight times
-    matrix Hermitian in the ordinary sense, so its spectrum must be real; a
-    non-real eigenvalue beyond REALITY_TOL signals a sign bug in the
-    couplings and raises.  The bare matrix is only pseudo-Hermitian, and
-    truncation lets degenerate longitudinal/scalar photon levels mix into
-    complex-conjugate pairs; those spectator branches are tolerated.
     """
     if len(registry) > 4:
         raise ValueError("oracle is meant for small registries (<= 4 modes)")
     h, basis = _truncated_hamiltonian(params, registry, total_photon_cap)
 
     sign = registry.scalar_metric_sign
-    eta = np.array(
-        [float(sign ** registry.scalar_count(occ)) for occ in basis]
-    )
-    weighted_vals = scipy.linalg.eigvals(eta[:, None] * h)
-    scale = max(1.0, float(np.max(np.abs(weighted_vals.real))))
-    max_imag = float(np.max(np.abs(weighted_vals.imag)))
-    if max_imag > REALITY_TOL * scale:
-        raise OracleError(
-            f"metric-weighted spectrum not real: max |Im(E)| = {max_imag:.3e} "
-            "(self-adjointness under the metric is broken)"
-        )
+    eta = np.array([float(sign ** registry.scalar_count(occ)) for occ in basis])
+    weighted = eta[:, None] * h
+    asymmetry = 0.5 * float(np.linalg.norm(weighted - weighted.conj().T))
+    scale = max(1.0, float(np.max(np.abs(h.diagonal()))))
+    if asymmetry > REALITY_TOL * scale:
+        raise OracleError(f"metric-weighted H not Hermitian: anti-Hermitian norm {asymmetry:.3e}"
+                          " (self-adjointness under the metric is broken)")
 
     p = [basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))]
     q = [i for i in range(len(basis)) if i not in p]
@@ -533,7 +518,7 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
         )
     return OracleResult(
         epsilon_exact=complex(epsilon),
-        max_imag_eigenvalue=max_imag,
+        metric_asymmetry=asymmetry,
         dimension=len(basis),
     )
 

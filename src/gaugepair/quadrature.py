@@ -124,14 +124,12 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.radial_nodes < 2 or self.angular_nodes < 2:
             raise ValidationError("node counts must be at least 2")
-        if self.kmax_over_invd < 6.0:
-            raise ValidationError(
-                "kmax_over_invd < 6 leaves a Gaussian tail above 1e-15"
-            )
-        if not self.rel_tol >= ROUNDING_FLOOR:
-            raise ValidationError(
-                f"rel_tol = {self.rel_tol} is below the rounding floor {ROUNDING_FLOOR:.1e}"
-            )
+        if not 6.0 <= self.kmax_over_invd < math.inf:
+            raise ValidationError(f"kmax_over_invd = {self.kmax_over_invd} outside [6, inf): "
+                                  "below 6 it leaves a Gaussian tail above 1e-15")
+        if not ROUNDING_FLOOR <= self.rel_tol < 1.0:
+            raise ValidationError(f"rel_tol = {self.rel_tol} outside [{ROUNDING_FLOOR:.1e}, 1): "
+                                  "below the rounding floor no two levels can agree")
 
 
 def config_from_mapping(mapping: dict[str, float | int]) -> QuadratureConfig:
@@ -366,6 +364,8 @@ def _kx_columns(params: SystemParams, config: QuadratureConfig,
         raise ValidationError(f"pole {k_pole} must sit strictly inside (0, {k_hi})")
     nodes = config.radial_nodes
     halvings = math.ceil(-math.log2(config.rel_tol))
+    if k_hi * length / (2.0 * math.pi) * nodes > _NODE_BUDGET:  # the base panels alone exceed it
+        _stalled(math.inf, config)
     panels = _kx_panels(pole, k_hi, length / (2.0 * math.pi), halvings)
     w_hi, off_hi = c * k_hi, c * (k_hi - (pole or 0.0))
 
@@ -743,16 +743,24 @@ class SeriesCoefficients:
     c2: IntegralResult
 
 
-def series_from_terms(params: SystemParams, term0: IntegralResult, term1: IntegralResult,
-                      term2: IntegralResult) -> SeriesCoefficients:
+def series_normalizations(params: SystemParams) -> tuple[float, float, float]:
+    """Divisors of c0, c1, c2 (eps_c, times the units of c1 and c2); one that is
+    zero or not finite raises ValidationError, before any quadrature runs."""
+    try:
+        eps_c, de = coulomb_closed_form(params), params.delta_e / params.hbar
+        norms = (eps_c, eps_c * de / params.omega_l, eps_c * (de / params.omega_a) ** 2)
+        if all(0.0 < abs(n) < math.inf for n in norms):
+            return norms
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise ValidationError("series normalization is zero or not finite: charge_q = 0, "
+                          "or a scale beyond floating-point range")
+
+
+def series_from_terms(norms: Sequence[float],
+                      terms: Sequence[IntegralResult]) -> SeriesCoefficients:
     """Normalize the amplitudes of the COULOMB and series_columns brackets."""
-    eps_c = coulomb_closed_form(params)
-    de = params.delta_e / params.hbar
-    return SeriesCoefficients(
-        c0=_rescale(term0, 1.0 / eps_c),
-        c1=_rescale(term1, 1.0 / (eps_c * de / params.omega_l)),
-        c2=_rescale(term2, 1.0 / (eps_c * (de / params.omega_a) ** 2)),
-    )
+    return SeriesCoefficients(*(_rescale(t, 1.0 / n) for t, n in zip(terms, norms)))
 
 
 def series_coefficients(params: SystemParams, config: QuadratureConfig) -> SeriesCoefficients:
@@ -761,5 +769,6 @@ def series_coefficients(params: SystemParams, config: QuadratureConfig) -> Serie
     Uses the explicit term integrands rather than finite differences of the
     full amplitude: the latter amplifies quadrature noise by 1/delta_e.
     """
+    norms = series_normalizations(params)
     terms = epsilon_columns(params, config, [COULOMB, *series_columns(params)])
-    return series_from_terms(params, *terms)
+    return series_from_terms(norms, terms)

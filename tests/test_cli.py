@@ -87,6 +87,24 @@ def test_oracle_reports_fourth_power(capsys):
     assert len(report["samples"]) == 3
 
 
+def test_oracle_human_table(capsys):
+    assert main(["oracle"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "oracle report"
+    assert lines[1].split() == ["registry", "+-k", "pair", "at", "|k|", "=", "1.7"]
+    assert [line.split()[2] for line in lines[2:5]] == ["q", "q", "q"]
+    assert lines[-1].split() == ["verdict", "pass"]
+
+
+def test_oracle_at_zero_charge_is_exact(tmp_path, capsys):
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text("charge_q = 0\n")
+    assert main(["--config", str(cfg), "oracle", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "exact"
+    assert [r for _, r in report["samples"]] == [0.0, 0.0, 0.0]
+
+
 def test_sweep_csv_contract(coarse_cfg, tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code = main(
@@ -121,6 +139,28 @@ def test_sweep_plot_data_emits_pairs(coarse_cfg, capsys):
     xs = [float(x) for x, _ in pairs]
     assert xs == sorted(xs)
     assert all(0.9 < float(r) < 1.0 for _, r in pairs)
+
+
+@pytest.mark.parametrize("spacing,points,expected", [
+    ([], 1, [0.01]),
+    (["--log"], 3, [0.01, 0.02, 0.04]),
+])
+def test_sweep_axis_spacing(spacing, points, expected, coarse_cfg, capsys):
+    code = main(["--config", coarse_cfg, "sweep", "--axis", "delta_e", "--from", "0.01",
+                 "--to", "0.04", "--points", str(points), *spacing, "--plot-data"])
+    assert code == EXIT_OK
+    xs = [float(line.split()[0]) for line in capsys.readouterr().out.splitlines()]
+    assert xs == pytest.approx(expected, rel=1e-12)
+
+
+def test_sweep_row_that_stalls_reports_convergence_error(tmp_path, capsys):
+    cfg = tmp_path / "unreachable.cfg"
+    cfg.write_text("radial_nodes = 2\nrel_tol = 1e-14\n")
+    code = main(["--config", str(cfg), "sweep", "--axis", "delta_e",
+                 "--from", "0.01", "--to", "0.01", "--points", "1"])
+    assert code == EXIT_CONVERGENCE
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "," * (len(CSV_HEADER) - 1) + "convergence-error"]
 
 
 def test_sweep_invalid_rows_surface_in_status(tmp_path, capsys):
@@ -234,6 +274,42 @@ def test_config_errors_exit_validation(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--config", str(bad), "epsilon"]) == EXIT_VALIDATION
     assert "unknown key 'angular_nodes'" in capsys.readouterr().err
+
+
+def test_soft_limit_warns_and_still_succeeds(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(COARSE + "omega_b = 1.3\n")
+    assert main(["--config", str(cfg), "expand"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: delta_e/(hbar*omega_a) = 0.3 outside the small-splitting regime\n")
+
+
+EDGE_INPUTS = [
+    ("", ["oracle", "--oracle-k", "nan"], EXIT_VALIDATION),
+    ("", ["oracle", "--oracle-k", "inf"], EXIT_VALIDATION),
+    ("", ["oracle", "--oracle-k", "1e-300"], EXIT_VALIDATION),  # |k|^2 underflows
+    ("rel_tol = inf", ["epsilon"], EXIT_VALIDATION),
+    ("kmax_over_invd = inf", ["epsilon"], EXIT_VALIDATION),
+    *[(config, [verb], EXIT_VALIDATION)
+      for config in ("charge_q = 0", "omega_b = 1e300", "separation_l = 1e-300",
+                     "dipole_d = 1e-300", "separation_l = 1e300")
+      for verb in ("epsilon", "expand")],
+    # the normalizations hold, but the k_x panels alone overrun the node budget
+    ("separation_l = 1e20", ["epsilon"], EXIT_CONVERGENCE),
+]
+
+
+@pytest.mark.parametrize("config,argv,code", EDGE_INPUTS,
+                         ids=[" ".join(filter(None, (c, *a))) for c, a, _ in EDGE_INPUTS])
+def test_out_of_range_input_exits_with_one_error_line(config, argv, code, tmp_path, capsys):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(config + "\n")
+    assert main(["--config", str(cfg), *argv]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    # validate's soft-limit warnings may precede the one error line
+    errors = [line for line in out.err.splitlines() if not line.startswith("warning: ")]
+    assert len(errors) == 1 and errors[0].startswith(("error: ", "convergence failure: "))
 
 
 def test_unknown_subcommand_exits_validation(capsys):

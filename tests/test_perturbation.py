@@ -10,7 +10,14 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from gaugepair.core import SystemParams
-from gaugepair.fock import PRUNE_TOL, OccupationState, PolarizationKind, StateVector, make_registry
+from gaugepair.fock import (
+    PRUNE_TOL,
+    ModeRegistry,
+    OccupationState,
+    PolarizationKind,
+    StateVector,
+    make_registry,
+)
 from gaugepair.perturbation import (
     ALL_DIAGRAMS,
     DiagramSpec,
@@ -333,9 +340,42 @@ def test_oracle_zero_charge_gives_zero_exactly():
 
 
 def test_oracle_weighted_spectrum_is_real():
+    # the anti-Hermitian norm of eta H bounds |Im| of its every eigenvalue
     res = exact_diagonalization_oracle(PARAMS, ORACLE_REG)
-    assert res.max_imag_eigenvalue < 1e-12
+    assert res.metric_asymmetry < 1e-12
     assert res.dimension == 135
+
+
+def _edit_vertices(monkeypatch, edit):
+    build = InteractionOperator._build_vertices
+    monkeypatch.setattr(InteractionOperator, "_build_vertices",
+                        lambda self: [edit(self.registry, v) for v in build(self)])
+
+
+def _longitudinal_lowering(registry, vertex):
+    return (not vertex.raising
+            and registry.modes[vertex.mode_index].kind is PolarizationKind.LONGITUDINAL)
+
+
+# vertex slips that keep the weak-coupling spectrum of eta H real to 3e-15,
+# so an eigenvalue test passes them; the first two double |eps|
+VERTEX_SLIPS = {
+    "raising-without-metric-sign":
+        lambda mp: mp.setattr(ModeRegistry, "raising_sign", lambda self, index: 1),
+    "longitudinal-lowering-negated":
+        lambda mp: _edit_vertices(mp, lambda reg, v: replace(v, matrix=-v.matrix)
+                                  if _longitudinal_lowering(reg, v) else v),
+    "raising-too-strong-by-1e-3":
+        lambda mp: _edit_vertices(mp, lambda reg, v: replace(v, matrix=1.001 * v.matrix)
+                                  if v.raising else v),
+}
+
+
+@pytest.mark.parametrize("slip", VERTEX_SLIPS.values(), ids=VERTEX_SLIPS.keys())
+def test_oracle_refuses_a_coupling_that_is_not_metric_self_adjoint(slip, monkeypatch):
+    slip(monkeypatch)
+    with pytest.raises(OracleError, match="not Hermitian"):
+        exact_diagonalization_oracle(PARAMS, ORACLE_REG)
 
 
 def _eigenvector_read(params, registry):

@@ -316,6 +316,17 @@ def test_kx_route_matches_spherical_oracle(x, delta):
         assert spherical.residue_imag == pytest.approx(result.residue_imag, rel=1e-6), column
 
 
+def test_kx_route_with_the_pole_beyond_the_cutoff_matches_spherical_oracle():
+    # d omega_a / c = 10 puts omega_a/c beyond K = 8/d, so only a pole-free
+    # pass runs: its panels are graded toward k_x = 0 alone
+    params = SystemParams(separation_l=1000.0, dipole_d=10.0)
+    (a,) = epsilon_columns(params, CONFIG, [COULOMB])
+    (b,) = spherical_columns(params, CONFIG, [COULOMB])
+    assert a.residue_imag == 0.0
+    bound = a.error_estimate + b.error_estimate + ROUNDING_FLOOR * abs(b.value)
+    assert abs(a.value - b.value) <= bound
+
+
 # -- configuration ----------------------------------------------------------------
 
 @pytest.mark.parametrize(
