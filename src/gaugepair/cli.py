@@ -486,7 +486,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 PRUNE_TOL = 1e-15
@@ -43,18 +43,12 @@ class PhotonMode:
 
     k_vector: tuple[float, float, float]
     kind: PolarizationKind
-    omega: float = 0.0  # filled from |k| when left at 0
+    omega: float = field(init=False)  # |k| in natural units
 
     def __post_init__(self) -> None:
-        k_norm = math.sqrt(sum(c * c for c in self.k_vector))
-        if self.omega == 0.0:
-            object.__setattr__(self, "omega", k_norm)
+        object.__setattr__(self, "omega", math.sqrt(sum(c * c for c in self.k_vector)))
         if self.omega <= 0:
             raise ValueError(f"mode frequency must be positive, got {self.omega}")
-        if not math.isclose(self.omega, k_norm, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(
-                f"omega = {self.omega} inconsistent with |k| = {k_norm} (natural units)"
-            )
 
     @property
     def k_x(self) -> float:
@@ -165,15 +159,14 @@ class OccupationState:
     def total_photons(self) -> int:
         return sum(n for _, n in self.photons)
 
-    def step(self, mode: int, raising: bool, p_max: int, cap: int | None = None):
+    def step(self, mode: int, raising: bool, p_max: int):
         """One ordinary ladder step on mode: (new label, sqrt factor), or None
-        where the step lowers an empty mode, raises past p_max photons in the
-        mode, or raises past cap photons in total.  Lowering never checks p_max."""
+        where the step lowers an empty mode or raises past p_max photons in
+        the mode.  Lowering never checks p_max."""
         counts = dict(self.photons)
         n = counts.get(mode, 0)
         new = counts[mode] = n + 1 if raising else n - 1
-        full = new > p_max or (cap is not None and sum(counts.values()) > cap)
-        if new < 0 or (raising and full):
+        if new < 0 or (raising and new > p_max):
             return None
         return OccupationState(self.level_a, self.level_b, counts), math.sqrt(max(n, new))
 

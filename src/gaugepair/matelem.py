@@ -156,45 +156,31 @@ def rho_fourier_element(params: SystemParams, osc: OscillatorId, k_vector, sign:
 # Displacement-operator elements (exact on any truncated oscillator basis)
 # ---------------------------------------------------------------------------
 
-def displacement_element(m: int, n: int, lam_d: float) -> complex:
-    """<m| exp(i lam x_rel) |n> for an oscillator whose transition length is d,
-    with lam_d = lam * d.
-
-    Closed Laguerre form of the displacement operator with alpha = i lam d;
-    exact for every (m, n), so no truncation error enters through here.
-    """
-    alpha = 1j * lam_d
-    a2 = lam_d * lam_d  # |alpha|^2
-    if m >= n:
-        return (
-            math.sqrt(math.factorial(n) / math.factorial(m))
-            * alpha ** (m - n)
-            * math.exp(-0.5 * a2)
-            * eval_genlaguerre(n, m - n, a2)
-        )
-    # alpha is purely imaginary, so -conj(alpha) = alpha and the matrix is
-    # symmetric; keep the general branch anyway for clarity.
-    return (
-        math.sqrt(math.factorial(m) / math.factorial(n))
-        * (-alpha.conjugate()) ** (n - m)
-        * math.exp(-0.5 * a2)
-        * eval_genlaguerre(m, n - m, a2)
-    )
-
-
 def exponential_matrix(params: SystemParams, osc: OscillatorId, k_x: float, size: int) -> np.ndarray:
     """Matrix of exp(-i k_x x_hat) on the lowest `size` levels of oscillator osc.
 
     x_hat = center + relative coordinate; the center contributes the phase
-    exp(-i k_x x0) and the relative part is a displacement with lam = -k_x.
+    exp(-i k_x x0) and the relative part is the displacement exp(i lam x_rel)
+    with lam = -k_x and alpha = i lam d.  Its closed Laguerre form (Cahill &
+    Glauber 1969) is exact for every (m, n): with lo = min(m, n) and
+    g = |m - n|, element (m, n) is
+    sqrt(lo!/(lo+g)!) alpha^g exp(-|alpha|^2/2) L_lo^(g)(|alpha|^2).
+    alpha is purely imaginary, so -conj(alpha) = alpha and the matrix is
+    symmetric.  Where exp(-|alpha|^2/2) underflows the matrix is zero, and
+    is returned before alpha^g or L could overflow.
     """
     lam_d = -k_x * params.dipole_d
+    a2 = lam_d * lam_d  # |alpha|^2
+    gauss = math.exp(-0.5 * a2)
+    if gauss == 0.0:
+        return np.zeros((size, size), dtype=complex)
     x0 = osc.center(params)
     phase = complex(math.cos(k_x * x0), -math.sin(k_x * x0))
-    out = np.empty((size, size), dtype=complex)
-    for m in range(size):
-        for n in range(size):
-            out[m, n] = displacement_element(m, n, lam_d)
+    m, n = np.indices((size, size))
+    lo, g = np.minimum(m, n), np.abs(m - n)
+    factorial = np.array([math.factorial(i) for i in range(size)], dtype=float)
+    out = (np.sqrt(factorial[lo] / factorial[lo + g]) * (1j * lam_d) ** g * gauss
+           * eval_genlaguerre(lo, g, a2))
     return phase * out
 
 

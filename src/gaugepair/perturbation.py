@@ -2,16 +2,18 @@
 first-order Coulomb-gauge integrand, and two discrete oracles on finite mode
 registries (operator-route perturbation theory and exact diagonalization).
 
-Two independent code paths compute the same physics on purpose:
+Independent code paths compute the same physics on purpose:
 
 * closed-form integrands (diagram_integrand, lorentz_bracket, ...) carry the
   algebra done by hand once;
-* the operator route (InteractionOperator + discrete_second_order,
-  exact_diagonalization_oracle) builds the coupling from ladder operators and
-  displacement elements and must reproduce the closed forms numerically.
+* the operator route builds the coupling as vertex matrices on each mode's
+  ladder.  discrete_second_order sums it through the state algebra
+  (InteractionOperator.apply); exact_diagonalization_oracle assembles H from
+  the same vertex matrices in Kronecker form with ladders of its own, so the
+  two share only the vertices and H_0.
 
-Collapsing the two into one would defeat the point: they disagree exactly when
-a sign is wrong, which is the dominant failure mode in this calculation.
+Collapsing any two into one would defeat the point: they disagree exactly when
+a sign or a factor is wrong, the dominant failure mode in this calculation.
 """
 
 from __future__ import annotations
@@ -238,22 +240,21 @@ def _momentum_matrix(dipole_d: float, hbar: float, size: int) -> np.ndarray:
 class InteractionOperator:
     """The covariant-gauge coupling mapped onto a finite mode registry.
 
-    apply() uses truncated-operator semantics: amplitudes that would leave the
-    registry's occupation bounds are projected out, i.e. this is the coupling
-    restricted to the kept space.  That projection is exactly what both
-    consumers need (second-order projections and truncated-basis
-    diagonalization); the strict, loudly-erroring ladder operators remain
-    available on StateVector for everything else.
+    vertices holds each mode's raising and lowering oscillator matrices per
+    oscillator; the exact-diagonalization oracle reads only these.  apply()
+    takes the photon steps in the state algebra and projects out amplitudes
+    past p_max photons in a mode: the coupling restricted to the kept space,
+    as the second-order sum needs.  The strict, loudly-erroring ladder
+    operators remain available on StateVector for everything else.
 
     The quadratic field term of the minimal coupling is omitted: it is
     diagonal in both oscillators, so it cannot connect the singly-excited
     states at this order.
     """
 
-    def __init__(self, params: SystemParams, registry: ModeRegistry, total_photon_cap: int | None = None):
+    def __init__(self, params: SystemParams, registry: ModeRegistry):
         self.params = params
         self.registry = registry
-        self.total_photon_cap = total_photon_cap
         self.vertices = self._build_vertices()
         # (mode_index, raising) -> that photon step's vertices, in build order
         self._by_step: dict[tuple[int, bool], list[_Vertex]] = {}
@@ -304,7 +305,7 @@ class InteractionOperator:
         out: dict[OccupationState, complex] = {}
         for occ, amp in state.terms():
             for v in self.vertices:
-                stepped = occ.step(v.mode_index, v.raising, reg.p_max, self.total_photon_cap)
+                stepped = occ.step(v.mode_index, v.raising, reg.p_max)
                 if stepped is None:
                     continue  # projected out
                 moved, photon_factor = stepped
@@ -340,7 +341,7 @@ class InteractionOperator:
                 continue
             (j,) = modes
             raising = target.count(j) > occ.count(j)
-            stepped = occ.step(j, raising, self.registry.p_max, self.total_photon_cap)
+            stepped = occ.step(j, raising, self.registry.p_max)
             if stepped is None or stepped[0].photons != target.photons:
                 continue
             photon_factor = stepped[1]
@@ -441,22 +442,30 @@ PARTITION_SWEEPS = 20
 def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
                            total_photon_cap: int) -> tuple[np.ndarray, list[OccupationState]]:
     """The coupled Hamiltonian as a dense matrix on every basis state with at
-    most total_photon_cap photons, and that basis."""
-    op = InteractionOperator(params, registry, total_photon_cap=total_photon_cap)
-    levels = range(registry.n_max + 1)
-    photons = itertools.product(range(min(registry.p_max, total_photon_cap) + 1),
-                                repeat=len(registry))
+    most total_photon_cap photons, and that basis (level A x level B x photon
+    counts).  H = diag(H_0) + the sum over vertices of kron(oscillator matrix,
+    ladder of the vertex's mode), each ladder a_j^+ on the kept photon states
+    and lowering its transpose: no ladder step of the state algebra is taken."""
+    n_levels = registry.n_max + 1
+    photons = [counts for counts in itertools.product(
+                   range(min(registry.p_max, total_photon_cap) + 1), repeat=len(registry))
+               if sum(counts) <= total_photon_cap]
     basis = [OccupationState(la, lb, enumerate(counts))
-             for la, lb, counts in itertools.product(levels, levels, list(photons))
-             if sum(counts) <= total_photon_cap]
-    index = {occ: i for i, occ in enumerate(basis)}
+             for la, lb, counts in itertools.product(range(n_levels), range(n_levels), photons)]
+    index = {counts: i for i, counts in enumerate(photons)}
+    raising = np.zeros((len(registry), len(photons), len(photons)))
+    for (i, counts), j in itertools.product(enumerate(photons), range(len(registry))):
+        up = index.get(counts[:j] + (counts[j] + 1,) + counts[j + 1:])
+        if up is not None:
+            raising[j, up, i] = math.sqrt(counts[j] + 1)
 
+    ident = np.eye(n_levels)
     h = np.zeros((len(basis), len(basis)), dtype=complex)
-    for j, occ in enumerate(basis):
-        h[j, j] = uncoupled_energy(params, registry, occ)
-        column = op.apply(StateVector(registry, {occ: 1.0 + 0.0j}))
-        for out_occ, amp in column.terms():  # op's caps are the basis's caps
-            h[index[out_occ], j] += amp
+    for v in InteractionOperator(params, registry).vertices:
+        osc = np.kron(v.matrix, ident) if v.oscillator == "A" else np.kron(ident, v.matrix)
+        h += np.kron(osc, raising[v.mode_index] if v.raising else raising[v.mode_index].T)
+    h[np.abs(h) <= PRUNE_TOL] = 0.0  # dropped as StateVector drops them
+    h[np.diag_indices_from(h)] = [uncoupled_energy(params, registry, occ) for occ in basis]
     return h, basis
 
 
@@ -465,6 +474,10 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     """The |0_A 1_B, 0 photons> coefficient eps of the exact eigenvector of the
     truncated Hamiltonian that grows out of |1_A 0_B, 0 photons>, normalized
     to unit coefficient on the latter.
+
+    H is assembled from the vertex matrices (_truncated_hamiltonian), with no
+    ladder step of the state algebra: a slip there moves only the
+    perturbative sum.
 
     Self-adjointness under the indefinite metric eta (Gupta) makes eta H
     Hermitian in the ordinary sense; the Frobenius norm of its anti-Hermitian

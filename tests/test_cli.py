@@ -105,6 +105,17 @@ def test_oracle_at_zero_charge_is_exact(tmp_path, capsys):
     assert [r for _, r in report["samples"]] == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("k_mag", ["1e100", "1e150", "1e154"])
+def test_oracle_far_past_the_form_factor_is_exact(k_mag, capsys):
+    # exp(-(k_x d)^2/2) underflows, so every vertex and both amplitudes are 0
+    assert main(["oracle", "--json", "--oracle-k", k_mag]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)
+    assert report["verdict"] == "exact"
+    assert [r for _, r in report["samples"]] == [0.0, 0.0, 0.0]
+
+
 def test_sweep_csv_contract(coarse_cfg, tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code = main(
@@ -296,6 +307,10 @@ EDGE_INPUTS = [
       for verb in ("epsilon", "expand")],
     # the normalizations hold, but the k_x panels alone overrun the node budget
     ("separation_l = 1e20", ["epsilon"], EXIT_CONVERGENCE),
+    # a directory where a file is read or written; {dir} is the test's tmp_path
+    ("", ["--config", "{dir}", "epsilon"], EXIT_VALIDATION),
+    ("", ["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02", "--points", "2",
+          "--csv", "{dir}"], EXIT_VALIDATION),
 ]
 
 
@@ -304,6 +319,7 @@ EDGE_INPUTS = [
 def test_out_of_range_input_exits_with_one_error_line(config, argv, code, tmp_path, capsys):
     cfg = tmp_path / "edge.cfg"
     cfg.write_text(config + "\n")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert main(["--config", str(cfg), *argv]) == code
     out = capsys.readouterr()
     assert out.out == ""

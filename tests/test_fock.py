@@ -38,9 +38,12 @@ def test_make_registry_layout(registry):
         registry.pair_at((9.9, 0.0, 0.0))
 
 
-def test_mode_rejects_inconsistent_frequency():
-    with pytest.raises(ValueError):
-        PhotonMode((1.0, 0.0, 0.0), PolarizationKind.SCALAR, omega=2.0)
+def test_mode_frequency_is_the_wave_number():
+    mode = PhotonMode((0.6, 0.0, -0.8), PolarizationKind.SCALAR)
+    assert mode.omega == math.sqrt(0.6 * 0.6 + 0.8 * 0.8)
+    # natural units fix omega = |k|, so it is no argument
+    with pytest.raises(TypeError):
+        PhotonMode((1.0, 0.0, 0.0), PolarizationKind.SCALAR, omega=1.0)
     with pytest.raises(ValueError):
         PhotonMode((0.0, 0.0, 0.0), PolarizationKind.SCALAR)
 
@@ -72,8 +75,6 @@ def test_step_walls_and_factors():
     occ = OccupationState(1, 0, {0: 2})
     assert OccupationState(0, 0).step(0, False, p_max=3) is None  # empty mode
     assert occ.step(0, True, p_max=2) is None  # p_max
-    assert occ.step(1, True, p_max=3, cap=2) is None  # total photon cap
-    assert occ.step(1, True, p_max=3, cap=3) == (OccupationState(1, 0, {0: 2, 1: 1}), 1.0)
     assert occ.step(0, True, p_max=3) == (OccupationState(1, 0, {0: 3}), math.sqrt(3.0))
     assert occ.step(0, False, p_max=3) == (OccupationState(1, 0, {0: 1}), math.sqrt(2.0))
     # lowering never checks p_max, even from above it

@@ -1,6 +1,8 @@
 """Closed-form transition elements against each other and against quadrature."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from gaugepair.core import SystemParams
 from gaugepair.matelem import (
     OscillatorId,
-    displacement_element,
     exponential_matrix,
     form_factor_oracle,
     gaussian_form_factor,
@@ -85,35 +86,72 @@ def test_mode_scale_frequency_dependence():
 
 # -- displacement elements -----------------------------------------------------
 
+def _displacement(lam_d, size):
+    """<m| exp(i lam x_rel) |n> with lam d = lam_d: oscillator A sits at the
+    origin, so its exponential matrix carries no center phase."""
+    return exponential_matrix(PARAMS, OscillatorId.A, -lam_d / PARAMS.dipole_d, size)
+
+
+def _laguerre(n, alpha, x):
+    """Generalized Laguerre polynomial L_n^(alpha)(x) from its explicit sum."""
+    return sum((-1) ** i * math.comb(n + alpha, n - i) * x**i / math.factorial(i)
+               for i in range(n + 1))
+
+
+def _displacement_reference(m, n, lam_d):
+    """One displacement element, each triangle from its own branch:
+    alpha^(m-n) below the diagonal, (-conj alpha)^(n-m) above it."""
+    alpha = 1j * lam_d
+    lo, hi = min(m, n), max(m, n)
+    power = alpha ** (m - n) if m >= n else (-alpha.conjugate()) ** (n - m)
+    return (math.sqrt(math.factorial(lo) / math.factorial(hi)) * power
+            * math.exp(-0.5 * lam_d * lam_d) * _laguerre(lo, hi - lo, lam_d * lam_d))
+
+
 def test_displacement_ground_elements():
     lam_d = 0.8
+    mat = _displacement(lam_d, 2)
     gauss = math.exp(-0.5 * lam_d * lam_d)
-    assert displacement_element(0, 0, lam_d) == pytest.approx(gauss)
-    assert displacement_element(0, 1, lam_d) == pytest.approx(1j * lam_d * gauss)
-    assert displacement_element(1, 0, lam_d) == pytest.approx(1j * lam_d * gauss)
+    assert mat[0, 0] == pytest.approx(gauss)
+    assert mat[0, 1] == pytest.approx(1j * lam_d * gauss)
+    assert mat[1, 0] == pytest.approx(1j * lam_d * gauss)
     # diagonal picks up the Laguerre factor (1 - lam_d^2)
-    assert displacement_element(1, 1, lam_d) == pytest.approx(
-        (1.0 - lam_d * lam_d) * gauss
-    )
+    assert mat[1, 1] == pytest.approx((1.0 - lam_d * lam_d) * gauss)
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    m=st.integers(0, 6),
-    n=st.integers(0, 6),
-    lam_d=st.floats(min_value=-2.0, max_value=2.0),
-)
-def test_displacement_symmetric_and_bounded(m, n, lam_d):
-    e = displacement_element(m, n, lam_d)
-    assert displacement_element(n, m, lam_d) == pytest.approx(e, abs=1e-12)
-    assert abs(e) <= 1.0 + 1e-12  # unitary operator elements
+@given(lam_d=st.floats(min_value=-2.0, max_value=2.0), osc=oscillators)
+def test_displacement_symmetric_and_bounded(lam_d, osc):
+    mat = exponential_matrix(PARAMS, osc, -lam_d / PARAMS.dipole_d, 7)
+    assert np.array_equal(mat, mat.T)  # one closed form for both triangles
+    assert np.all(np.abs(mat) <= 1.0 + 1e-12)  # unitary operator elements
 
 
 def test_displacement_column_is_near_unit_norm():
     # exp(i lam x) is unitary; the column norm approaches 1 as rows are added
-    lam_d = 0.6
-    col = [abs(displacement_element(m, 0, lam_d)) ** 2 for m in range(12)]
-    assert sum(col) == pytest.approx(1.0, abs=1e-12)
+    col = np.abs(_displacement(0.6, 12)[:, 0]) ** 2
+    assert col.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam_d=st.floats(min_value=-6.0, max_value=6.0), osc=oscillators)
+def test_exponential_matrix_matches_per_element_laguerre(lam_d, osc):
+    k_x = -lam_d / PARAMS.dipole_d
+    mat = exponential_matrix(PARAMS, osc, k_x, 8)
+    phase = cmath.exp(-1j * k_x * osc.center(PARAMS))
+    lam_d = -k_x * PARAMS.dipole_d
+    for m in range(8):
+        for n in range(8):
+            assert abs(mat[m, n] - phase * _displacement_reference(m, n, lam_d)) <= 1e-12
+
+
+def test_exponential_matrix_vanishes_where_the_gaussian_underflows():
+    # alpha^g and L would overflow at k_x d = 2e98; exp(-|alpha|^2/2) is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for osc in OscillatorId:
+            mat = exponential_matrix(PARAMS, osc, 2e98 / PARAMS.dipole_d, 5)
+            assert mat.shape == (5, 5) and not mat.any()
 
 
 def test_exponential_matrix_carries_center_phase():
@@ -123,9 +161,8 @@ def test_exponential_matrix_carries_center_phase():
     mat_b = exponential_matrix(PARAMS, OscillatorId.B, k_x, size)
     phase = np.exp(-1j * k_x * PARAMS.separation_l)
     assert np.allclose(mat_b, phase * mat_a, atol=1e-14)
-    assert mat_a[0, 1] == pytest.approx(
-        displacement_element(0, 1, -k_x * PARAMS.dipole_d)
-    )
+    kd = k_x * PARAMS.dipole_d
+    assert mat_a[0, 1] == pytest.approx(-1j * kd * math.exp(-0.5 * kd * kd))
 
 
 # -- the wavefunction oracle -----------------------------------------------------

@@ -295,43 +295,75 @@ def _mixed_state(reg):
     return state
 
 
-@pytest.mark.parametrize("cap", [None, 1, 2])
-@pytest.mark.parametrize("n_max", [1, 2, 3])
-@pytest.mark.parametrize("p_max", [1, 2])
-def test_coefficient_equals_applied_amplitude(p_max, n_max, cap):
+def _small_registries(p_max, n_max):
+    """Scalar-only and longitudinal + scalar registries on two k-vectors, each
+    clean and with the scalar metric sign flipped."""
     ks = ((0.6, 0.0, 0.0), (-1.9, 0.3, 0.4))
     full = (PolarizationKind.LONGITUDINAL, PolarizationKind.SCALAR)
     for kinds in ((PolarizationKind.SCALAR,), full):
         clean = make_registry(ks, kinds=kinds, weights=(0.11, 0.07), n_max=n_max, p_max=p_max)
-        for reg in (clean, clean.corrupted()):
-            op = InteractionOperator(PARAMS, reg, total_photon_cap=cap)
-            state = _mixed_state(reg)
-            whole = op.apply(state)
-            assert len(whole) > 0
-            for target, _ in (*whole.terms(), *state.terms()):
-                # bit for bit, signed zeros included
-                assert repr(op.coefficient(target, state)) == repr(whole.amplitude(target))
-            # a faint start: its weakest images fall below PRUNE_TOL and are dropped
-            start = StateVector.basis(reg, 1, 0)
-            images = op.apply(start)
-            sizes = [abs(a) for _, a in images.terms()]
-            faint = (PRUNE_TOL / math.sqrt(min(sizes) * max(sizes))) * start
-            faint_whole = op.apply(faint)
-            assert len(faint_whole) < len(images)
-            for target, _ in images.terms():
-                assert repr(op.coefficient(target, faint)) == repr(faint_whole.amplitude(target))
-            # every vertex moves exactly one photon: nothing reaches the start's
-            # own photon counts, a two-photon change, or a level past n_max
-            for target in (OccupationState(0, 1),
-                           OccupationState(0, 1, {0: 1, len(reg) - 1: 1}),
-                           OccupationState(n_max + 1, 0, {0: 1})):
-                assert images.amplitude(target) == 0.0
-                assert op.coefficient(target, start) == 0.0
+        yield clean
+        yield clean.corrupted()
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("p_max", [1, 2])
+def test_coefficient_equals_applied_amplitude(p_max, n_max):
+    for reg in _small_registries(p_max, n_max):
+        op = InteractionOperator(PARAMS, reg)
+        state = _mixed_state(reg)
+        whole = op.apply(state)
+        assert len(whole) > 0
+        for target, _ in (*whole.terms(), *state.terms()):
+            # bit for bit, signed zeros included
+            assert repr(op.coefficient(target, state)) == repr(whole.amplitude(target))
+        # a faint start: its weakest images fall below PRUNE_TOL and are dropped
+        start = StateVector.basis(reg, 1, 0)
+        images = op.apply(start)
+        sizes = [abs(a) for _, a in images.terms()]
+        faint = (PRUNE_TOL / math.sqrt(min(sizes) * max(sizes))) * start
+        faint_whole = op.apply(faint)
+        assert len(faint_whole) < len(images)
+        for target, _ in images.terms():
+            assert repr(op.coefficient(target, faint)) == repr(faint_whole.amplitude(target))
+        # every vertex moves exactly one photon: nothing reaches the start's
+        # own photon counts, a two-photon change, or a level past n_max
+        for target in (OccupationState(0, 1),
+                       OccupationState(0, 1, {0: 1, len(reg) - 1: 1}),
+                       OccupationState(n_max + 1, 0, {0: 1})):
+            assert images.amplitude(target) == 0.0
+            assert op.coefficient(target, start) == 0.0
 
 
 # -- exact diagonalization ---------------------------------------------------------
 
 ORACLE_REG = make_registry(((1.7, 0.0, 0.0), (-1.7, 0.0, 0.0)), n_max=2, p_max=2)
+
+
+@pytest.mark.parametrize("cap", [1, 2, "all"])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("p_max", [1, 2])
+def test_assembled_hamiltonian_equals_applied_images(p_max, n_max, cap):
+    # H is assembled from the vertex matrices in Kronecker form; apply reaches
+    # the same couplings through the ladder steps of the state algebra
+    for reg in _small_registries(p_max, n_max):
+        op = InteractionOperator(PARAMS, reg)
+        total_cap = p_max * len(reg) if cap == "all" else cap
+        h, basis = _truncated_hamiltonian(PARAMS, reg, total_cap)
+        index = {occ: i for i, occ in enumerate(basis)}
+        expected = np.zeros_like(h)
+        outside = []
+        for j, occ in enumerate(basis):
+            expected[j, j] = uncoupled_energy(PARAMS, reg, occ)
+            for image, amp in op.apply(StateVector(reg, {occ: 1.0 + 0.0j})).terms():
+                if image in index:
+                    expected[index[image], j] = amp
+                else:
+                    outside.append(image)
+        # bit for bit, signed zeros included
+        assert np.array_equal(h.view(np.int64), expected.view(np.int64))
+        assert all(image.total_photons() > total_cap for image in outside)
+        assert (len(outside) > 0) == (total_cap < p_max * len(reg))
 
 
 def test_oracle_zero_charge_gives_zero_exactly():
@@ -411,6 +443,22 @@ def test_oracle_agrees_with_perturbation_theory():
     res = exact_diagonalization_oracle(PARAMS, ORACLE_REG)
     amp = discrete_second_order(PARAMS, ORACLE_REG)
     assert abs(res.epsilon_exact - amp) <= 1e-4 * abs(amp)
+
+
+def test_a_ladder_slip_separates_perturbation_theory_from_the_oracle(monkeypatch):
+    # every ladder factor of the state algebra 1% too strong: the oracle
+    # builds its own ladders, so only the perturbative sum moves
+    step = OccupationState.step
+
+    def slipped(self, mode, raising, p_max):
+        stepped = step(self, mode, raising, p_max)
+        return None if stepped is None else (stepped[0], 1.01 * stepped[1])
+
+    monkeypatch.setattr(OccupationState, "step", slipped)
+    res = exact_diagonalization_oracle(PARAMS, ORACLE_REG)
+    amp = discrete_second_order(PARAMS, ORACLE_REG)
+    assert res.metric_asymmetry < 1e-12
+    assert abs(res.epsilon_exact - amp) > 1e-4 * abs(amp)
 
 
 def test_oracle_residual_scales_as_fourth_power():
