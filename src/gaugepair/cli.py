@@ -2,10 +2,10 @@
 suites, and the small-registry oracle.
 
 Exit codes: 0 success; 1 bad input, including an evaluation exactly on the
-resonance (PoleError); 2 quadrature non-convergence, an oracle failure, or a
-sweep with any row whose status is not "ok"; 3 invariant failure.  All floats
-print with 9 significant digits; identical config and seed give byte-identical
-output.
+resonance (PoleError, a ValidationError); 2 quadrature non-convergence, an
+oracle failure, or a sweep with any row whose status is not "ok"; 3 invariant
+failure.  All floats print with 9 significant digits; identical config and
+seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace as dc_replace
+from dataclasses import asdict, replace as dc_replace
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .perturbation import (
     DiagramSpec,
     ExchangeOrder,
     OracleError,
-    PoleError,
     ResonanceError,
     combined_bracket_form,
     diagram_integrand,
@@ -58,9 +57,7 @@ from .perturbation import (
 )
 from .quadrature import (
     COULOMB,
-    IntegralResult,
     QuadratureConfig,
-    SeriesCoefficients,
     config_from_mapping,
     epsilon_columns,
     epsilon_coulomb,  # imported only for perfbench/tracing.py to wrap
@@ -143,23 +140,6 @@ def _load(args) -> tuple[SystemParams, QuadratureConfig]:
 # epsilon / expand
 # ---------------------------------------------------------------------------
 
-def _integral(result: IntegralResult) -> dict:
-    return {
-        "value": result.value,
-        "error_estimate": result.error_estimate,
-        "residue_imag": result.residue_imag,
-        "nodes_used": result.nodes_used,
-    }
-
-
-def _params(params: SystemParams) -> dict:
-    return {key: getattr(params, key) for key in PARAM_KEYS}
-
-
-def _coefficients(coeffs: SeriesCoefficients) -> dict:
-    return {"c0": _integral(coeffs.c0), "c1": _integral(coeffs.c1), "c2": _integral(coeffs.c2)}
-
-
 def _epsilon_report(params: SystemParams, config: QuadratureConfig) -> dict:
     """The amplitude report as one plain document of full-precision floats;
     --json, the table and the sweep CSV row all render from it."""
@@ -173,12 +153,12 @@ def _epsilon_report(params: SystemParams, config: QuadratureConfig) -> dict:
     gauge_tol = 10.0 * (eps_t.error_estimate + eps_l.error_estimate) + 1e-12 * abs(eps_l.value)
     sample = per_k_equivalence(params, 2.0 * params.omega_a)
     return {
-        "params": _params(params),
-        "eps_coulomb": _integral(eps_c),
-        "eps_lorentz": _integral(eps_l),
-        "eps_transformed": _integral(eps_t),
+        "params": asdict(params),
+        "eps_coulomb": asdict(eps_c),
+        "eps_lorentz": asdict(eps_l),
+        "eps_transformed": asdict(eps_t),
         "ratio": eps_l.value / eps_c.value,
-        "coefficients": _coefficients(coeffs),
+        "coefficients": asdict(coeffs),
         "checks": {
             "transformed matches covariant": gauge_gap <= gauge_tol,
             "per-mode residual vanishes":
@@ -246,7 +226,7 @@ def cmd_expand(args) -> int:
     params, config = _load(args)
     coeffs = series_coefficients(params, config)
     _render(args, "series coefficients (c1 in detuning/splitting-frequency units,"
-                  " c2 in squared units)", {"params": _params(params), **_coefficients(coeffs)})
+                  " c2 in squared units)", {"params": asdict(params), **asdict(coeffs)})
     return EXIT_OK
 
 
@@ -255,7 +235,7 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = [
-    "omega_a", "omega_b", "separation_l", "dipole_d", "mass_m", "charge_q",
+    *PARAM_KEYS,
     "eps_coulomb", "eps_lorentz", "eps_transformed", "ratio",
     "c0", "c1", "c2", "residue", "status",
 ]
@@ -286,7 +266,7 @@ def _sweep_row(base: SystemParams, config: QuadratureConfig, axis: str,
         params = _params_for(base, axis, value)
         validate(params)
         report = _epsilon_report(params, config)
-    except (ValidationError, PoleError):
+    except ValidationError:
         return blank + ["validation-error"]
     except ConvergenceError:
         return blank + ["convergence-error"]
@@ -495,9 +475,6 @@ def main(argv=None) -> int:
     except (OracleError, ResonanceError) as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except PoleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

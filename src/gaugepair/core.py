@@ -94,20 +94,13 @@ def validate(params: SystemParams) -> list[tuple[str, str]]:
     Pure: identical inputs give identical diagnostics.
     """
     p = params
-    numbers = {
-        "omega_a": p.omega_a,
-        "omega_b": p.omega_b,
-        "separation_l": p.separation_l,
-        "dipole_d": p.dipole_d,
-        "mass_m": p.mass_m,
-        "charge_q": p.charge_q,
-    }
+    numbers = {name: getattr(p, name) for name in PARAM_KEYS}
     for name, value in numbers.items():
         if not math.isfinite(value):
             raise ValidationError(f"{name} = {value} is not finite")
-    for name in ("omega_a", "omega_b", "separation_l", "dipole_d", "mass_m"):
-        if numbers[name] <= 0:
-            raise ValidationError(f"{name} = {numbers[name]} must be positive")
+    for name, value in numbers.items():
+        if name != "charge_q" and value <= 0:  # a charge of either sign is physical
+            raise ValidationError(f"{name} = {value} must be positive")
     if p.delta_e == 0:
         raise ValidationError(
             "epsilon undefined: omega_b == omega_a makes the amplitude scale as 1/0"

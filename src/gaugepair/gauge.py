@@ -18,6 +18,13 @@ Two independent routes produce the same brackets:
   (operator_route_brackets), which exercises the indefinite-metric ladder
   conventions end to end and catches any sign slip in them.
 
+Both operators of that algebra -- the mapping operator's exponent
+(apply_inverse_transform_linear) and the residual coupling -- are vertex
+lists, as the covariant coupling is: a photon step on one mode times a
+two-level oscillator matrix, applied by perturbation.apply_vertices.  Unlike
+the coupling they project nothing: a raising step past p_max photons raises
+TruncationError.
+
 The coupling left over after the mapping ties the longitudinal current to
 photon-pair combinations that are metric-null; residual_term_physicality
 measures the subsidiary-condition violation it produces, which must vanish
@@ -27,7 +34,7 @@ identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +58,8 @@ from .matelem import (
 )
 from .perturbation import (
     PoleError,
+    Vertex,
+    apply_vertices,
     coulomb_integrand,
     lorentz_bracket,
     resolvent,
@@ -156,32 +165,13 @@ def transformed_epsilon(params: SystemParams, config: QuadratureConfig) -> Integ
 # Operator route: the same brackets from explicit state algebra
 # ---------------------------------------------------------------------------
 
-def _apply_two_level(
-    registry: ModeRegistry,
-    state: StateVector,
-    osc: OscillatorId,
-    element_raise: complex,
-    element_lower: complex,
-) -> StateVector:
-    # two-level source operator: levels above the qubit subspace are outside
-    # the charge/current model and drop out
-    amps: dict[OccupationState, complex] = {}
-    for occ, amp in state.terms():
-        level = occ.level_a if osc is OscillatorId.A else occ.level_b
-        if level == 0:
-            element = element_raise
-            new_level = 1
-        elif level == 1:
-            element = element_lower
-            new_level = 0
-        else:
-            continue
-        if osc is OscillatorId.A:
-            new = dc_replace(occ, level_a=new_level)
-        else:
-            new = dc_replace(occ, level_b=new_level)
-        amps[new] = amps.get(new, 0.0j) + amp * element
-    return StateVector(registry, amps)
+def _two_level(registry: ModeRegistry, up: complex, down: complex) -> np.ndarray:
+    """Oscillator matrix of a two-level source: up on 0 -> 1, down on 1 -> 0.
+    Levels above the qubit subspace are outside the charge/current model and
+    drop out."""
+    matrix = np.zeros((registry.n_max + 1, registry.n_max + 1), dtype=complex)
+    matrix[1, 0], matrix[0, 1] = up, down
+    return matrix
 
 
 def apply_inverse_transform_linear(
@@ -189,14 +179,14 @@ def apply_inverse_transform_linear(
 ) -> StateVector:
     """One power of the mapping operator's exponent.
 
-    In ordinary-amplitude bookkeeping the metric adjoint of scalar raising
-    carries the metric sign, so the creation half is weighted by minus the
-    registry's scalar_metric_sign: corrupting that sign flips this operator
-    and the closed forms in lockstep.  The registry must leave one quantum of
-    photon headroom above the states reached.
+    Each scalar mode and oscillator lowers with the charge-density element at
+    -k and raises with the one at +k; in ordinary-amplitude bookkeeping the
+    metric adjoint of scalar raising carries the metric sign, so the raising
+    vertex is weighted by minus the registry's raising_sign: corrupting that
+    sign flips this operator and the closed forms in lockstep.  A term with
+    no photon headroom in a scalar mode raises TruncationError.
     """
-    sigma = registry.raising_sign
-    total = StateVector(registry, {})
+    vertices = []
     for idx, mode in enumerate(registry.modes):
         if mode.kind is not PolarizationKind.SCALAR:
             continue
@@ -207,19 +197,16 @@ def apply_inverse_transform_linear(
             * s_full
             / (params.hbar * mode.omega)
         )
-        lowered = state.annihilate(idx)
-        raised = state.create(idx)
         for osc in (OscillatorId.A, OscillatorId.B):
             # the two-level charge density carries the same element both ways
-            if not lowered.is_zero():
-                element = rho_fourier_element(params, osc, mode.k_vector, -1)
-                total = total + coeff * _apply_two_level(registry, lowered, osc, element, element)
-            if not raised.is_zero():
-                element = rho_fourier_element(params, osc, mode.k_vector, +1)
-                total = total + (-sigma(idx) * coeff) * _apply_two_level(
-                    registry, raised, osc, element, element
-                )
-    return total
+            rho_minus = rho_fourier_element(params, osc, mode.k_vector, -1)
+            rho_plus = rho_fourier_element(params, osc, mode.k_vector, +1)
+            vertices += [
+                Vertex(idx, osc.value, False, coeff * _two_level(registry, rho_minus, rho_minus)),
+                Vertex(idx, osc.value, True, (-registry.raising_sign(idx) * coeff)
+                       * _two_level(registry, rho_plus, rho_plus)),
+            ]
+    return apply_vertices(registry, vertices, state)
 
 
 def _residual_coupling(params: SystemParams, registry: ModeRegistry, state: StateVector,
@@ -229,9 +216,11 @@ def _residual_coupling(params: SystemParams, registry: ModeRegistry, state: Stat
     Each longitudinal mode couples through the metric-null pair at its wave
     vector: the creating half raises a_l^dag - a_s^dag (metric-adjoint
     daggers), the annihilating half lowers a_l - a_s.  corrupt=True flips the
-    relative sign inside the created pair -- the negative control.
+    relative sign inside the created pair -- the negative control.  A term
+    with no photon headroom in a mode of a pair raises TruncationError.
     """
-    total = StateVector(registry, {})
+    pair_sign = 1.0 if corrupt else -1.0
+    vertices = []
     for idx, mode in enumerate(registry.modes):
         if mode.kind is not PolarizationKind.LONGITUDINAL:
             continue
@@ -240,15 +229,16 @@ def _residual_coupling(params: SystemParams, registry: ModeRegistry, state: Stat
         for osc in (OscillatorId.A, OscillatorId.B):
             emission = longitudinal_emission(params, osc, mode.k_vector)
             absorption = longitudinal_absorption(params, osc, mode.k_vector)
-            created = _apply_two_level(registry, state, osc, -sw * emission, sw * emission)
-            if not created.is_zero():
-                raised_l = created.create_physical(idx)
-                raised_s = created.create_physical(s_idx)
-                total = total + ((raised_l + raised_s) if corrupt else (raised_l - raised_s))
-            annihilated = _apply_two_level(registry, state, osc, sw * absorption, -sw * absorption)
-            if not annihilated.is_zero():
-                total = total + (annihilated.annihilate(idx) - annihilated.annihilate(s_idx))
-    return total
+            created = _two_level(registry, -sw * emission, sw * emission)
+            annihilated = _two_level(registry, sw * absorption, -sw * absorption)
+            vertices += [
+                Vertex(idx, osc.value, True, created),
+                Vertex(s_idx, osc.value, True,
+                       (pair_sign * registry.raising_sign(s_idx)) * created),
+                Vertex(idx, osc.value, False, annihilated),
+                Vertex(s_idx, osc.value, False, -annihilated),
+            ]
+    return apply_vertices(registry, vertices, state)
 
 
 def residual_first_order_state(params: SystemParams, registry: ModeRegistry) -> StateVector:

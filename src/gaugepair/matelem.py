@@ -156,8 +156,9 @@ def rho_fourier_element(params: SystemParams, osc: OscillatorId, k_vector, sign:
 # Displacement-operator elements (exact on any truncated oscillator basis)
 # ---------------------------------------------------------------------------
 
-def exponential_matrix(params: SystemParams, osc: OscillatorId, k_x: float, size: int) -> np.ndarray:
-    """Matrix of exp(-i k_x x_hat) on the lowest `size` levels of oscillator osc.
+def exponential_matrix(params: SystemParams, osc: OscillatorId, k_x, size: int) -> np.ndarray:
+    """Matrix of exp(-i k_x x_hat) on the lowest `size` levels of oscillator osc;
+    for a 1-D array of k_x, the stack of those matrices, one per entry.
 
     x_hat = center + relative coordinate; the center contributes the phase
     exp(-i k_x x0) and the relative part is the displacement exp(i lam x_rel)
@@ -166,22 +167,26 @@ def exponential_matrix(params: SystemParams, osc: OscillatorId, k_x: float, size
     g = |m - n|, element (m, n) is
     sqrt(lo!/(lo+g)!) alpha^g exp(-|alpha|^2/2) L_lo^(g)(|alpha|^2).
     alpha is purely imaginary, so -conj(alpha) = alpha and the matrix is
-    symmetric.  Where exp(-|alpha|^2/2) underflows the matrix is zero, and
-    is returned before alpha^g or L could overflow.
+    symmetric.  Where exp(-|alpha|^2/2) underflows the matrix is zero; alpha
+    is zeroed there first, so alpha^g and L cannot overflow.  The Gaussian
+    and the phase are taken with math's functions entry by entry, so every
+    matrix of a stack equals its scalar call bit for bit.
     """
-    lam_d = -k_x * params.dipole_d
-    a2 = lam_d * lam_d  # |alpha|^2
-    gauss = math.exp(-0.5 * a2)
-    if gauss == 0.0:
-        return np.zeros((size, size), dtype=complex)
+    k = np.atleast_1d(np.asarray(k_x, dtype=float))
     x0 = osc.center(params)
-    phase = complex(math.cos(k_x * x0), -math.sin(k_x * x0))
+    lam_d = -k * params.dipole_d
+    gauss = np.array([math.exp(-0.5 * (ld * ld)) for ld in lam_d.tolist()])
+    lam_d[gauss == 0.0] = 0.0
+    a2 = lam_d * lam_d  # |alpha|^2
+    phase = np.array([complex(math.cos(kx * x0), -math.sin(kx * x0)) for kx in k.tolist()])
     m, n = np.indices((size, size))
     lo, g = np.minimum(m, n), np.abs(m - n)
     factorial = np.array([math.factorial(i) for i in range(size)], dtype=float)
-    out = (np.sqrt(factorial[lo] / factorial[lo + g]) * (1j * lam_d) ** g * gauss
-           * eval_genlaguerre(lo, g, a2))
-    return phase * out
+    out = phase[:, None, None] * (
+        np.sqrt(factorial[lo] / factorial[lo + g]) * (1j * lam_d[:, None, None]) ** g
+        * gauss[:, None, None] * eval_genlaguerre(lo, g, a2[:, None, None]))
+    out[gauss == 0.0] = 0.0
+    return out if np.ndim(k_x) else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ Independent code paths compute the same physics on purpose:
 
 * closed-form integrands (diagram_integrand, lorentz_bracket, ...) carry the
   algebra done by hand once;
-* the operator route builds the coupling as vertex matrices on each mode's
-  ladder.  discrete_second_order sums it through the state algebra
-  (InteractionOperator.apply); exact_diagonalization_oracle assembles H from
-  the same vertex matrices in Kronecker form with ladders of its own, so the
-  two share only the vertices and H_0.
+* the operator route writes the coupling as a list of vertices (Vertex: a
+  photon step on one mode times an oscillator matrix), built for every mode
+  in one pass over stacked oscillator matrices.  discrete_second_order sums
+  it through the state algebra (apply_vertices, the one loop that applies
+  every operator-route coupling, the gauge module's included);
+  exact_diagonalization_oracle assembles H from the same vertex matrices in
+  Kronecker form with ladders of its own, so the two share only the
+  vertices and H_0.
 
 Collapsing any two into one would defeat the point: they disagree exactly when
 a sign or a factor is wrong, the dominant failure mode in this calculation.
@@ -26,13 +29,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SystemParams
+from .core import SystemParams, ValidationError
 from .fock import (
     PRUNE_TOL,
     ModeRegistry,
     OccupationState,
     PolarizationKind,
     StateVector,
+    TruncationError,
 )
 from .matelem import (
     TWO_PI_CUBED,
@@ -43,7 +47,7 @@ from .matelem import (
 )
 
 
-class PoleError(ValueError):
+class PoleError(ValidationError):
     """Evaluation exactly on the resonance with no regulator."""
 
 
@@ -221,31 +225,60 @@ def coulomb_integrand(params: SystemParams, k_vector) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Vertex:
+class Vertex:
+    """One photon step on one mode times an oscillator matrix: the form of
+    every operator-route coupling (InteractionOperator; the gauge map and the
+    residual coupling in gauge)."""
+
     mode_index: int
     oscillator: str  # "A" | "B"
     raising: bool
     matrix: np.ndarray  # oscillator-space coefficient matrix, couplings folded in
 
 
-def _momentum_matrix(dipole_d: float, hbar: float, size: int) -> np.ndarray:
-    """p_hat on the lowest `size` levels: (i hbar / 2d)(raise - lower)."""
-    out = np.zeros((size, size), dtype=complex)
-    for n in range(size - 1):
-        out[n + 1, n] = 1j * hbar / (2.0 * dipole_d) * math.sqrt(n + 1)
-        out[n, n + 1] = -1j * hbar / (2.0 * dipole_d) * math.sqrt(n + 1)
-    return out
+def apply_vertices(registry: ModeRegistry, vertices: list[Vertex], state: StateVector,
+                   project: bool = False) -> StateVector:
+    """The sum of vertices applied to state, summed term by term in vertex
+    order and level order.
+
+    A raising step on a mode that already holds p_max photons raises
+    TruncationError, as StateVector.create does; project=True drops that
+    amplitude instead (the operator restricted to the kept space).
+    """
+    n_levels = registry.n_max + 1
+    out: dict[OccupationState, complex] = {}
+    for occ, amp in state.terms():
+        for v in vertices:
+            stepped = occ.step(v.mode_index, v.raising, registry.p_max)
+            if stepped is None:
+                if v.raising and not project:
+                    raise TruncationError(
+                        f"mode {v.mode_index} ({registry.modes[v.mode_index].kind.value}) "
+                        f"would exceed p_max = {registry.p_max}")
+                continue
+            moved, photon_factor = stepped
+            level = occ.level_a if v.oscillator == "A" else occ.level_b
+            column = v.matrix[:, level]
+            for m in range(n_levels):
+                c = column[m]
+                if abs(c) < 1e-300:
+                    continue
+                if v.oscillator == "A":
+                    new_occ = OccupationState._from_canonical(m, occ.level_b, moved.photons)
+                else:
+                    new_occ = OccupationState._from_canonical(occ.level_a, m, moved.photons)
+                out[new_occ] = out.get(new_occ, 0.0) + amp * c * photon_factor
+    return StateVector(registry, out)
 
 
 class InteractionOperator:
     """The covariant-gauge coupling mapped onto a finite mode registry.
 
-    vertices holds each mode's raising and lowering oscillator matrices per
-    oscillator; the exact-diagonalization oracle reads only these.  apply()
-    takes the photon steps in the state algebra and projects out amplitudes
-    past p_max photons in a mode: the coupling restricted to the kept space,
-    as the second-order sum needs.  The strict, loudly-erroring ladder
-    operators remain available on StateVector for everything else.
+    vertices holds, per mode, the raising and lowering vertex of oscillator
+    A and then of B; the exact-diagonalization oracle reads only these.
+    apply() runs them through apply_vertices with the photon steps past
+    p_max projected out: the coupling restricted to the kept space, as the
+    second-order sum needs.
 
     The quadratic field term of the minimal coupling is omitted: it is
     diagonal in both oscillators, so it cannot connect the singly-excited
@@ -257,70 +290,57 @@ class InteractionOperator:
         self.registry = registry
         self.vertices = self._build_vertices()
         # (mode_index, raising) -> that photon step's vertices, in build order
-        self._by_step: dict[tuple[int, bool], list[_Vertex]] = {}
+        self._by_step: dict[tuple[int, bool], list[Vertex]] = {}
         for v in self.vertices:
             self._by_step.setdefault((v.mode_index, v.raising), []).append(v)
 
-    def _build_vertices(self) -> list[_Vertex]:
+    def _build_vertices(self) -> list[Vertex]:
+        """Every mode's vertices in one pass over stacks of oscillator matrices.
+
+        A scalar mode couples through E(k) = exp(-i k_x x_hat) with coefficient
+        q c s_j; a longitudinal mode through k_hat . p_hat, i.e.
+        E(k)(2 p_hat - hbar k_x) with coefficient -(q / 2m)(k_x / |k|) s_j,
+        where s_j = sqrt(w_j) mode_scale.  Lowering takes -k.  The products are
+        formed on n_max + 3 levels and sliced to n_max + 1.
+        """
         p = self.params
         reg = self.registry
+        if any(mode.kind in (PolarizationKind.TRANSVERSE1, PolarizationKind.TRANSVERSE2)
+               for mode in reg.modes):
+            raise NotImplementedError(
+                "transverse coupling is outside this engine (identical in both gauges)"
+            )
         size = reg.n_max + 1
         pad = reg.n_max + 3  # room for exact operator products before slicing
-        vertices: list[_Vertex] = []
-        for j, mode in enumerate(reg.modes):
-            if mode.kind in (PolarizationKind.TRANSVERSE1, PolarizationKind.TRANSVERSE2):
-                raise NotImplementedError(
-                    "transverse coupling is outside this engine (identical in both gauges)"
-                )
-            kx = mode.k_x
-            k_norm = mode.omega / p.c
-            scale = math.sqrt(reg.weights[j]) * mode_scale(p, mode.omega)
-            sign_raise = float(reg.raising_sign(j))
-            for osc in (OscillatorId.A, OscillatorId.B):
-                if mode.kind is PolarizationKind.SCALAR:
-                    coeff = p.charge_q * p.c * scale
-                    raise_mat = coeff * sign_raise * exponential_matrix(p, osc, kx, size)
-                    lower_mat = coeff * exponential_matrix(p, osc, -kx, size)
-                else:
-                    # momentum coupling; k_hat . p_hat = (k_x/|k|) p_x
-                    mass = p.implied_mass(osc.frequency(p))
-                    coeff = -(p.charge_q / (2.0 * mass)) * (kx / k_norm) * scale
-                    mom = _momentum_matrix(p.dipole_d, p.hbar, pad)
-                    ident = np.eye(pad, dtype=complex)
-                    raise_full = exponential_matrix(p, osc, kx, pad) @ (
-                        2.0 * mom - p.hbar * kx * ident
-                    )
-                    lower_full = exponential_matrix(p, osc, -kx, pad) @ (
-                        2.0 * mom + p.hbar * kx * ident
-                    )
-                    raise_mat = coeff * sign_raise * raise_full[:size, :size]
-                    lower_mat = coeff * lower_full[:size, :size]
-                vertices.append(_Vertex(j, osc.value, True, raise_mat))
-                vertices.append(_Vertex(j, osc.value, False, lower_mat))
-        return vertices
+        kx = np.array([mode.k_x for mode in reg.modes], dtype=float)
+        k_norm = np.array([mode.omega for mode in reg.modes], dtype=float) / p.c
+        scale = (np.sqrt(np.array(reg.weights, dtype=float))
+                 * np.array([mode_scale(p, mode.omega) for mode in reg.modes]))
+        longitudinal = np.array([mode.kind is PolarizationKind.LONGITUDINAL
+                                 for mode in reg.modes], dtype=bool)
+        sign_raise = np.array([float(reg.raising_sign(j)) for j in range(len(reg))])
+        create = np.diag(np.sqrt(np.arange(1.0, pad)), -1)  # a^+ on pad levels
+        mom = 1j * p.hbar / (2.0 * p.dipole_d) * (create - create.T)  # p_hat
+        ident = np.eye(pad, dtype=complex)
+
+        matrices = {}
+        for osc in (OscillatorId.A, OscillatorId.B):
+            mass = p.implied_mass(osc.frequency(p))
+            coeff = np.where(longitudinal, -(p.charge_q / (2.0 * mass)) * (kx / k_norm) * scale,
+                             p.charge_q * p.c * scale)
+            for raising, k in ((True, kx), (False, -kx)):
+                stack = exponential_matrix(p, osc, k, pad)
+                stack[longitudinal] = stack[longitudinal] @ (
+                    2.0 * mom - (p.hbar * k[longitudinal])[:, None, None] * ident)
+                factor = coeff * sign_raise if raising else coeff
+                matrices[osc, raising] = factor[:, None, None] * stack[:, :size, :size]
+        return [Vertex(j, osc.value, raising, matrices[osc, raising][j])
+                for j in range(len(reg))
+                for osc in (OscillatorId.A, OscillatorId.B)
+                for raising in (True, False)]
 
     def apply(self, state: StateVector) -> StateVector:
-        reg = self.registry
-        n_levels = reg.n_max + 1
-        out: dict[OccupationState, complex] = {}
-        for occ, amp in state.terms():
-            for v in self.vertices:
-                stepped = occ.step(v.mode_index, v.raising, reg.p_max)
-                if stepped is None:
-                    continue  # projected out
-                moved, photon_factor = stepped
-                level = occ.level_a if v.oscillator == "A" else occ.level_b
-                column = v.matrix[:, level]
-                for m in range(n_levels):
-                    c = column[m]
-                    if abs(c) < 1e-300:
-                        continue
-                    if v.oscillator == "A":
-                        new_occ = OccupationState._from_canonical(m, occ.level_b, moved.photons)
-                    else:
-                        new_occ = OccupationState._from_canonical(occ.level_a, m, moved.photons)
-                    out[new_occ] = out.get(new_occ, 0.0) + amp * c * photon_factor
-        return StateVector(reg, out)
+        return apply_vertices(self.registry, self.vertices, state, project=True)
 
     def coefficient(self, target: OccupationState, state: StateVector) -> complex:
         """apply(state).amplitude(target), forming no other term of apply(state).

@@ -69,7 +69,7 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .core import SystemParams, ValidationError
+from .core import QUADRATURE_KEYS, SystemParams, ValidationError
 from .matelem import TWO_PI_CUBED, ConvergenceError
 from .perturbation import expansion_terms, lorentz_bracket
 
@@ -133,12 +133,7 @@ class QuadratureConfig:
 
 
 def config_from_mapping(mapping: dict[str, float | int]) -> QuadratureConfig:
-    kwargs = {
-        k: mapping[k]
-        for k in ("radial_nodes", "kmax_over_invd", "rel_tol")
-        if k in mapping
-    }
-    return QuadratureConfig(**kwargs)
+    return QuadratureConfig(**{k: mapping[k] for k in QUADRATURE_KEYS if k in mapping})
 
 
 @dataclass(frozen=True)

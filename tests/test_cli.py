@@ -19,6 +19,7 @@ from gaugepair.cli import (
     EXIT_VALIDATION,
     main,
 )
+from gaugepair.perturbation import PoleError
 
 COARSE = "radial_nodes = 32\nrel_tol = 1e-7\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -263,6 +264,22 @@ def test_sweep_lets_internal_faults_through(monkeypatch, tmp_path, capsys):
         main(["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02",
               "--points", "2", "--csv", str(out_csv)])
     assert "validation-error" not in (out_csv.read_text() if out_csv.exists() else "")
+
+
+def test_pole_error_is_a_validation_error(monkeypatch, tmp_path, capsys):
+    def on_the_pole(params, config):
+        raise PoleError("bracket pole at omega_gamma = omega_a = 1.0")
+
+    monkeypatch.setattr(cli, "_epsilon_report", on_the_pole)
+    out_csv = tmp_path / "rows.csv"
+    assert main(["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02",
+                 "--points", "2", "--csv", str(out_csv)]) == EXIT_CONVERGENCE
+    statuses = [row.rsplit(",", 1)[1] for row in out_csv.read_text().splitlines()[1:]]
+    assert statuses == ["validation-error", "validation-error"]
+    capsys.readouterr()
+    assert main(["epsilon"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bracket pole at omega_gamma = omega_a = 1.0"]
 
 
 def test_sweep_rejects_empty_grid(capsys):

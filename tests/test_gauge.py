@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugepair.core import SystemParams, ValidationError
-from gaugepair.fock import PolarizationKind, StateVector, make_registry, physical_pair_raise
+from gaugepair.fock import (
+    PolarizationKind,
+    StateVector,
+    TruncationError,
+    make_registry,
+    physical_pair_raise,
+)
 from gaugepair.gauge import (
     PerKReport,
+    _residual_coupling,
+    apply_inverse_transform_linear,
     operator_route_brackets,
     per_k_equivalence,
     residual_first_order_state,
@@ -143,6 +151,23 @@ def test_first_order_state_rejects_a_mode_on_resonance():
     reg = make_registry((k, (-k[0], 0.0, 0.0)), n_max=2, p_max=2)
     with pytest.raises(ResonanceError, match="degenerate with the start state"):
         residual_first_order_state(PARAMS, reg)
+
+
+@pytest.mark.parametrize("kind", [PolarizationKind.LONGITUDINAL, PolarizationKind.SCALAR])
+def test_gauge_operators_refuse_a_state_at_the_photon_wall(kind):
+    # the map raises scalar modes and the residual coupling raises both modes
+    # of a pair: neither may drop a term that would pass p_max
+    k = (0.9, 0.0, 0.0)
+    reg = make_registry((k,), n_max=2, p_max=1)
+    (mode,) = [j for j, m in enumerate(reg.modes) if m.kind is kind]
+    at_wall = StateVector.basis(reg, level_a=1, level_b=0, photons={mode: 1})
+    with pytest.raises(TruncationError, match="would exceed p_max = 1"):
+        _residual_coupling(PARAMS, reg, at_wall)
+    if kind is PolarizationKind.SCALAR:
+        with pytest.raises(TruncationError, match="would exceed p_max = 1"):
+            apply_inverse_transform_linear(PARAMS, reg, at_wall)
+    else:  # the map has no longitudinal vertex
+        assert not apply_inverse_transform_linear(PARAMS, reg, at_wall).is_zero()
 
 
 # -- physicality of the mapped states -------------------------------------------------

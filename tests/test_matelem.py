@@ -154,6 +154,19 @@ def test_exponential_matrix_vanishes_where_the_gaussian_underflows():
             assert mat.shape == (5, 5) and not mat.any()
 
 
+def test_exponential_matrix_stack_equals_its_scalar_calls():
+    # one call over an array of k_x: 0, both signs, and an underflowed Gaussian
+    k_x = np.array([0.0, 1.1, -1.1, 37.5 / PARAMS.dipole_d, -0.3, 2e98 / PARAMS.dipole_d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for osc in OscillatorId:
+            for size in (1, 5):
+                stack = exponential_matrix(PARAMS, osc, k_x, size)
+                scalar = np.stack([exponential_matrix(PARAMS, osc, k, size) for k in k_x])
+                assert stack.shape == (len(k_x), size, size)
+                assert stack.tobytes() == scalar.tobytes()  # signed zeros included
+
+
 def test_exponential_matrix_carries_center_phase():
     k_x = 1.1
     size = 3

@@ -18,6 +18,7 @@ from gaugepair.fock import (
     StateVector,
     make_registry,
 )
+from gaugepair.matelem import OscillatorId, exponential_matrix, mode_scale
 from gaugepair.perturbation import (
     ALL_DIAGRAMS,
     DiagramSpec,
@@ -26,6 +27,7 @@ from gaugepair.perturbation import (
     OracleError,
     PoleError,
     ResonanceError,
+    Vertex,
     _truncated_hamiltonian,
     combined_bracket_form,
     common_prefactor,
@@ -235,16 +237,21 @@ def _two_apply_second_order(params, registry):
     return op.apply(psi1).amplitude(target) / (e_n - e_m)
 
 
-def test_second_order_at_benchmark_size():
-    # 48 k-vectors in a box of side 5, off k = 0 and off the shell |k| = 1,
-    # each carrying its d^3k cell
-    rng = random.Random(48)
+def _box_kvectors(n):
+    """n k-vectors in a box of side 5, off k = 0 and off the shell |k| = 1,
+    drawn from seed n; each carries the d^3k cell 5^3 / n."""
+    rng = random.Random(n)
     ks = []
-    while len(ks) < 48:
+    while len(ks) < n:
         k = tuple(rng.uniform(-2.5, 2.5) for _ in range(3))
         norm = math.sqrt(sum(c * c for c in k))
         if norm >= 0.05 and abs(norm - 1.0) >= 0.05:
             ks.append(k)
+    return ks
+
+
+def test_second_order_at_benchmark_size():
+    ks = _box_kvectors(48)
     weight = 5.0**3 / len(ks)
     reg = make_registry(ks, weights=[weight] * len(ks))
     amp = discrete_second_order(PARAMS, reg)
@@ -259,13 +266,7 @@ def test_second_order_at_benchmark_size():
 
 def test_second_order_at_continuum_scale():
     # 1,024 k-vectors: each term of the sum costs O(photons), not O(modes)
-    rng = random.Random(1024)
-    ks = []
-    while len(ks) < 1024:
-        k = tuple(rng.uniform(-2.5, 2.5) for _ in range(3))
-        norm = math.sqrt(sum(c * c for c in k))
-        if norm >= 0.05 and abs(norm - 1.0) >= 0.05:
-            ks.append(k)
+    ks = _box_kvectors(1024)
     weight = 5.0**3 / len(ks)
     amp = discrete_second_order(PARAMS, make_registry(ks, weights=[weight] * len(ks)))
     riemann = sum(
@@ -333,6 +334,68 @@ def test_coefficient_equals_applied_amplitude(p_max, n_max):
                        OccupationState(n_max + 1, 0, {0: 1})):
             assert images.amplitude(target) == 0.0
             assert op.coefficient(target, start) == 0.0
+
+
+# -- the one-pass vertex build against a per-mode build ---------------------------
+
+def _momentum_matrix(dipole_d, hbar, size):
+    """p_hat on the lowest `size` levels: (i hbar / 2d)(raise - lower)."""
+    out = np.zeros((size, size), dtype=complex)
+    for n in range(size - 1):
+        out[n + 1, n] = 1j * hbar / (2.0 * dipole_d) * math.sqrt(n + 1)
+        out[n, n + 1] = -1j * hbar / (2.0 * dipole_d) * math.sqrt(n + 1)
+    return out
+
+
+def _per_mode_vertices(p, reg):
+    """The vertices built one mode at a time, each kind by its own branch,
+    with one exponential_matrix call per mode, oscillator and sign."""
+    size = reg.n_max + 1
+    pad = reg.n_max + 3  # room for exact operator products before slicing
+    vertices = []
+    for j, mode in enumerate(reg.modes):
+        kx = mode.k_x
+        k_norm = mode.omega / p.c
+        scale = math.sqrt(reg.weights[j]) * mode_scale(p, mode.omega)
+        sign_raise = float(reg.raising_sign(j))
+        for osc in (OscillatorId.A, OscillatorId.B):
+            if mode.kind is PolarizationKind.SCALAR:
+                coeff = p.charge_q * p.c * scale
+                raise_mat = coeff * sign_raise * exponential_matrix(p, osc, kx, size)
+                lower_mat = coeff * exponential_matrix(p, osc, -kx, size)
+            else:
+                # momentum coupling; k_hat . p_hat = (k_x/|k|) p_x
+                mass = p.implied_mass(osc.frequency(p))
+                coeff = -(p.charge_q / (2.0 * mass)) * (kx / k_norm) * scale
+                mom = _momentum_matrix(p.dipole_d, p.hbar, pad)
+                ident = np.eye(pad, dtype=complex)
+                raise_full = exponential_matrix(p, osc, kx, pad) @ (
+                    2.0 * mom - p.hbar * kx * ident
+                )
+                lower_full = exponential_matrix(p, osc, -kx, pad) @ (
+                    2.0 * mom + p.hbar * kx * ident
+                )
+                raise_mat = coeff * sign_raise * raise_full[:size, :size]
+                lower_mat = coeff * lower_full[:size, :size]
+            vertices.append(Vertex(j, osc.value, True, raise_mat))
+            vertices.append(Vertex(j, osc.value, False, lower_mat))
+    return vertices
+
+
+def _vertex_bytes(vertices):
+    return [(v.mode_index, v.oscillator, v.raising, v.matrix.shape, v.matrix.tobytes())
+            for v in vertices]
+
+
+def test_one_pass_vertices_equal_the_per_mode_build():
+    registries = [reg for p_max in (1, 2) for n_max in (1, 2, 3)
+                  for reg in _small_registries(p_max, n_max)]
+    ks = _box_kvectors(48)
+    registries.append(make_registry(ks, weights=[5.0**3 / len(ks)] * len(ks)))
+    for reg in registries:
+        built = InteractionOperator(PARAMS, reg).vertices
+        # bit for bit, signed zeros included, in the per-mode order
+        assert _vertex_bytes(built) == _vertex_bytes(_per_mode_vertices(PARAMS, reg))
 
 
 # -- exact diagonalization ---------------------------------------------------------
