@@ -2,10 +2,10 @@
 suites, and the small-registry oracle.
 
 Exit codes: 0 success; 1 bad input, including an evaluation exactly on the
-resonance (PoleError, a ValidationError); 2 quadrature non-convergence, an
-oracle failure, or a sweep with any row whose status is not "ok"; 3 invariant
-failure.  All floats print with 9 significant digits; identical config and
-seed give byte-identical output.
+resonance (PoleError, a ValidationError) and a vanishing oracle coupling; 2
+quadrature non-convergence, an oracle failure, or a sweep with any row whose
+status is not "ok"; 3 invariant failure.  All floats print with 9
+significant digits; identical config and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace as dc_replace
 
 import numpy as np
@@ -280,11 +279,7 @@ def cmd_sweep(args) -> int:
     base, config = _load(args)
     values = _axis_values(args)
 
-    # rows are independent; evaluate concurrently but emit in input order
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        rows = list(pool.map(
-            lambda v: _sweep_row(base, config, args.axis, v), values
-        ))
+    rows = [_sweep_row(base, config, args.axis, value) for value in values]
 
     if args.plot_data:
         out = sys.stdout
@@ -435,9 +430,8 @@ def cmd_oracle(args) -> int:
         ((k_mag, 0.0, 0.0), (-k_mag, 0.0, 0.0)), n_max=2, p_max=2
     )
     exponent, samples = oracle_scaling_exponent(params, registry)
-    exact = all(residual == 0.0 for _, residual in samples)
-    passed = exact or abs(exponent - 4.0) <= 0.2
-    verdict = "exact" if exact else ("pass" if passed else "fail")
+    passed = abs(exponent - 4.0) <= 0.2
+    verdict = "pass" if passed else "fail"
 
     if args.json:
         doc = {"exponent": exponent, "samples": samples, "verdict": verdict}

@@ -77,6 +77,9 @@ class ModeRegistry:
             raise ValueError("one weight per mode required")
         if self.scalar_metric_sign not in (-1, 1):
             raise ValueError("scalar_metric_sign must be +1 or -1")
+        # (k vector, kind) -> mode index for pair_at; a repeated pair keeps its last index
+        object.__setattr__(self, "_index",
+                           {(m.k_vector, m.kind): i for i, m in enumerate(self.modes)})
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -91,14 +94,9 @@ class ModeRegistry:
         return 1
 
     def pair_at(self, k_vector: tuple[float, float, float]) -> tuple[int, int]:
-        """Indices of the (longitudinal, scalar) modes sharing this wave vector."""
-        long_idx = scal_idx = None
-        for i, mode in enumerate(self.modes):
-            if mode.k_vector == tuple(k_vector):
-                if mode.kind is PolarizationKind.LONGITUDINAL:
-                    long_idx = i
-                elif mode.kind is PolarizationKind.SCALAR:
-                    scal_idx = i
+        """Indices of the (longitudinal, scalar) modes at this wave vector (last of each kind)."""
+        long_idx = self._index.get((tuple(k_vector), PolarizationKind.LONGITUDINAL))
+        scal_idx = self._index.get((tuple(k_vector), PolarizationKind.SCALAR))
         if long_idx is None or scal_idx is None:
             raise KeyError(f"registry has no longitudinal/scalar pair at k = {k_vector}")
         return long_idx, scal_idx

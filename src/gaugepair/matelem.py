@@ -23,7 +23,6 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_hermite
 
 from .core import SystemParams
 
@@ -156,6 +155,26 @@ def rho_fourier_element(params: SystemParams, osc: OscillatorId, k_vector, sign:
 # Displacement-operator elements (exact on any truncated oscillator basis)
 # ---------------------------------------------------------------------------
 
+def _genlaguerre(n: np.ndarray, alpha: np.ndarray, x: np.ndarray,
+                 factorial: np.ndarray) -> np.ndarray:
+    """L_n^(alpha)(x), shaped (len(x), *n.shape), for a 1-D x and integer arrays
+    n, alpha whose sum indexes the factorial table.  scipy's eval_genlaguerre
+    recurrence for integer order, step for step, so equal to it bit for bit:
+    orders 0 and 1 in closed form, then one pass up the orders per alpha."""
+    a = np.arange(len(factorial))
+    neg_x = -x[:, None]
+    d = neg_x / (a + 1.0)
+    p = d + 1.0
+    by_order = [np.ones_like(p), neg_x + a + 1.0]
+    for k in range(1, len(factorial) - 1):
+        c = k + a + 1.0
+        d = neg_x / c * p + (k / c) * d
+        p = p + d
+        by_order.append(p)  # order k + 1
+    binom = np.where(n > 1, factorial[n + alpha] / (factorial[n] * factorial[alpha]), 1.0)
+    return binom * np.stack(by_order, axis=1)[:, n, alpha]
+
+
 def exponential_matrix(params: SystemParams, osc: OscillatorId, k_x, size: int) -> np.ndarray:
     """Matrix of exp(-i k_x x_hat) on the lowest `size` levels of oscillator osc;
     for a 1-D array of k_x, the stack of those matrices, one per entry.
@@ -167,7 +186,8 @@ def exponential_matrix(params: SystemParams, osc: OscillatorId, k_x, size: int) 
     g = |m - n|, element (m, n) is
     sqrt(lo!/(lo+g)!) alpha^g exp(-|alpha|^2/2) L_lo^(g)(|alpha|^2).
     alpha is purely imaginary, so -conj(alpha) = alpha and the matrix is
-    symmetric.  Where exp(-|alpha|^2/2) underflows the matrix is zero; alpha
+    symmetric.  L comes from _genlaguerre, scipy's integer-order recurrence
+    in numpy.  Where exp(-|alpha|^2/2) underflows the matrix is zero; alpha
     is zeroed there first, so alpha^g and L cannot overflow.  The Gaussian
     and the phase are taken with math's functions entry by entry, so every
     matrix of a stack equals its scalar call bit for bit.
@@ -184,7 +204,7 @@ def exponential_matrix(params: SystemParams, osc: OscillatorId, k_x, size: int) 
     factorial = np.array([math.factorial(i) for i in range(size)], dtype=float)
     out = phase[:, None, None] * (
         np.sqrt(factorial[lo] / factorial[lo + g]) * (1j * lam_d[:, None, None]) ** g
-        * gauss[:, None, None] * eval_genlaguerre(lo, g, a2[:, None, None]))
+        * gauss[:, None, None] * _genlaguerre(lo, g, a2, factorial))
     out[gauss == 0.0] = 0.0
     return out if np.ndim(k_x) else out[0]
 
@@ -201,7 +221,7 @@ def _eigenfunction(n: int, x: np.ndarray, length: float) -> np.ndarray:
     width = math.sqrt(2.0) * length
     u = x / width
     norm = (1.0 / (math.pi * width * width)) ** 0.25 / math.sqrt(2.0**n * math.factorial(n))
-    return norm * eval_hermite(n, u) * np.exp(-0.5 * u * u)
+    return norm * np.polynomial.hermite.hermval(u, [0] * n + [1]) * np.exp(-0.5 * u * u)
 
 
 def form_factor_oracle(params: SystemParams, osc: OscillatorId, k_x: float) -> complex:

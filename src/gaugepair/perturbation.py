@@ -398,17 +398,15 @@ def uncoupled_energy(params: SystemParams, registry: ModeRegistry, occ: Occupati
 
 
 def resolvent(params: SystemParams, registry: ModeRegistry, state: StateVector,
-              energy: float, skip: OccupationState | None = None) -> StateVector:
+              energy: float) -> StateVector:
     """(energy - H_0)^-1 on state: each term divided by energy minus its
-    uncoupled energy, the term labelled skip left out.
+    uncoupled energy.
 
     A term within 1e-12 relative of energy has no denominator; that raises
     ResonanceError naming the term's photon modes.
     """
     out: dict[OccupationState, complex] = {}
     for occ, amp in state.terms():
-        if occ == skip:
-            continue
         denom = energy - uncoupled_energy(params, registry, occ)
         if abs(denom) < 1e-12 * max(1.0, abs(energy)):
             mode_desc = ", ".join(f"mode {i} ({registry.modes[i].kind.value}, "
@@ -436,9 +434,9 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     op = InteractionOperator(params, registry)
     start, target = OccupationState(1, 0), OccupationState(0, 1)
     e_n = uncoupled_energy(params, registry, start)
-    # the printed formula excludes |l> = |n>
+    # every vertex moves one photon: |l> = |n>, excluded by the printed formula, never occurs
     first = op.apply(StateVector.basis(registry, level_a=1, level_b=0))
-    psi1 = resolvent(params, registry, first, e_n, skip=start)
+    psi1 = resolvent(params, registry, first, e_n)
     return op.coefficient(target, psi1) / (e_n - uncoupled_energy(params, registry, target))
 
 
@@ -563,17 +561,20 @@ def oracle_scaling_exponent(
 
     Only even orders beyond the second survive (an odd number of photon
     vertices cannot return to the zero-photon sector), so p should be 4.
-    Returns (fitted exponent, [(q, residual)] samples).
+    Returns (fitted exponent, [(q, residual)] samples).  A registry whose
+    vertex elements all lie within PRUNE_TOL of 0 (charge_q = 0, or an
+    underflowed form factor) has no coupling to test: ValidationError.
     """
+    if all(np.abs(v.matrix).max() <= PRUNE_TOL
+           for v in InteractionOperator(params, registry).vertices):
+        raise ValidationError(f"the registry's coupling vanishes at charge_q = {params.charge_q}"
+                              " (no vertex element above PRUNE_TOL): nothing to compare")
     samples: list[tuple[float, float]] = []
     for divisor in (1.0, 2.0, 4.0):
         p_q = replace(params, charge_q=params.charge_q / divisor)
         eps_pt = discrete_second_order(p_q, registry)
         eps_ed = exact_diagonalization_oracle(p_q, registry).epsilon_exact
         samples.append((p_q.charge_q, abs(eps_pt - eps_ed)))
-    (q0, r0), (_, r1), (_, r2) = samples
-    if r0 == 0.0 and r1 == 0.0:
-        return 4.0, samples  # exact agreement (e.g. q = 0): report the nominal order
     # least-squares slope in log-log across the three points
     qs = np.log([s[0] for s in samples])
     rs = np.log([max(s[1], 1e-300) for s in samples])

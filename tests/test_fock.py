@@ -38,6 +38,30 @@ def test_make_registry_layout(registry):
         registry.pair_at((9.9, 0.0, 0.0))
 
 
+def test_pair_at_agrees_with_a_linear_scan():
+    # repeated k vectors (also as -0.0 and ints), a lone kind, and a scalar
+    # before its longitudinal partner: the last match of each kind wins
+    ks = [(1.0, 0.0, 0.0), (0.5, -0.5, 0.2), (1.0, -0.0, 0.0), (1, 0, 0), (0.5, -0.5, 0.2)]
+    modes = [PhotonMode(k, kind) for k in ks
+             for kind in (PolarizationKind.SCALAR, PolarizationKind.LONGITUDINAL)]
+    modes.append(PhotonMode((2.0, 0.0, 0.0), PolarizationKind.SCALAR))
+    registry = ModeRegistry(tuple(modes))
+
+    def scan(k_vector):
+        found = {}
+        for i, mode in enumerate(registry.modes):
+            if mode.k_vector == tuple(k_vector):
+                found[mode.kind] = i
+        return found.get(PolarizationKind.LONGITUDINAL), found.get(PolarizationKind.SCALAR)
+
+    for k_vector in (*ks, [0.5, -0.5, 0.2]):
+        assert registry.pair_at(k_vector) == scan(k_vector)
+    assert registry.pair_at((1.0, 0.0, 0.0)) == (7, 6)
+    for missing in ((2.0, 0.0, 0.0), (3.0, 0.0, 0.0)):
+        with pytest.raises(KeyError):
+            registry.pair_at(missing)
+
+
 def test_mode_frequency_is_the_wave_number():
     mode = PhotonMode((0.6, 0.0, -0.8), PolarizationKind.SCALAR)
     assert mode.omega == math.sqrt(0.6 * 0.6 + 0.8 * 0.8)

@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_genlaguerre
 
 from gaugepair.core import SystemParams
 from gaugepair.matelem import (
     OscillatorId,
+    _genlaguerre,
     exponential_matrix,
     form_factor_oracle,
     gaussian_form_factor,
@@ -106,6 +108,20 @@ def _displacement_reference(m, n, lam_d):
     power = alpha ** (m - n) if m >= n else (-alpha.conjugate()) ** (n - m)
     return (math.sqrt(math.factorial(lo) / math.factorial(hi)) * power
             * math.exp(-0.5 * lam_d * lam_d) * _laguerre(lo, hi - lo, lam_d * lam_d))
+
+
+def test_laguerre_recurrence_matches_scipy_bit_for_bit():
+    # the recurrence is scipy's own for integer order, so no bit may move;
+    # scipy is the test-side reference only
+    x = np.concatenate([[0.0, 1e-300, 1e-20, 1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0,
+                         50.0, 200.0, 1400.0],
+                        np.random.default_rng(13).uniform(0.0, 60.0, 2000)])
+    n, alpha = np.indices((9, 9)).reshape(2, -1)
+    factorial = np.array([math.factorial(i) for i in range(17)], dtype=float)
+    ours = _genlaguerre(n, alpha, x, factorial)
+    reference = eval_genlaguerre(n, alpha, x[:, None])
+    assert ours.shape == reference.shape == (len(x), 81)
+    assert ours.tobytes() == reference.tobytes()
 
 
 def test_displacement_ground_elements():
