@@ -2,10 +2,11 @@
 suites, and the small-registry oracle.
 
 Exit codes: 0 success; 1 bad input, including an evaluation exactly on the
-resonance (PoleError, a ValidationError) and a vanishing oracle coupling; 2
-quadrature non-convergence, an oracle failure, or a sweep with any row whose
-status is not "ok"; 3 invariant failure.  All floats print with 9
-significant digits; identical config and seed give byte-identical output.
+resonance (PoleError, a ValidationError), a vanishing oracle coupling and an
+oracle amplitude within PRUNE_TOL; 2 quadrature non-convergence, an oracle
+failure, or a sweep with any row whose status is not "ok"; 3 invariant
+failure.  All floats print with 9 significant digits; identical config and
+seed give byte-identical output.
 """
 
 from __future__ import annotations

@@ -31,8 +31,6 @@ class RegistryMismatchError(ValueError):
 
 
 class PolarizationKind(Enum):
-    TRANSVERSE1 = "transverse1"
-    TRANSVERSE2 = "transverse2"
     LONGITUDINAL = "longitudinal"
     SCALAR = "scalar"
 
@@ -151,12 +149,6 @@ class OccupationState:
         occ.__dict__.update(level_a=level_a, level_b=level_b, photons=photons)
         return occ
 
-    def count(self, mode: int) -> int:
-        return dict(self.photons).get(mode, 0)
-
-    def total_photons(self) -> int:
-        return sum(n for _, n in self.photons)
-
     def step(self, mode: int, raising: bool, p_max: int):
         """One ordinary ladder step on mode: (new label, sqrt factor), or None
         where the step lowers an empty mode or raises past p_max photons in
@@ -211,15 +203,12 @@ class StateVector:
     def __len__(self) -> int:
         return len(self._amp)
 
-    def is_zero(self) -> bool:
-        return not self._amp
-
     def is_vacuum_like(self) -> bool:
         """Single basis term with every occupation zero (any amplitude)."""
         if len(self._amp) != 1:
             return False
         (occ,) = self._amp
-        return occ.level_a == 0 and occ.level_b == 0 and occ.total_photons() == 0
+        return occ.level_a == 0 and occ.level_b == 0 and not occ.photons
 
     def _check_registry(self, other: "StateVector") -> None:
         if self.registry is not other.registry and self.registry != other.registry:

@@ -8,12 +8,13 @@ Independent code paths compute the same physics on purpose:
   algebra done by hand once;
 * the operator route writes the coupling as a list of vertices (Vertex: a
   photon step on one mode times an oscillator matrix), built for every mode
-  in one pass over stacked oscillator matrices.  discrete_second_order sums
-  it through the state algebra (apply_vertices, the one loop that applies
-  every operator-route coupling, the gauge module's included);
+  in one pass over stacked oscillator matrices.  discrete_second_order
+  takes the first vertex through the state algebra (apply_vertices, the one
+  loop that applies every operator-route coupling, the gauge module's
+  included) and reads the second from the lowering vertices' elements;
   exact_diagonalization_oracle assembles H from the same vertex matrices in
-  Kronecker form with ladders of its own, so the two share only the
-  vertices and H_0.
+  Kronecker form with ladders and an H_0 of its own, so the two share only
+  the vertices.
 
 Collapsing any two into one would defeat the point: they disagree exactly when
 a sign or a factor is wrong, the dominant failure mode in this calculation.
@@ -76,10 +77,6 @@ class ExchangeOrder(Enum):
 class DiagramSpec:
     order_type: ExchangeOrder
     photon_kind: PolarizationKind
-
-    def __post_init__(self) -> None:
-        if self.photon_kind not in (PolarizationKind.SCALAR, PolarizationKind.LONGITUDINAL):
-            raise ValueError("exchange diagrams exist for scalar/longitudinal kinds only")
 
 
 ALL_DIAGRAMS: tuple[DiagramSpec, ...] = (
@@ -275,7 +272,8 @@ class InteractionOperator:
     """The covariant-gauge coupling mapped onto a finite mode registry.
 
     vertices holds, per mode, the raising and lowering vertex of oscillator
-    A and then of B; the exact-diagonalization oracle reads only these.
+    A and then of B; the exact-diagonalization oracle reads only these, and
+    discrete_second_order reads the lowering ones for its second vertex.
     apply() runs them through apply_vertices with the photon steps past
     p_max projected out: the coupling restricted to the kept space, as the
     second-order sum needs.
@@ -289,10 +287,6 @@ class InteractionOperator:
         self.params = params
         self.registry = registry
         self.vertices = self._build_vertices()
-        # (mode_index, raising) -> that photon step's vertices, in build order
-        self._by_step: dict[tuple[int, bool], list[Vertex]] = {}
-        for v in self.vertices:
-            self._by_step.setdefault((v.mode_index, v.raising), []).append(v)
 
     def _build_vertices(self) -> list[Vertex]:
         """Every mode's vertices in one pass over stacks of oscillator matrices.
@@ -305,11 +299,6 @@ class InteractionOperator:
         """
         p = self.params
         reg = self.registry
-        if any(mode.kind in (PolarizationKind.TRANSVERSE1, PolarizationKind.TRANSVERSE2)
-               for mode in reg.modes):
-            raise NotImplementedError(
-                "transverse coupling is outside this engine (identical in both gauges)"
-            )
         size = reg.n_max + 1
         pad = reg.n_max + 3  # room for exact operator products before slicing
         kx = np.array([mode.k_x for mode in reg.modes], dtype=float)
@@ -341,43 +330,6 @@ class InteractionOperator:
 
     def apply(self, state: StateVector) -> StateVector:
         return apply_vertices(self.registry, self.vertices, state, project=True)
-
-    def coefficient(self, target: OccupationState, state: StateVector) -> complex:
-        """apply(state).amplitude(target), forming no other term of apply(state).
-
-        A term of the state reaches the target only through the one mode
-        where their photon counts differ, and only by one ladder step there.
-        Contributions are summed in apply's order (terms, vertices, levels)
-        and pruned as StateVector prunes, so the value equals apply's bit
-        for bit.
-        """
-        n_levels = self.registry.n_max + 1
-        if not (target.level_a < n_levels and target.level_b < n_levels):
-            return 0.0 + 0.0j
-        total = 0.0
-        for occ, amp in state.terms():
-            modes = {j for j, _ in set(occ.photons).symmetric_difference(target.photons)}
-            if len(modes) != 1:
-                continue
-            (j,) = modes
-            raising = target.count(j) > occ.count(j)
-            stepped = occ.step(j, raising, self.registry.p_max)
-            if stepped is None or stepped[0].photons != target.photons:
-                continue
-            photon_factor = stepped[1]
-            for v in self._by_step[(j, raising)]:
-                if v.oscillator == "A":
-                    if occ.level_b != target.level_b:
-                        continue
-                    c = v.matrix[target.level_a, occ.level_a]
-                else:
-                    if occ.level_a != target.level_a:
-                        continue
-                    c = v.matrix[target.level_b, occ.level_b]
-                if abs(c) < 1e-300:
-                    continue
-                total = total + amp * c * photon_factor
-        return complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +378,10 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     Sums intermediate states |l> != |n> of H|n> with energy denominators
     (E_n - E_m)(E_n - E_l); equals the Riemann-sum approximation of the four
     diagram integrands when the registry's weights are d^3k volumes.  The
-    first vertex builds the whole state H|n>; of the second application only
-    the target coefficient <m|H|psi_1> is formed (InteractionOperator.coefficient).
+    first vertex builds the whole state psi_1 = (E_n - H_0)^-1 H|n>.  Each of
+    its terms holds one photon, in some mode j, so <m|H|psi_1> reads only
+    mode j's lowering vertex elements, summed in apply's order and pruned as
+    StateVector prunes: apply(psi_1).amplitude(m) bit for bit.
     """
     if len(registry) == 0:
         return 0.0 + 0.0j
@@ -437,7 +391,27 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     # every vertex moves one photon: |l> = |n>, excluded by the printed formula, never occurs
     first = op.apply(StateVector.basis(registry, level_a=1, level_b=0))
     psi1 = resolvent(params, registry, first, e_n)
-    return op.coefficient(target, psi1) / (e_n - uncoupled_energy(params, registry, target))
+    lowering: dict[int, list[Vertex]] = {}  # mode -> its lowering vertices, in build order
+    for v in op.vertices:
+        if not v.raising:
+            lowering.setdefault(v.mode_index, []).append(v)
+    total = 0.0
+    for occ, amp in psi1.terms():
+        ((j, _),) = occ.photons
+        photon_factor = occ.step(j, False, registry.p_max)[1]
+        for v in lowering[j]:
+            # the vertex moves its own oscillator; the other must sit at the target level
+            if v.oscillator == "A" and occ.level_b == target.level_b:
+                c = v.matrix[target.level_a, occ.level_a]
+            elif v.oscillator == "B" and occ.level_a == target.level_a:
+                c = v.matrix[target.level_b, occ.level_b]
+            else:
+                continue
+            if abs(c) < 1e-300:
+                continue
+            total = total + amp * c * photon_factor
+    second = complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
+    return second / (e_n - uncoupled_energy(params, registry, target))
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +437,15 @@ def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
     most total_photon_cap photons, and that basis (level A x level B x photon
     counts).  H = diag(H_0) + the sum over vertices of kron(oscillator matrix,
     ladder of the vertex's mode), each ladder a_j^+ on the kept photon states
-    and lowering its transpose: no ladder step of the state algebra is taken."""
+    and lowering its transpose: no ladder step of the state algebra is taken.
+    H_0 = hbar (omega_a n_a + omega_b n_b + sum omega_j n_j) is read from the
+    basis's own occupation numbers, not from uncoupled_energy."""
     n_levels = registry.n_max + 1
     photons = [counts for counts in itertools.product(
                    range(min(registry.p_max, total_photon_cap) + 1), repeat=len(registry))
                if sum(counts) <= total_photon_cap]
-    basis = [OccupationState(la, lb, enumerate(counts))
-             for la, lb, counts in itertools.product(range(n_levels), range(n_levels), photons)]
+    labels = list(itertools.product(range(n_levels), range(n_levels), photons))
+    basis = [OccupationState(la, lb, enumerate(counts)) for la, lb, counts in labels]
     index = {counts: i for i, counts in enumerate(photons)}
     raising = np.zeros((len(registry), len(photons), len(photons)))
     for (i, counts), j in itertools.product(enumerate(photons), range(len(registry))):
@@ -483,7 +459,12 @@ def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
         osc = np.kron(v.matrix, ident) if v.oscillator == "A" else np.kron(ident, v.matrix)
         h += np.kron(osc, raising[v.mode_index] if v.raising else raising[v.mode_index].T)
     h[np.abs(h) <= PRUNE_TOL] = 0.0  # dropped as StateVector drops them
-    h[np.diag_indices_from(h)] = [uncoupled_energy(params, registry, occ) for occ in basis]
+    # oscillators first, then each mode in index order (a zero count adds +0.0)
+    level_a, level_b, occupied = (np.array(column, dtype=float) for column in zip(*labels))
+    energy = params.omega_a * level_a + params.omega_b * level_b
+    for j, mode in enumerate(registry.modes):
+        energy = energy + mode.omega * occupied[:, j]
+    h[np.diag_indices_from(h)] = params.hbar * energy
     return h, basis
 
 
@@ -494,8 +475,8 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     to unit coefficient on the latter.
 
     H is assembled from the vertex matrices (_truncated_hamiltonian), with no
-    ladder step of the state algebra: a slip there moves only the
-    perturbative sum.
+    ladder step of the state algebra and no uncoupled_energy: a slip in
+    either moves only the perturbative sum.
 
     Self-adjointness under the indefinite metric eta (Gupta) makes eta H
     Hermitian in the ordinary sense; the Frobenius norm of its anti-Hermitian
@@ -563,7 +544,10 @@ def oracle_scaling_exponent(
     vertices cannot return to the zero-photon sector), so p should be 4.
     Returns (fitted exponent, [(q, residual)] samples).  A registry whose
     vertex elements all lie within PRUNE_TOL of 0 (charge_q = 0, or an
-    underflowed form factor) has no coupling to test: ValidationError.
+    underflowed form factor) has no coupling to test: ValidationError.  So
+    has one whose second-order element <m|V|psi_1> = eps_exact (E_n - E_m)
+    lies within PRUNE_TOL at any sampled charge, since perturbation theory
+    drops an amplitude that small.
     """
     if all(np.abs(v.matrix).max() <= PRUNE_TOL
            for v in InteractionOperator(params, registry).vertices):
@@ -574,6 +558,11 @@ def oracle_scaling_exponent(
         p_q = replace(params, charge_q=params.charge_q / divisor)
         eps_pt = discrete_second_order(p_q, registry)
         eps_ed = exact_diagonalization_oracle(p_q, registry).epsilon_exact
+        if abs(eps_ed * p_q.delta_e) <= PRUNE_TOL:
+            raise ValidationError(
+                f"the second-order amplitude eps * delta_e = {abs(eps_ed * p_q.delta_e):.3e} at"
+                f" charge_q = {p_q.charge_q} lies within PRUNE_TOL, where perturbation theory"
+                " drops it: nothing to compare")
         samples.append((p_q.charge_q, abs(eps_pt - eps_ed)))
     # least-squares slope in log-log across the three points
     qs = np.log([s[0] for s in samples])

@@ -590,14 +590,12 @@ def pv_radial(
     pole_omega: float | None,
     config: QuadratureConfig,
     domain: tuple[float, float],
-    min_panels_per_unit: float = 0.0,
 ) -> IntegralResult:
     """Principal-value integral over `domain` of a vectorized integrand with a
     simple pole at pole_omega (None: no pole, plain adaptive quadrature):
     radial_columns with one column."""
     column = Column(None, pole=pole_omega is not None)
-    return radial_columns(integrand, [column], pole_omega, config, domain,
-                          min_panels_per_unit)[0]
+    return radial_columns(integrand, [column], pole_omega, config, domain)[0]
 
 
 # ---------------------------------------------------------------------------

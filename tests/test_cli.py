@@ -6,11 +6,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gaugepair import cli
+from gaugepair import cli, gauge
 from gaugepair.cli import (
     CSV_HEADER,
     EXIT_CONVERGENCE,
@@ -19,6 +20,7 @@ from gaugepair.cli import (
     EXIT_VALIDATION,
     main,
 )
+from gaugepair.fock import PolarizationKind
 from gaugepair.perturbation import PoleError
 
 COARSE = "radial_nodes = 32\nrel_tol = 1e-7\n"
@@ -80,6 +82,68 @@ def test_corruption_switches_break_named_suites(mode, broken_suite, capsys):
     assert all(others.values())
 
 
+def _scaled(name, factor, pick=lambda *args: True):
+    """A slip: cli's `name` with its result scaled by factor where pick(*args) holds."""
+    original = getattr(cli, name)
+    return lambda *args: original(*args) * (factor if pick(*args) else 1.0)
+
+
+def _scaled_item(name, index, factor):
+    """A slip: item `index` of the tuple that cli's `name` returns, scaled by factor."""
+    original = getattr(cli, name)
+
+    def slipped(*args):
+        out = list(original(*args))
+        out[index] *= factor
+        return tuple(out)
+    return slipped
+
+
+def _residual_bumped(params, omega):
+    report = gauge.per_k_equivalence(params, omega)
+    return replace(report, residual=report.residual + 1e-6)
+
+
+# one slip per failure branch of the suites that have no --corrupt switch:
+# id -> (suite, name in cli, slipped stand-in)
+SUITE_SLIPS = {
+    "form-factor-closed-form": ("form factor oracle", "gaussian_form_factor",
+                                _scaled("gaussian_form_factor", 1.01)),
+    "per-mode-residual": ("per-mode gauge equivalence", "per_k_equivalence",
+                          _residual_bumped),
+    "operator-route-linear": ("per-mode gauge equivalence", "operator_route_brackets",
+                              _scaled_item("operator_route_brackets", 0, 1.01)),
+    "closed-quadratic": ("per-mode gauge equivalence", "transform_brackets",
+                         _scaled_item("transform_brackets", 2, 1.01)),
+    "combined-bracket-form": ("four-diagram reconstruction", "combined_bracket_form",
+                              _scaled("combined_bracket_form", 1.01)),
+    "longitudinal-diagram": ("four-diagram reconstruction", "diagram_integrand",
+                             _scaled("diagram_integrand", 1.01, lambda params, spec, k:
+                                     spec.photon_kind is PolarizationKind.LONGITUDINAL)),
+}
+
+
+@pytest.mark.parametrize("suite,name,slip", SUITE_SLIPS.values(), ids=SUITE_SLIPS.keys())
+def test_a_slip_fails_exactly_its_suite(suite, name, slip, monkeypatch, capsys):
+    monkeypatch.setattr(cli, name, slip)
+    assert main(["check", "--json"]) == EXIT_INVARIANT
+    out = capsys.readouterr()
+    assert out.err == ""  # the suite's own comparison failed; nothing raised
+    suites = json.loads(out.out)["suites"]
+    assert [key for key, ok in suites.items() if not ok] == [suite]
+
+
+def test_a_suite_that_raises_fails_check(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("quadrature blew up")
+
+    monkeypatch.setattr(cli, "form_factor_oracle", broken)
+    assert main(["check"]) == EXIT_INVARIANT
+    out = capsys.readouterr()
+    assert out.err == "  [FAIL] form factor oracle: quadrature blew up\n"
+    assert "  [FAIL] form factor oracle" in out.out.splitlines()
+
+
 def test_oracle_reports_fourth_power(capsys):
     assert main(["oracle", "--json"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -116,6 +180,17 @@ def test_oracle_far_past_the_form_factor_refuses(k_mag, capsys):
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
     assert "coupling vanishes" in out.err
+
+
+@pytest.mark.parametrize("k_mag", ["239.5", "356.2"])
+def test_oracle_below_the_prune_floor_refuses(k_mag, capsys):
+    # eps * delta_e is 3.2e-17 and 2.2e-28 at q = 1: perturbation theory prunes
+    # an amplitude that small to 0 while ED keeps it, so the fit would read 2
+    assert main(["oracle", "--json", "--oracle-k", k_mag]) == EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+    assert "within PRUNE_TOL" in out.err
 
 
 def test_sweep_csv_contract(coarse_cfg, tmp_path, capsys):

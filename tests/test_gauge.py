@@ -167,7 +167,7 @@ def test_gauge_operators_refuse_a_state_at_the_photon_wall(kind):
         with pytest.raises(TruncationError, match="would exceed p_max = 1"):
             apply_inverse_transform_linear(PARAMS, reg, at_wall)
     else:  # the map has no longitudinal vertex
-        assert not apply_inverse_transform_linear(PARAMS, reg, at_wall).is_zero()
+        assert len(apply_inverse_transform_linear(PARAMS, reg, at_wall)) > 0
 
 
 # -- physicality of the mapped states -------------------------------------------------

@@ -9,9 +9,9 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+from gaugepair import perturbation
 from gaugepair.core import SystemParams
 from gaugepair.fock import (
-    PRUNE_TOL,
     ModeRegistry,
     OccupationState,
     PolarizationKind,
@@ -104,11 +104,6 @@ def test_resonant_diagram_pole_errors_without_regulator():
             DiagramSpec(ExchangeOrder.RESONANT, PolarizationKind.SCALAR),
             (PARAMS.omega_a / PARAMS.c, 0.0, 0.0),
         )
-
-
-def test_diagram_spec_rejects_transverse():
-    with pytest.raises(ValueError):
-        DiagramSpec(ExchangeOrder.RESONANT, PolarizationKind.TRANSVERSE1)
 
 
 # -- bracket and series ----------------------------------------------------------
@@ -256,6 +251,13 @@ def test_second_order_at_benchmark_size():
     reg = make_registry(ks, weights=[weight] * len(ks))
     amp = discrete_second_order(PARAMS, reg)
     assert repr(amp) == repr(_two_apply_second_order(PARAMS, reg))
+    # faint charges: <m|H|psi_1> falls below PRUNE_TOL between 1e-5 and 1e-6
+    # and is dropped alike on both sides, signed zeros included
+    for charge in (1e-5, 1e-6, 1e-7):
+        faint = replace(PARAMS, charge_q=charge)
+        faint_amp = discrete_second_order(faint, reg)
+        assert repr(faint_amp) == repr(_two_apply_second_order(faint, reg))
+        assert (faint_amp != 0.0) == (charge == 1e-5)
     riemann = sum(
         weight * common_prefactor(PARAMS)
         * sum(diagram_integrand(PARAMS, s, k) for s in ALL_DIAGRAMS)
@@ -309,31 +311,20 @@ def _small_registries(p_max, n_max):
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 @pytest.mark.parametrize("p_max", [1, 2])
-def test_coefficient_equals_applied_amplitude(p_max, n_max):
+def test_every_image_moves_exactly_one_photon(p_max, n_max):
+    # discrete_second_order reads its second vertex on this: each term of
+    # psi_1 holds one photon, and only that mode's lowering reaches the vacuum
     for reg in _small_registries(p_max, n_max):
         op = InteractionOperator(PARAMS, reg)
-        state = _mixed_state(reg)
-        whole = op.apply(state)
-        assert len(whole) > 0
-        for target, _ in (*whole.terms(), *state.terms()):
-            # bit for bit, signed zeros included
-            assert repr(op.coefficient(target, state)) == repr(whole.amplitude(target))
-        # a faint start: its weakest images fall below PRUNE_TOL and are dropped
-        start = StateVector.basis(reg, 1, 0)
-        images = op.apply(start)
-        sizes = [abs(a) for _, a in images.terms()]
-        faint = (PRUNE_TOL / math.sqrt(min(sizes) * max(sizes))) * start
-        faint_whole = op.apply(faint)
-        assert len(faint_whole) < len(images)
-        for target, _ in images.terms():
-            assert repr(op.coefficient(target, faint)) == repr(faint_whole.amplitude(target))
-        # every vertex moves exactly one photon: nothing reaches the start's
-        # own photon counts, a two-photon change, or a level past n_max
-        for target in (OccupationState(0, 1),
-                       OccupationState(0, 1, {0: 1, len(reg) - 1: 1}),
-                       OccupationState(n_max + 1, 0, {0: 1})):
-            assert images.amplitude(target) == 0.0
-            assert op.coefficient(target, start) == 0.0
+        for source, _ in _mixed_state(reg).terms():
+            images = op.apply(StateVector(reg, {source: 1.0 + 0.0j}))
+            assert len(images) > 0
+            before = dict(source.photons)
+            for image, _ in images.terms():
+                after = dict(image.photons)
+                steps = [after.get(j, 0) - before.get(j, 0) for j in before.keys() | after.keys()]
+                assert sorted(abs(step) for step in steps if step) == [1]
+                assert image.level_a <= n_max and image.level_b <= n_max
 
 
 # -- the one-pass vertex build against a per-mode build ---------------------------
@@ -425,7 +416,7 @@ def test_assembled_hamiltonian_equals_applied_images(p_max, n_max, cap):
                     outside.append(image)
         # bit for bit, signed zeros included
         assert np.array_equal(h.view(np.int64), expected.view(np.int64))
-        assert all(image.total_photons() > total_cap for image in outside)
+        assert all(sum(n for _, n in image.photons) > total_cap for image in outside)
         assert (len(outside) > 0) == (total_cap < p_max * len(reg))
 
 
@@ -521,6 +512,18 @@ def test_a_ladder_slip_separates_perturbation_theory_from_the_oracle(monkeypatch
     res = exact_diagonalization_oracle(PARAMS, ORACLE_REG)
     amp = discrete_second_order(PARAMS, ORACLE_REG)
     assert res.metric_asymmetry < 1e-12
+    assert abs(res.epsilon_exact - amp) > 1e-4 * abs(amp)
+
+
+def test_an_energy_slip_separates_perturbation_theory_from_the_oracle(monkeypatch):
+    # omega_b 1% too large in uncoupled_energy: the oracle reads H_0 from its
+    # own occupation numbers, so only the perturbative denominators move
+    def slipped(params, registry, occ):
+        return uncoupled_energy(replace(params, omega_b=1.01 * params.omega_b), registry, occ)
+
+    monkeypatch.setattr(perturbation, "uncoupled_energy", slipped)
+    res = exact_diagonalization_oracle(PARAMS, ORACLE_REG)
+    amp = discrete_second_order(PARAMS, ORACLE_REG)
     assert abs(res.epsilon_exact - amp) > 1e-4 * abs(amp)
 
 
