@@ -9,8 +9,11 @@ means a real metric-weighted spectrum.  The difference between the
 perturbative and exact amplitudes must shrink as the fourth power of the
 charge -- odd orders cannot return to the zero-photon sector.  The exact
 amplitude is read from a partition of the truncated Hamiltonian onto the
-start and target states, one linear solve per sweep, so no eigenvector is
-picked and the value does not move with the BLAS thread count.
+start and target states.  Every vertex moves one photon, so each sweep
+eliminates the photon-number sectors from the top down (a division for the
+top sector, a small solve for each one below) and no eigenvector is picked;
+the value does not move with the BLAS thread count.  A kept state that
+costs what the start state costs is refused as a resonance.
 """
 
 from dataclasses import replace

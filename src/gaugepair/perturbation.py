@@ -13,8 +13,8 @@ Independent code paths compute the same physics on purpose:
   loop that applies every operator-route coupling, the gauge module's
   included) and reads the second from the lowering vertices' elements;
   exact_diagonalization_oracle assembles H from the same vertex matrices in
-  Kronecker form with ladders and an H_0 of its own, so the two share only
-  the vertices.
+  Kronecker form with ladders and an H_0 of its own, and partitions it
+  photon sector by photon sector, so the two share only the vertices.
 
 Collapsing any two into one would defeat the point: they disagree exactly when
 a sign or a factor is wrong, the dominant failure mode in this calculation.
@@ -438,6 +438,10 @@ def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
     counts).  H = diag(H_0) + the sum over vertices of kron(oscillator matrix,
     ladder of the vertex's mode), each ladder a_j^+ on the kept photon states
     and lowering its transpose: no ladder step of the state algebra is taken.
+    Each kron product is written only where its ladder is non-zero, through
+    an (oscillator, photons, oscillator, photons) view of H; a photon pair is
+    reached by one mode and direction alone, so every element is still the
+    sum 0 + (A's term) + (B's term) of the full Kronecker sum.
     H_0 = hbar (omega_a n_a + omega_b n_b + sum omega_j n_j) is read from the
     basis's own occupation numbers, not from uncoupled_energy."""
     n_levels = registry.n_max + 1
@@ -455,9 +459,12 @@ def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
 
     ident = np.eye(n_levels)
     h = np.zeros((len(basis), len(basis)), dtype=complex)
+    blocks = h.reshape(n_levels ** 2, len(photons), n_levels ** 2, len(photons))
     for v in InteractionOperator(params, registry).vertices:
         osc = np.kron(v.matrix, ident) if v.oscillator == "A" else np.kron(ident, v.matrix)
-        h += np.kron(osc, raising[v.mode_index] if v.raising else raising[v.mode_index].T)
+        more, fewer = np.nonzero(raising[v.mode_index])
+        rows, cols = (more, fewer) if v.raising else (fewer, more)
+        blocks[:, rows, :, cols] += osc * raising[v.mode_index, more, fewer][:, None, None]
     h[np.abs(h) <= PRUNE_TOL] = 0.0  # dropped as StateVector drops them
     # oscillators first, then each mode in index order (a zero count adds +0.0)
     level_a, level_b, occupied = (np.array(column, dtype=float) for column in zip(*labels))
@@ -466,6 +473,22 @@ def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
         energy = energy + mode.omega * occupied[:, j]
     h[np.diag_indices_from(h)] = params.hbar * energy
     return h, basis
+
+
+def _sector_self_energy(energy: complex, h0: list[np.ndarray], up: list[np.ndarray],
+                        down: list[np.ndarray]) -> np.ndarray:
+    """H_01 (E - H_11 - ...)^-1 H_10 on photon sector 0: every sector above it
+    eliminated from the top down.  up[n] couples sector n to n + 1, down[n]
+    the reverse, and h0[n] is sector n's (diagonal) block of H_0.  The top
+    sector's Schur complement is E - H_0 itself, a division; each lower one
+    is E - H_0 less the self-energy from above, a small dense solve."""
+    above = np.zeros((len(h0[-1]), len(h0[-1])), dtype=complex)
+    for n in range(len(h0) - 1, 0, -1):
+        gap = energy - h0[n]
+        coupled = (up[n - 1] / gap[:, None] if n == len(h0) - 1
+                   else np.linalg.solve(np.diag(gap) - above, up[n - 1]))
+        above = down[n - 1] @ coupled
+    return above
 
 
 def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
@@ -489,13 +512,21 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     Partition onto P = {those two states}, Q every other (Feshbach; Loewdin):
     the eigenpair solves E = H_eff[0,0] + H_eff[0,1] eps and
     eps = H_eff[1,0] / (E - H_eff[1,1]), H_eff = H_PP + H_PQ (E - H_QQ)^-1 H_QP.
-    E is iterated from the start state's uncoupled energy by linear solves
-    until it stops moving at the rounding level: no eigenvector is read and
-    no branch picked.  E that does not settle in PARTITION_SWEEPS sweeps, or
-    is not real to REALITY_TOL, raises OracleError.
+    Every vertex moves one photon, so H_QQ is block tridiagonal in the total
+    photon number with diagonal blocks H_0: each sweep eliminates the photon
+    sectors from the top down (_sector_self_energy), then takes the Schur
+    complement onto P inside sector 0.  E is iterated from the start state's
+    uncoupled energy until it stops moving at the rounding level: no
+    eigenvector is read and no branch picked.  E that does not settle in
+    PARTITION_SWEEPS sweeps, or is not real to REALITY_TOL, raises
+    OracleError.  A kept state other than the start whose uncoupled energy
+    lies within 1e-12 relative of the start's has no denominator in that
+    elimination, as in resolvent: ResonanceError.
     """
     if len(registry) > 4:
         raise ValueError("oracle is meant for small registries (<= 4 modes)")
+    if total_photon_cap < 0:
+        raise ValueError(f"total_photon_cap = {total_photon_cap} must be at least 0")
     h, basis = _truncated_hamiltonian(params, registry, total_photon_cap)
 
     sign = registry.scalar_metric_sign
@@ -507,13 +538,31 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
         raise OracleError(f"metric-weighted H not Hermitian: anti-Hermitian norm {asymmetry:.3e}"
                           " (self-adjointness under the metric is broken)")
 
-    p = [basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))]
-    q = [i for i in range(len(basis)) if i not in p]
-    h_pp, h_pq = h[np.ix_(p, p)], h[np.ix_(p, q)]
-    h_qp, h_qq = h[np.ix_(q, p)], h[np.ix_(q, q)]
-    energy = h[p[0], p[0]]
+    start, target = basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))
+    uncoupled = h.diagonal().real
+    degenerate = np.abs(uncoupled[start] - uncoupled) < 1e-12 * max(1.0, abs(uncoupled[start]))
+    degenerate[start] = False
+    if degenerate.any():
+        raise ResonanceError(
+            f"kept state {basis[int(np.argmax(degenerate))]} is degenerate with the start "
+            "state; move the registry off the resonance")
+
+    total = np.array([sum(n for _, n in occ.photons) for occ in basis])
+    sectors = [np.flatnonzero(total == n) for n in range(total.max() + 1)]
+    h0 = [uncoupled[s] for s in sectors]
+    up = [h[np.ix_(hi, lo)] for lo, hi in zip(sectors, sectors[1:])]
+    down = [h[np.ix_(lo, hi)] for lo, hi in zip(sectors, sectors[1:])]
+    # P and sector 0's other states, as positions in sector 0; inside sector 0
+    # they couple only through the self-energy of the sectors above
+    vacuum = list(sectors[0])
+    p = [vacuum.index(start), vacuum.index(target)]
+    q = [i for i in range(len(vacuum)) if i not in p]
+    h_pp = h[np.ix_([start, target], [start, target])]
+    energy = h[start, start]
     for _ in range(PARTITION_SWEEPS):
-        h_eff = h_pp + h_pq @ np.linalg.solve(energy * np.eye(len(q)) - h_qq, h_qp)
+        above = _sector_self_energy(energy, h0, up, down)
+        h_eff = h_pp + above[np.ix_(p, p)] + above[np.ix_(p, q)] @ np.linalg.solve(
+            np.diag(energy - h0[0][q]) - above[np.ix_(q, q)], above[np.ix_(q, p)])
         epsilon = h_eff[1, 0] / (energy - h_eff[1, 1])
         energy, previous = h_eff[0, 0] + h_eff[0, 1] * epsilon, energy
         if abs(energy - previous) <= 4.0 * np.finfo(float).eps * scale:

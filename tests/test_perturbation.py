@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -482,6 +483,64 @@ def test_oracle_partition_matches_a_dense_eigenvector_read(charge):
     reference = _eigenvector_read(params, ORACLE_REG)
     eps = exact_diagonalization_oracle(params, ORACLE_REG).epsilon_exact
     assert abs(eps - reference) <= 1e-10 * abs(reference)
+
+
+def _dense_partition(params, registry, total_photon_cap):
+    """The partition with one dense solve over all of Q per sweep, the
+    sector elimination's reference: eps, or None where E does not settle."""
+    h, basis = _truncated_hamiltonian(params, registry, total_photon_cap)
+    scale = max(1.0, float(np.max(np.abs(h.diagonal()))))
+    p = [basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))]
+    q = [i for i in range(len(basis)) if i not in p]
+    h_pp, h_pq = h[np.ix_(p, p)], h[np.ix_(p, q)]
+    h_qp, h_qq = h[np.ix_(q, p)], h[np.ix_(q, q)]
+    energy = h[p[0], p[0]]
+    for _ in range(perturbation.PARTITION_SWEEPS):
+        h_eff = h_pp + h_pq @ np.linalg.solve(energy * np.eye(len(q)) - h_qq, h_qp)
+        epsilon = h_eff[1, 0] / (energy - h_eff[1, 1])
+        energy, previous = h_eff[0, 0] + h_eff[0, 1] * epsilon, energy
+        if abs(energy - previous) <= 4.0 * EPS * scale:
+            return epsilon
+    return None
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("p_max", [1, 2])
+def test_sector_elimination_equals_the_dense_partition(p_max, n_max, cap):
+    # both settle E at the rounding level, so eps may differ by the settle
+    # tolerance 4 eps max|H_ii| carried through eps = H_eff[1,0] / (E - H_eff[1,1])
+    for reg in _small_registries(p_max, n_max):
+        for charge in (0.25, 1.0, 10.0, 30.0):
+            params = replace(PARAMS, charge_q=charge)
+            reference = _dense_partition(params, reg, cap)
+            if reference is None:
+                with pytest.raises(OracleError, match="did not settle"):
+                    exact_diagonalization_oracle(params, reg, cap)
+                continue
+            eps = exact_diagonalization_oracle(params, reg, cap).epsilon_exact
+            h, _ = _truncated_hamiltonian(params, reg, cap)
+            bound = 4.0 * EPS * np.max(np.abs(h.diagonal())) * (1.0 + abs(reference))
+            assert abs(eps - reference) <= bound / params.delta_e
+
+
+@pytest.mark.parametrize("k, cap", [(0.5, 2), (0.5, 3), (1.0, 1)])
+def test_oracle_refuses_a_kept_state_degenerate_with_the_start(k, cap):
+    # two photons of omega_a / 2, or one of omega_a, cost what the start state
+    # costs: the elimination would divide by zero, so it refuses first
+    registry = make_registry(((k, 0.0, 0.0), (-k, 0.0, 0.0)), n_max=2, p_max=cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResonanceError, match="degenerate with the start state"):
+            exact_diagonalization_oracle(PARAMS, registry, total_photon_cap=cap)
+
+
+def test_oracle_photon_cap_zero_gives_zero_and_a_negative_cap_is_refused():
+    # no photon is kept, so nothing couples the start to the target
+    res = exact_diagonalization_oracle(PARAMS, ORACLE_REG, total_photon_cap=0)
+    assert res.epsilon_exact == 0.0 and res.dimension == 9
+    with pytest.raises(ValueError, match="total_photon_cap = -1"):
+        exact_diagonalization_oracle(PARAMS, ORACLE_REG, total_photon_cap=-1)
 
 
 def test_oracle_refuses_a_coupling_with_no_perturbative_branch():
