@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import random
@@ -91,6 +92,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+@functools.cache  # built on first use, once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gaugepair", description=__doc__.splitlines()[0])
     parser.add_argument("--config", metavar="PATH", help="key = value parameter file")

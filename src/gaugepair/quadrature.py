@@ -190,33 +190,33 @@ class Column(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _log1p_excess(u: np.ndarray) -> np.ndarray:
-    """log(1 + u) - u/(1 + u), summed as its series where u < 1/8, where the
-    two terms would cancel to u^2/2."""
-    out = np.log1p(u) - u / (1.0 + u)
+    """log(1 + u) - u/(1 + u) in place of u, summed as its series where
+    u < 1/8, where the two terms would cancel to u^2/2."""
     small = u < 0.125
-    if small.any():
-        us = u[small]
-        acc = np.zeros_like(us)
-        for n in range(20, 1, -1):  # sum over n >= 2 of (-1)^n (n-1)/n u^n
-            acc = acc * us + (-1) ** n * (n - 1) / n
-        out[small] = acc * us * us
-    return out
+    us, ub = u[small], u[~small]
+    u[~small] = np.log1p(ub) - ub / (1.0 + ub)
+    acc = np.zeros_like(us)
+    for n in range(20, 1, -1):  # sum over n >= 2 of (-1)^n (n-1)/n u^n
+        acc *= us
+        acc += (-1) ** n * (n - 1) / n
+    u[small] = acc * us * us
+    return u
 
 
-def _antiderivative(kind: str, shift: float, w: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """F of one basis function, with int_w^W = F(w) - F(W).  off is
+def _antiderivative(kind: str, shift: float, w: np.ndarray, off: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """F of one basis function into out, with int_w^W = F(w) - F(W).  off is
     w - shift, exact near the pole."""
     if kind == "inv2":
-        return 1.0 / w
+        return np.divide(1.0, w, out=out)
     if kind == "pole":  # of 1/(s - v) + 1/v: -log|1 - s/v| = -F
-        out = np.empty_like(w)
         far = w > 2.0 * shift
         out[far] = np.log1p(-shift / w[far])
         out[~far] = np.log(np.abs(off[~far]) / w[~far])
         return out
     if kind == "excess":
-        return _log1p_excess(shift / w)
-    return 1.0 / (shift + w)  # "frac", of 1/(s + v)^2
+        return _log1p_excess(np.divide(shift, w, out=out))
+    return np.divide(1.0, np.add(shift, w, out=out), out=out)  # "frac", of 1/(s + v)^2
 
 
 def _h_coefficients(fractions: tuple) -> dict[tuple[str, float], float]:
@@ -255,19 +255,21 @@ def _h_coefficients(fractions: tuple) -> dict[tuple[str, float], float]:
     return {key: coeff for key, coeff in coeffs.items() if coeff != 0.0}
 
 
-def _h_values(fractions: tuple, w: np.ndarray, off: np.ndarray, w_hi: float,
-              off_hi: float, basis: dict) -> np.ndarray:
-    """H(w) = PV int_w^{w_hi} B(v)/v dv at every w.  basis caches each basis
-    function's values across the columns of one level."""
-    h = np.zeros_like(w)
+def _basis(key: tuple[str, float], w: np.ndarray, off: np.ndarray, w_hi: float,
+           off_hi: float, out: np.ndarray) -> np.ndarray:
+    """One basis function of H (see _h_coefficients) at every w, into out."""
+    if key[0] == "log":
+        return np.log(np.divide(w_hi, w, out=out), out=out)
+    at_hi = _antiderivative(*key, np.array([w_hi]), np.array([off_hi]), np.empty(1))[0]
+    return np.subtract(_antiderivative(*key, w, off, out), at_hi, out=out)
+
+
+def _h_values(fractions: tuple, basis: dict, h: np.ndarray) -> np.ndarray:
+    """H(w) = PV int_w^W B(v)/v dv into h, from the basis functions' values."""
+    h.fill(0.0)
+    term = np.empty_like(h)
     for key, coeff in _h_coefficients(fractions).items():
-        if key not in basis:
-            if key[0] == "log":
-                basis[key] = np.log(w_hi / w)
-            else:
-                at = _antiderivative(*key, np.append(w, w_hi), np.append(off, off_hi))
-                basis[key] = at[:-1] - at[-1]
-        h += coeff * basis[key]
+        h += np.multiply(coeff, basis[key], out=term)
     return h
 
 
@@ -309,10 +311,10 @@ def _kx_panels(pole: float | None, k_hi: float, per_unit: float, halvings: int) 
     return np.concatenate(left + right)
 
 
-def _kx_nodes(panels: np.ndarray, level: int, nodes: int, pole: float | None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _kx_nodes(panels: np.ndarray, level: int, nodes: int, pole: float | None,
+              work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(k_x, low, k_x - pole, weights) with every base panel split into
-    2^level.
+    2^level, written into work[:4].
 
     Nodes are measured from their sub-panel's left edge, so each rule covers
     exactly the interval between two shared edges; measured from a rounded
@@ -328,19 +330,19 @@ def _kx_nodes(panels: np.ndarray, level: int, nodes: int, pole: float | None
     left = np.minimum(x_edges[:, :-1], x_edges[:, 1:]).reshape(-1, 1)
     half = 0.5 * np.abs(x_edges[:, 1:] - x_edges[:, :-1]).reshape(-1, 1)
     xg, wg = _leggauss(nodes)
-    sign = np.repeat(sign, 2**level)[:, None]
-    step = half * (1.0 + sign * xg[None, :])  # reversed where k_x falls with t
-    kx = left + step
-    back = kx - left  # two-sum: left + step = kx + low exactly
-    low = (left - (kx - back)) + (step - back)
+    kx, low, off, weights = work[:4]
+    step = half * (1.0 + np.repeat(sign, 2**level)[:, None] * xg)  # reversed where k_x falls with t
+    back = np.add(left, step, out=kx) - left  # two-sum: left + step = kx + low exactly
+    np.add(left - (kx - back), step - back, out=low)
     if pole is None:
         off = kx
     else:  # distances from the pole, exact on the panels graded toward it
-        t_half = 0.5 * (t_edges[:, 1:] - t_edges[:, :-1]).reshape(-1, 1)
-        t = t_edges[:, :-1].reshape(-1, 1) + t_half * (1.0 + xg[None, :])
-        anchored = np.repeat(anchor == pole, 2**level)[:, None]
-        off = np.where(anchored, sign * t, kx - pole)
-    return kx.ravel(), low.ravel(), off.ravel(), (half * wg[None, :]).ravel()
+        np.subtract(kx, pole, out=off)
+        rows = anchor == pole
+        t_half = 0.5 * (t_edges[rows, 1:] - t_edges[rows, :-1]).reshape(-1, 1)
+        t = t_edges[rows, :-1].reshape(-1, 1) + t_half * (1.0 + xg[None, :])
+        off.reshape(panels.shape[0], -1)[rows] = sign[rows, None] * t.reshape(rows.sum(), -1)
+    return kx.ravel(), low.ravel(), off.ravel(), np.multiply(half, wg, out=weights).ravel()
 
 
 def _panel_sum(terms: np.ndarray, nodes: int) -> float:
@@ -366,28 +368,39 @@ def _kx_columns(params: SystemParams, config: QuadratureConfig,
 
     results: list[IntegralResult | None] = [None] * len(columns)
     prev = [0.0] * len(columns)
+    n_rows = 8 + len({key for col in columns for key in _h_coefficients(col.fractions)})
     unsettled, used = math.inf, 0
     for level in range(_MAX_LEVELS):
         if panels.shape[0] * 2**level * nodes > _NODE_BUDGET:
             break
-        kx, low, off, weights = _kx_nodes(panels, level, nodes, pole)
+        # one buffer for every array of the level, so no level faults in fresh pages
+        work = np.empty((n_rows, panels.shape[0] * 2**level, nodes))
+        kx, low, off, weights = _kx_nodes(panels, level, nodes, pole, work)
+        phase, cos, slope, base, *spare = work[4:].reshape(n_rows - 4, -1)
         used += kx.size
-        # 4 pi k_x^2 exp(-(d k_x)^2) cos(L k_x) at k_x + low, to first order
-        phase = length * kx
-        cos = np.cos(phase)
-        slope = (2.0 / kx - 2.0 * d * d * kx) * cos - length * np.sin(phase)
-        base = (weights * (4.0 * math.pi) * kx * kx * np.exp(-(d * kx) ** 2)
-                * (cos + low * slope))
-        basis: dict = {}
+        # 4 pi k_x^2 exp(-(d k_x)^2) cos(L k_x) at k_x + low, to first order, as
+        # weights 4 pi k_x k_x exp(-(d k_x)^2) (cos + low ((2/k_x - 2 d^2 k_x) cos - L sin))
+        np.cos(np.multiply(length, kx, out=phase), out=cos)
+        np.multiply(length, np.sin(phase, out=phase), out=phase)
+        np.subtract(np.divide(2.0, kx, out=slope), np.multiply(2.0 * d * d, kx, out=base), out=slope)
+        np.subtract(np.multiply(slope, cos, out=slope), phase, out=slope)
+        np.exp(np.negative(np.square(np.multiply(d, kx, out=phase), out=phase), out=phase), out=phase)
+        np.multiply(weights, 4.0 * math.pi, out=base)
+        for factor in (kx, kx, phase, np.add(cos, np.multiply(low, slope, out=slope), out=slope)):
+            base *= factor
+        w, w_off = np.multiply(c, kx, out=phase), np.multiply(c, off, out=cos)  # rows now free
+        live = {key for col, r in zip(columns, results) if r is None
+                for key in _h_coefficients(col.fractions)}
+        basis = {key: _basis(key, w, w_off, w_hi, off_hi, row) for key, row in zip(live, spare)}
         p3g = None
         if level > 0:
             unsettled = 0.0
         for j, col in enumerate(columns):
             if results[j] is not None:
                 continue
-            terms = base * _h_values(col.fractions, c * kx, c * off, w_hi, off_hi, basis)
+            terms = np.multiply(base, _h_values(col.fractions, basis, slope), out=slope)
             value = _panel_sum(terms, nodes)
-            rounding = float(np.finfo(float).eps * np.abs(terms).sum())
+            rounding = float(np.finfo(float).eps * np.abs(terms, out=terms).sum())
             delta = abs(value - prev[j])
             prev[j] = value
             if level == 0:

@@ -70,6 +70,22 @@ def test_check_passes_and_is_deterministic(capsys):
     assert all(suites.values()) and len(suites) == 5
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # built on first use, not at import, and reused: no option of one call may
+    # carry over into the next
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["check", "--json", "--corrupt", "metric"]) == EXIT_INVARIANT
+    capsys.readouterr()
+    assert main(["check", "--json"]) == EXIT_OK
+    assert all(json.loads(capsys.readouterr().out)["suites"].values())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    code = "import gaugepair.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0"], proc.stderr
+
+
 @pytest.mark.parametrize(
     "mode,broken_suite",
     [("metric", "metric sector"), ("pair", "subsidiary condition")],

@@ -1,7 +1,9 @@
 """The k_x route, its partial fractions, the spherical oracle (angular
 reduction and the principal-value radial engine), and the amplitudes."""
 
+import decimal
 import math
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +18,9 @@ from gaugepair.perturbation import expansion_terms, lorentz_bracket
 from gaugepair.quadrature import (
     COULOMB,
     ROUNDING_FLOOR,
+    _basis,
     _g_batch,
+    _h_coefficients,
     _h_values,
     Column,
     IntegralResult,
@@ -114,6 +118,9 @@ def test_empty_domain_rejected():
 
 def _report_columns(params):
     return (COULOMB, lorentz_column(params), mapped_column(params), *series_columns(params))
+
+
+_COLUMN_NAMES = ("coulomb", "lorentz", "mapped", "order 1", "order 2")  # _report_columns order
 
 
 def test_every_column_of_a_pass_equals_its_one_column_pass():
@@ -216,6 +223,13 @@ _TERMS = {
 }
 
 
+def _h(fractions, w, off, w_hi, off_hi):
+    """H at every w, from the route's own basis functions and sum."""
+    basis = {key: _basis(key, w, off, w_hi, off_hi, np.empty_like(w))
+             for key in _h_coefficients(fractions)}
+    return _h_values(fractions, basis, np.empty_like(w))
+
+
 def _columns_and_brackets(params):
     """Each report column with its bracket B(omega) from the closed forms."""
     first, second = series_columns(params)
@@ -246,7 +260,7 @@ def test_closed_form_h_matches_direct_principal_value(offset):
     a, w_hi = params.omega_a, 400.0
     w = a + offset
     for column, bracket in _columns_and_brackets(params):
-        h = _h_values(column.fractions, np.array([w]), np.array([w - a]), w_hi, w_hi - a, {})[0]
+        h = _h(column.fractions, np.array([w]), np.array([w - a]), w_hi, w_hi - a)[0]
         if offset < 0.0:  # QAWC: PV int g(v)/(v - a) dv with g(v) = (v - a) B(v)/v
             ref, err = quad(lambda v: (v - a) * bracket(v) / v, w, w_hi, weight="cauchy",
                             wvar=a, epsabs=0.0, epsrel=1e-12, limit=400)
@@ -267,7 +281,7 @@ def test_closed_form_h_is_continuous_across_the_pole(t):
     a = params.omega_a
     w = np.array([a - t, a + t])
     for column, _ in _columns_and_brackets(params):
-        below, above = _h_values(column.fractions, w, w - a, 400.0, 400.0 - a, {})
+        below, above = _h(column.fractions, w, w - a, 400.0, 400.0 - a)
         assert abs(below - above) <= 10.0 * t + 1e-13, column
 
 
@@ -281,13 +295,132 @@ def test_kx_route_settles_at_the_rounding_floor(x):
         assert result.error_estimate <= 1e-9 * abs(result.value)
 
 
+@pytest.mark.parametrize("sep_l, delta", [(1.8, 0.002), (2.0, 0.01), (2.196, 0.05)])
+def test_panel_order_moves_no_value_and_no_residue(monkeypatch, sep_l, delta):
+    # each panel is summed in its own node order and the panel sums exactly
+    # (math.fsum), so no value or residue depends on the order of the panels
+    params = SystemParams(separation_l=sep_l, dipole_d=0.01 * sep_l, omega_b=1.0 + delta)
+    columns = _report_columns(params)
+    in_order = epsilon_columns(params, CONFIG, columns)
+    panels, rng = quadrature._kx_panels, np.random.default_rng(7)
+    monkeypatch.setattr(quadrature, "_kx_panels", lambda *args: rng.permutation(panels(*args)))
+    shuffled = epsilon_columns(params, CONFIG, columns)
+    for name, a, b in zip(_COLUMN_NAMES, in_order, shuffled):
+        assert (a.value, a.residue_imag) == (b.value, b.residue_imag), name
+
+
+@pytest.mark.parametrize("delta", [0.002, 0.005, 0.01, 0.02, 0.05])
+def test_second_order_column_keeps_no_frac_term_off_unit_frequency(delta):
+    # its 1/(omega_a + omega) parts cancel exactly only when spelt -k * omega_a;
+    # at omega_a = 1 every spelling gives the same float
+    params = SystemParams(omega_a=3.0, omega_b=3.0 * (1.0 + delta))
+    _, second = series_columns(params)
+    assert ("frac", params.omega_a) not in _h_coefficients(second.fractions)
+
+
+def test_report_columns_are_invariant_when_frequencies_and_lengths_scale():
+    # hbar = c = 1: every frequency times 3 and every length over 3 leave each
+    # amplitude unchanged; 3 is no power of two, so each input rounds anew
+    params = SystemParams()
+    scaled = SystemParams(omega_a=3.0 * params.omega_a, omega_b=3.0 * params.omega_b,
+                          separation_l=params.separation_l / 3.0, dipole_d=params.dipole_d / 3.0)
+    results = zip(_COLUMN_NAMES, epsilon_columns(params, CONFIG, _report_columns(params)),
+                  epsilon_columns(scaled, CONFIG, _report_columns(scaled)))
+    for name, a, b in results:
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, name
+
+
 def test_pole_beyond_the_cutoff_is_rejected():
     # d omega_a / c = 10 puts omega_a/c above K = 8/d
     with pytest.raises(ValidationError):
         epsilon_lorentz(SystemParams(dipole_d=10.0), CONFIG)
 
 
+# -- every basis function of H, node by node, at 40 digits ------------------------
+
+def _exact_basis(key, w, off, w_hi, off_hi):
+    """(value, rounding size) of one basis function at one node: the closed
+    form _basis evaluates, at 40 digits on the same float inputs and with the
+    same choice of formula.  The rounding size adds up the pieces the float
+    formula forms; each is rounded a few times, so the float value lies within
+    a few eps of it."""
+    kind, shift = key
+    s = Decimal(shift)
+
+    def at(x, x_off):  # (F(x), its pieces), as _antiderivative forms F
+        series = shift / x < 0.125  # the route's own branch, decided in floats
+        x, x_off = Decimal(x), Decimal(x_off)
+        if kind == "inv2":
+            return 1 / x, 1 / x
+        if kind == "frac":
+            return 1 / (s + x), 1 / (s + x)
+        if kind == "pole" and x > 2 * s:  # log1p(-s/x): the quotient enters with gain < 2
+            f = (1 - s / x).ln()
+            return f, 2 * s / x + abs(f)
+        if kind == "pole":  # the log of a quotient, rounded by eps
+            f = (abs(x_off) / x).ln()
+            return f, 1 + abs(f)
+        u = s / x  # "excess": log(1 + u) - u/(1 + u), as a series below u = 1/8
+        f = (1 + u).ln() - u / (1 + u)
+        return f, (u * u if series else (1 + u).ln() + u / (1 + u))
+
+    with decimal.localcontext(decimal.Context(prec=40)):
+        if kind == "log":  # the log of a quotient
+            value = (Decimal(w_hi) / Decimal(w)).ln()
+            return float(value), float(1 + abs(value))
+        (f, pieces), (f_hi, pieces_hi) = at(w, off), at(w_hi, off_hi)
+        return float(f - f_hi), float(pieces + pieces_hi + abs(f - f_hi))
+
+
+@pytest.mark.parametrize("omega_a", [1.0, 3.0])
+def test_every_basis_function_matches_40_digits_at_every_node(omega_a):
+    # one level of the route's own nodes at the default geometry, with 16
+    # nodes per panel to keep the 40-digit logs cheap; every panel is there
+    params = SystemParams(omega_a=omega_a, omega_b=1.01 * omega_a)
+    config = QuadratureConfig(radial_nodes=16)
+    c, k_hi, pole = params.c, config.kmax_over_invd / params.dipole_d, params.omega_a / params.c
+    panels = quadrature._kx_panels(pole, k_hi, params.separation_l / (2.0 * math.pi),
+                                   math.ceil(-math.log2(config.rel_tol)))
+    work = np.empty((4, panels.shape[0], config.radial_nodes))
+    kx, _, off, _ = quadrature._kx_nodes(panels, 0, config.radial_nodes, pole, work)
+    w, off, w_hi, off_hi = c * kx, c * off, c * k_hi, c * (k_hi - pole)
+    keys = {key for column, _ in _columns_and_brackets(params)
+            for key in _h_coefficients(column.fractions)}
+    assert {kind for kind, _ in keys} == {"log", "inv2", "pole", "excess", "frac"}
+    worst = {}
+    for key in sorted(keys):
+        got = _basis(key, w, off, w_hi, off_hi, np.empty_like(w))
+        exact = np.array([_exact_basis(key, *node, w_hi, off_hi) for node in zip(w, off)])
+        ratio = np.abs(got - exact[:, 0]) / (np.finfo(float).eps * exact[:, 1])
+        for side, on_side in _branches(key, w).items():
+            assert on_side.any(), (key, side)  # both formulas of the key are checked
+            worst[key, side] = float(ratio[on_side].max())
+    margins = ", ".join(f"{key} {side}: {r:.2f}" for (key, side), r in worst.items())
+    assert max(worst.values()) <= 4.0, f"gap / (eps * rounding size): {margins}"
+
+
+def _branches(key, w):
+    """The nodes each of a key's float formulas serves."""
+    kind, shift = key
+    if kind == "pole":
+        return {"w > 2s": w > 2.0 * shift, "w <= 2s": w <= 2.0 * shift}
+    if kind == "excess":
+        return {"s/w < 1/8": shift / w < 0.125, "s/w >= 1/8": shift / w >= 0.125}
+    return {"all": np.ones(w.size, dtype=bool)}
+
+
 # -- the k_x route against the spherical oracle -----------------------------------
+
+def _gap_and_bound(kx, oracle):
+    """(gap, bound) of one column: both error estimates and a rounding floor."""
+    return (abs(kx.value - oracle.value),
+            kx.error_estimate + oracle.error_estimate + ROUNDING_FLOOR * abs(oracle.value))
+
+
+def _margins_text(margins):
+    return "gap / bound: " + ", ".join(f"{name} {gap:.3g} / {bound:.3g} = {gap / bound:.2f}"
+                                       for name, (gap, bound) in margins.items())
+
 
 @pytest.mark.parametrize("delta", [0.01, 0.05])
 @pytest.mark.parametrize("x", [0.05, 2.0, 100.0, 400.0])
@@ -298,9 +431,8 @@ def test_kx_route_matches_spherical_oracle(x, delta):
     columns = [column for column, _ in _columns_and_brackets(params)]
     kx = epsilon_columns(params, CONFIG, columns)
     oracle = spherical_columns(params, CONFIG, columns)
-    for column, a, b in zip(columns, kx, oracle):
-        bound = a.error_estimate + b.error_estimate + ROUNDING_FLOOR * abs(b.value)
-        assert abs(a.value - b.value) <= bound, column
+    margins = {name: _gap_and_bound(a, b) for name, a, b in zip(_COLUMN_NAMES, kx, oracle)}
+    assert all(gap <= bound for gap, bound in margins.values()), _margins_text(margins)
     # residue: -pi * prefactor * lim (p - k) k^2 G(k) B(ck), with the oracle's
     # G at the pole and the limit of (p - k) B(ck) by a central difference of
     # the bracket alone; the oracle's own residue, a central difference of the
@@ -323,8 +455,8 @@ def test_kx_route_with_the_pole_beyond_the_cutoff_matches_spherical_oracle():
     (a,) = epsilon_columns(params, CONFIG, [COULOMB])
     (b,) = spherical_columns(params, CONFIG, [COULOMB])
     assert a.residue_imag == 0.0
-    bound = a.error_estimate + b.error_estimate + ROUNDING_FLOOR * abs(b.value)
-    assert abs(a.value - b.value) <= bound
+    gap, bound = _gap_and_bound(a, b)
+    assert gap <= bound, _margins_text({"coulomb": (gap, bound)})
 
 
 # -- configuration ----------------------------------------------------------------
