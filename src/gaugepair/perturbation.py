@@ -12,9 +12,9 @@ Independent code paths compute the same physics on purpose:
   takes the first vertex through the state algebra (apply_vertices, the one
   loop that applies every operator-route coupling, the gauge module's
   included) and reads the second from the lowering vertices' elements;
-  exact_diagonalization_oracle assembles H from the same vertex matrices in
-  Kronecker form with ladders and an H_0 of its own, and partitions it
-  photon sector by photon sector, so the two share only the vertices.
+  exact_diagonalization_oracle builds H only as photon-sector blocks, from the
+  same vertex matrices in Kronecker form with ladders and an H_0 of its own,
+  and partitions it sector by sector, so the two share only the vertices.
 
 Collapsing any two into one would defeat the point: they disagree exactly when
 a sign or a factor is wrong, the dominant failure mode in this calculation.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -429,50 +430,68 @@ REALITY_TOL = 1e-10  # ||eta H's anti-Hermitian part||_F and |Im E|, relative to
 # sweeps for E before the branch counts as lost: at the default point and
 # |k| = 1.7, 4 settle q = 1 and 8 settle q = 30; q = 100 never settles
 PARTITION_SWEEPS = 20
+# complex elements the sector blocks may hold: for each photon sector below
+# the top, its dense Schur complement and its up and down blocks to the next
+_BLOCK_BUDGET = 2**23
 
 
-def _truncated_hamiltonian(params: SystemParams, registry: ModeRegistry,
-                           total_photon_cap: int) -> tuple[np.ndarray, list[OccupationState]]:
-    """The coupled Hamiltonian as a dense matrix on every basis state with at
-    most total_photon_cap photons, and that basis (level A x level B x photon
-    counts).  H = diag(H_0) + the sum over vertices of kron(oscillator matrix,
-    ladder of the vertex's mode), each ladder a_j^+ on the kept photon states
-    and lowering its transpose: no ladder step of the state algebra is taken.
-    Each kron product is written only where its ladder is non-zero, through
-    an (oscillator, photons, oscillator, photons) view of H; a photon pair is
-    reached by one mode and direction alone, so every element is still the
-    sum 0 + (A's term) + (B's term) of the full Kronecker sum.
-    H_0 = hbar (omega_a n_a + omega_b n_b + sum omega_j n_j) is read from the
-    basis's own occupation numbers, not from uncoupled_energy."""
-    n_levels = registry.n_max + 1
-    photons = [counts for counts in itertools.product(
-                   range(min(registry.p_max, total_photon_cap) + 1), repeat=len(registry))
-               if sum(counts) <= total_photon_cap]
-    labels = list(itertools.product(range(n_levels), range(n_levels), photons))
-    basis = [OccupationState(la, lb, enumerate(counts)) for la, lb, counts in labels]
-    index = {counts: i for i, counts in enumerate(photons)}
-    raising = np.zeros((len(registry), len(photons), len(photons)))
-    for (i, counts), j in itertools.product(enumerate(photons), range(len(registry))):
-        up = index.get(counts[:j] + (counts[j] + 1,) + counts[j + 1:])
-        if up is not None:
-            raising[j, up, i] = math.sqrt(counts[j] + 1)
+def _photon_sectors(params: SystemParams, registry: ModeRegistry, total_photon_cap: int):
+    """H in photon-number sectors, never formed dense.  Sector n holds the
+    states with n <= total_photon_cap photons, at most p_max in a mode: level A
+    x level B x its photon states (OccupationState.photons, in the order of
+    their count tuples).  Returns those photon states, each sector's H_0
+    diagonal h0[n], and the blocks up[n] (sector n to n + 1) and down[n]
+    (back): every vertex moves one photon, so that is all of H.  Each element
+    is 0 + (A's term) + (B's term) of kron(oscillator matrix, ladder a_j^+ or
+    its transpose), with no ladder step of the state algebra; H_0 is read from
+    the sector's own occupation numbers, not from uncoupled_energy.  Blocks
+    over _BLOCK_BUDGET elements, counted before anything is built: ValueError.
+    """
+    n_levels, modes, p_max = registry.n_max + 1, range(len(registry)), registry.p_max
+    sizes = [1] + [0] * total_photon_cap  # photon states per sector, counted mode by mode
+    for _ in modes:
+        sizes = [sum(sizes[max(0, n - p_max):n + 1]) for n in range(len(sizes))]
+    dims = [n_levels**2 * size for size in sizes if size]
+    elements = sum(a * (a + 2 * b) for a, b in zip(dims, dims[1:]))
+    if elements > _BLOCK_BUDGET:
+        raise ValueError(f"the sector blocks would hold {elements} elements, over the oracle's "
+                         f"budget of {_BLOCK_BUDGET}: keep fewer modes or fewer photons")
+    sectors = [[tuple(counts.items()) for counts in map(Counter, reversed(list(
+                    itertools.combinations_with_replacement(modes, n))))
+                if max(counts.values(), default=0) <= p_max] for n in range(len(dims))]
 
-    ident = np.eye(n_levels)
-    h = np.zeros((len(basis), len(basis)), dtype=complex)
-    blocks = h.reshape(n_levels ** 2, len(photons), n_levels ** 2, len(photons))
-    for v in InteractionOperator(params, registry).vertices:
-        osc = np.kron(v.matrix, ident) if v.oscillator == "A" else np.kron(ident, v.matrix)
-        more, fewer = np.nonzero(raising[v.mode_index])
-        rows, cols = (more, fewer) if v.raising else (fewer, more)
-        blocks[:, rows, :, cols] += osc * raising[v.mode_index, more, fewer][:, None, None]
-    h[np.abs(h) <= PRUNE_TOL] = 0.0  # dropped as StateVector drops them
-    # oscillators first, then each mode in index order (a zero count adds +0.0)
-    level_a, level_b, occupied = (np.array(column, dtype=float) for column in zip(*labels))
-    energy = params.omega_a * level_a + params.omega_b * level_b
-    for j, mode in enumerate(registry.modes):
-        energy = energy + mode.omega * occupied[:, j]
-    h[np.diag_indices_from(h)] = params.hbar * energy
-    return h, basis
+    level_a, level_b = np.divmod(np.arange(n_levels**2, dtype=float), n_levels)
+    h0 = [np.outer(params.omega_a * level_a + params.omega_b * level_b, np.ones(len(states)))
+          for states in sectors]
+    for energy, states in zip(h0, sectors):  # oscillators first, then each mode in index order
+        for s, photons in enumerate(states):
+            for j, count in photons:
+                energy[:, s] += registry.modes[j].omega * count
+    h0 = [params.hbar * energy.ravel() for energy in h0]
+
+    vertices = InteractionOperator(params, registry).vertices
+    stacks = {(osc, raising): np.array([v.matrix for v in vertices if v.oscillator == osc
+                                        and v.raising is raising]).reshape(-1, n_levels, n_levels)
+              for osc, raising in itertools.product("AB", (True, False))}
+    ident, up, down = np.eye(n_levels), [], []
+    for lower, upper in zip(sectors, sectors[1:]):
+        # (upper state, lower state, mode, ladder factor) of every one-photon step
+        index = {photons: i for i, photons in enumerate(lower)}
+        steps = [(i, index[tuple((m, c - (m == j)) for m, c in photons if c - (m == j))], j,
+                  math.sqrt(count)) for i, photons in enumerate(upper) for j, count in photons]
+        more, fewer, mode, factor = map(np.array, zip(*steps))
+        up.append(np.zeros((n_levels**2 * len(upper), n_levels**2 * len(lower)), dtype=complex))
+        down.append(np.zeros(up[-1].shape[::-1], dtype=complex))
+        for osc in "AB":  # A's term before B's
+            for raising, block, rows, cols in ((True, up[-1], more, fewer),
+                                               (False, down[-1], fewer, more)):
+                matrices = stacks[osc, raising][mode]
+                kron = np.kron(matrices, ident) if osc == "A" else np.kron(ident[None], matrices)
+                view = block.reshape(n_levels**2, len(block) // n_levels**2, n_levels**2, -1)
+                view[:, rows, :, cols] += kron * factor[:, None, None]
+        for block in (up[-1], down[-1]):
+            block[np.abs(block) <= PRUNE_TOL] = 0.0  # dropped as StateVector drops them
+    return sectors, h0, up, down
 
 
 def _sector_self_energy(energy: complex, h0: list[np.ndarray], up: list[np.ndarray],
@@ -482,7 +501,7 @@ def _sector_self_energy(energy: complex, h0: list[np.ndarray], up: list[np.ndarr
     the reverse, and h0[n] is sector n's (diagonal) block of H_0.  The top
     sector's Schur complement is E - H_0 itself, a division; each lower one
     is E - H_0 less the self-energy from above, a small dense solve."""
-    above = np.zeros((len(h0[-1]), len(h0[-1])), dtype=complex)
+    above = np.zeros((len(h0[0]), len(h0[0])), dtype=complex)  # read only with no sector above
     for n in range(len(h0) - 1, 0, -1):
         gap = energy - h0[n]
         coupled = (up[n - 1] / gap[:, None] if n == len(h0) - 1
@@ -497,14 +516,15 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     truncated Hamiltonian that grows out of |1_A 0_B, 0 photons>, normalized
     to unit coefficient on the latter.
 
-    H is assembled from the vertex matrices (_truncated_hamiltonian), with no
-    ladder step of the state algebra and no uncoupled_energy: a slip in
-    either moves only the perturbative sum.
+    H is assembled in photon sectors from the vertex matrices (_photon_sectors,
+    within _BLOCK_BUDGET), with no ladder step of the state algebra and no
+    uncoupled_energy: a slip in either moves only the perturbative sum.
 
     Self-adjointness under the indefinite metric eta (Gupta) makes eta H
     Hermitian in the ordinary sense; the Frobenius norm of its anti-Hermitian
     part beyond REALITY_TOL times the largest uncoupled energy signals a sign
-    or scale slip in the vertices and raises OracleError.  That norm bounds
+    or scale slip in the vertices and raises OracleError; it is sqrt(1/2)
+    ||eta_n+1 up[n] - (eta_n down[n])^H|| over the sector pairs.  It bounds
     |Im| of every eigenvalue of eta H (Bendixson), so the spectrum is real to
     the same tolerance.  The bare H is only pseudo-Hermitian; its spectator
     branches may pair into complex conjugates, which the partition never reads.
@@ -521,44 +541,41 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     PARTITION_SWEEPS sweeps, or is not real to REALITY_TOL, raises
     OracleError.  A kept state other than the start whose uncoupled energy
     lies within 1e-12 relative of the start's has no denominator in that
-    elimination, as in resolvent: ResonanceError.
+    elimination, as in resolvent: ResonanceError, naming the lowest sector's first.
     """
-    if len(registry) > 4:
-        raise ValueError("oracle is meant for small registries (<= 4 modes)")
     if total_photon_cap < 0:
         raise ValueError(f"total_photon_cap = {total_photon_cap} must be at least 0")
-    h, basis = _truncated_hamiltonian(params, registry, total_photon_cap)
+    sectors, h0, up, down = _photon_sectors(params, registry, total_photon_cap)
+    n_levels = registry.n_max + 1
 
     sign = registry.scalar_metric_sign
-    eta = np.array([float(sign ** registry.scalar_count(occ)) for occ in basis])
-    weighted = eta[:, None] * h
-    asymmetry = 0.5 * float(np.linalg.norm(weighted - weighted.conj().T))
-    scale = max(1.0, float(np.max(np.abs(h.diagonal()))))
+    eta = [np.tile([float(sign ** registry.scalar_count(OccupationState(0, 0, photons)))
+                    for photons in states], n_levels**2) for states in sectors]
+    asymmetry = math.sqrt(0.5 * sum(
+        float(np.linalg.norm(eta_up[:, None] * u - (eta_down[:, None] * d).conj().T)) ** 2
+        for eta_down, eta_up, u, d in zip(eta, eta[1:], up, down)))
+    scale = max(1.0, float(np.max(np.abs(np.concatenate(h0)))))
     if asymmetry > REALITY_TOL * scale:
         raise OracleError(f"metric-weighted H not Hermitian: anti-Hermitian norm {asymmetry:.3e}"
                           " (self-adjointness under the metric is broken)")
 
-    start, target = basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))
-    uncoupled = h.diagonal().real
-    degenerate = np.abs(uncoupled[start] - uncoupled) < 1e-12 * max(1.0, abs(uncoupled[start]))
-    degenerate[start] = False
-    if degenerate.any():
-        raise ResonanceError(
-            f"kept state {basis[int(np.argmax(degenerate))]} is degenerate with the start "
-            "state; move the registry off the resonance")
-
-    total = np.array([sum(n for _, n in occ.photons) for occ in basis])
-    sectors = [np.flatnonzero(total == n) for n in range(total.max() + 1)]
-    h0 = [uncoupled[s] for s in sectors]
-    up = [h[np.ix_(hi, lo)] for lo, hi in zip(sectors, sectors[1:])]
-    down = [h[np.ix_(lo, hi)] for lo, hi in zip(sectors, sectors[1:])]
     # P and sector 0's other states, as positions in sector 0; inside sector 0
     # they couple only through the self-energy of the sectors above
-    vacuum = list(sectors[0])
-    p = [vacuum.index(start), vacuum.index(target)]
+    vacuum = [OccupationState(la, lb) for la, lb in itertools.product(range(n_levels), repeat=2)]
+    p = [vacuum.index(OccupationState(1, 0)), vacuum.index(OccupationState(0, 1))]
     q = [i for i in range(len(vacuum)) if i not in p]
-    h_pp = h[np.ix_([start, target], [start, target])]
-    energy = h[start, start]
+    start = h0[0][p[0]]
+    for n, (states, uncoupled) in enumerate(zip(sectors, h0)):
+        degenerate = np.abs(start - uncoupled) < 1e-12 * max(1.0, abs(start))
+        if n == 0:
+            degenerate[p[0]] = False
+        if degenerate.any():
+            levels, i = divmod(int(np.argmax(degenerate)), len(states))
+            raise ResonanceError(
+                f"kept state {OccupationState(*divmod(levels, n_levels), states[i])} is "
+                "degenerate with the start state; move the registry off the resonance")
+
+    h_pp, energy = np.diag(h0[0][p]), complex(start)
     for _ in range(PARTITION_SWEEPS):
         above = _sector_self_energy(energy, h0, up, down)
         h_eff = h_pp + above[np.ix_(p, p)] + above[np.ix_(p, q)] @ np.linalg.solve(
@@ -580,7 +597,7 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     return OracleResult(
         epsilon_exact=complex(epsilon),
         metric_asymmetry=asymmetry,
-        dimension=len(basis),
+        dimension=sum(len(diagonal) for diagonal in h0),
     )
 
 

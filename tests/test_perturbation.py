@@ -1,5 +1,6 @@
 """Diagram integrands, bracket closed forms, and the two discrete oracles."""
 
+import itertools
 import math
 import random
 import warnings
@@ -29,7 +30,7 @@ from gaugepair.perturbation import (
     PoleError,
     ResonanceError,
     Vertex,
-    _truncated_hamiltonian,
+    _photon_sectors,
     combined_bracket_form,
     common_prefactor,
     coulomb_integrand,
@@ -395,6 +396,22 @@ def test_one_pass_vertices_equal_the_per_mode_build():
 ORACLE_REG = make_registry(((1.7, 0.0, 0.0), (-1.7, 0.0, 0.0)), n_max=2, p_max=2)
 
 
+def _dense_hamiltonian(params, registry, total_photon_cap):
+    """The oracle's H as one dense matrix, placed block by block from its
+    photon sectors, and its basis (sector by sector, level A x level B x
+    photons): the reference the sector-form tests read."""
+    sectors, h0, up, down = _photon_sectors(params, registry, total_photon_cap)
+    levels = list(itertools.product(range(registry.n_max + 1), repeat=2))
+    basis = [OccupationState(la, lb, photons)
+             for states in sectors for la, lb in levels for photons in states]
+    edges = np.cumsum([0] + [len(diagonal) for diagonal in h0])
+    h = np.zeros((len(basis), len(basis)), dtype=complex)
+    h[np.diag_indices_from(h)] = np.concatenate(h0)
+    for lo, mid, hi, u, d in zip(edges, edges[1:], edges[2:], up, down):
+        h[mid:hi, lo:mid], h[lo:mid, mid:hi] = u, d
+    return h, basis
+
+
 @pytest.mark.parametrize("cap", [1, 2, "all"])
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 @pytest.mark.parametrize("p_max", [1, 2])
@@ -404,7 +421,7 @@ def test_assembled_hamiltonian_equals_applied_images(p_max, n_max, cap):
     for reg in _small_registries(p_max, n_max):
         op = InteractionOperator(PARAMS, reg)
         total_cap = p_max * len(reg) if cap == "all" else cap
-        h, basis = _truncated_hamiltonian(PARAMS, reg, total_cap)
+        h, basis = _dense_hamiltonian(PARAMS, reg, total_cap)
         index = {occ: i for i, occ in enumerate(basis)}
         expected = np.zeros_like(h)
         outside = []
@@ -468,7 +485,7 @@ def test_oracle_refuses_a_coupling_that_is_not_metric_self_adjoint(slip, monkeyp
 def _eigenvector_read(params, registry):
     # the reference: a dense eigensolve of the same truncated H, the branch
     # picked as the eigenvector with the largest share on the start state
-    h, basis = _truncated_hamiltonian(params, registry, total_photon_cap=2)
+    h, basis = _dense_hamiltonian(params, registry, total_photon_cap=2)
     start, target = basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))
     _, vecs = scipy.linalg.eig(h)
     best = np.argmax(np.abs(vecs[start]) / np.linalg.norm(vecs, axis=0))
@@ -488,7 +505,7 @@ def test_oracle_partition_matches_a_dense_eigenvector_read(charge):
 def _dense_partition(params, registry, total_photon_cap):
     """The partition with one dense solve over all of Q per sweep, the
     sector elimination's reference: eps, or None where E does not settle."""
-    h, basis = _truncated_hamiltonian(params, registry, total_photon_cap)
+    h, basis = _dense_hamiltonian(params, registry, total_photon_cap)
     scale = max(1.0, float(np.max(np.abs(h.diagonal()))))
     p = [basis.index(OccupationState(1, 0)), basis.index(OccupationState(0, 1))]
     q = [i for i in range(len(basis)) if i not in p]
@@ -519,20 +536,36 @@ def test_sector_elimination_equals_the_dense_partition(p_max, n_max, cap):
                     exact_diagonalization_oracle(params, reg, cap)
                 continue
             eps = exact_diagonalization_oracle(params, reg, cap).epsilon_exact
-            h, _ = _truncated_hamiltonian(params, reg, cap)
+            h, _ = _dense_hamiltonian(params, reg, cap)
             bound = 4.0 * EPS * np.max(np.abs(h.diagonal())) * (1.0 + abs(reference))
             assert abs(eps - reference) <= bound / params.delta_e
 
 
-@pytest.mark.parametrize("k, cap", [(0.5, 2), (0.5, 3), (1.0, 1)])
+@pytest.mark.parametrize("k, cap", [(0.5, 2), (0.5, 3), (1.0, 1), (0.5 + 1e-14, 2)])
 def test_oracle_refuses_a_kept_state_degenerate_with_the_start(k, cap):
     # two photons of omega_a / 2, or one of omega_a, cost what the start state
-    # costs: the elimination would divide by zero, so it refuses first
+    # costs: the elimination would divide by zero, so it refuses first.  It
+    # refuses 2e-14 relative off too, where it would divide by that
+    # rounding-sized gap and still settle
     registry = make_registry(((k, 0.0, 0.0), (-k, 0.0, 0.0)), n_max=2, p_max=cap)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ResonanceError, match="degenerate with the start state"):
             exact_diagonalization_oracle(PARAMS, registry, total_photon_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_oracle_keeps_a_state_just_beyond_the_degeneracy_rule(cap):
+    # two photons of omega_a / 2 + 1e-11 miss the start by 4e-11 relative,
+    # beyond the 1e-12 rule: the elimination divides by that gap and gives the
+    # eps of 1e-7 further off, to within its slope there (3e-7 relative)
+    def eps(dk):
+        registry = make_registry(((0.5 + dk, 0.0, 0.0), (-0.5 - dk, 0.0, 0.0)),
+                                 n_max=2, p_max=cap)
+        return exact_diagonalization_oracle(PARAMS, registry, total_photon_cap=cap).epsilon_exact
+
+    near, far = eps(1e-11), eps(1e-7)
+    assert abs(near - far) <= 1e-6 * abs(far)
 
 
 def test_oracle_photon_cap_zero_gives_zero_and_a_negative_cap_is_refused():
@@ -548,6 +581,17 @@ def test_oracle_refuses_a_coupling_with_no_perturbative_branch():
     # the partition energy keeps moving and the oracle refuses
     with pytest.raises(OracleError, match="did not settle"):
         exact_diagonalization_oracle(replace(PARAMS, charge_q=100.0), ORACLE_REG)
+
+
+def test_oracle_refuses_a_partition_energy_that_is_not_real(monkeypatch):
+    # a loss of 1e-8 on every vacuum state, put into the elimination where the
+    # metric check does not look: E settles off the real axis, and only the
+    # reality check on E stands between it and a returned eps
+    eliminate = perturbation._sector_self_energy
+    monkeypatch.setattr(perturbation, "_sector_self_energy",
+                        lambda *args: eliminate(*args) - 1e-8j * np.eye(9))
+    with pytest.raises(OracleError, match="not real"):
+        exact_diagonalization_oracle(PARAMS, ORACLE_REG)
 
 
 def test_oracle_agrees_with_perturbation_theory():
@@ -592,7 +636,30 @@ def test_oracle_residual_scales_as_fourth_power():
     assert all(r > 0 for _, r in samples)
 
 
-def test_oracle_rejects_large_registries():
-    big = make_registry([(0.5 + 0.1 * i, 0.0, 0.0) for i in range(3)])  # 6 modes
-    with pytest.raises(ValueError):
+def test_oracle_refuses_blocks_over_the_budget_before_building_any(monkeypatch):
+    # 4,000 modes at cap 2 keep about 8e6 two-photon states: the refusal is
+    # counted from the sector sizes, before a state is enumerated or a vertex built
+    def fail(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(itertools, "combinations_with_replacement", fail)
+    monkeypatch.setattr(perturbation, "InteractionOperator", fail)
+    big = make_registry([(0.5 + 1e-3 * i, 0.3, 0.0) for i in range(2000)], weights=[1e-3] * 2000)
+    with pytest.raises(ValueError, match=f"budget of {perturbation._BLOCK_BUDGET}"):
         exact_diagonalization_oracle(PARAMS, big)
+    # one photon on the same modes fits
+    monkeypatch.undo()
+    assert exact_diagonalization_oracle(PARAMS, big, total_photon_cap=1).dimension == 9 * 4001
+
+
+def test_oracle_agrees_with_perturbation_theory_beyond_four_modes():
+    # 8 k-vectors in +-k pairs, 16 modes: 1 + 16 + 136 photon states at cap 2.
+    # They share ORACLE_REG's total weight, so the q^4 remainder is ~4e-6 relative
+    ks = [(1.7, 0.0, 0.0), (1.3, 0.4, 0.0), (1.9, 0.5, 0.6), (2.2, -0.3, 0.8)]
+    registry = make_registry(ks + [tuple(-c for c in k) for k in ks], weights=[0.25] * 8,
+                             n_max=2, p_max=2)
+    res = exact_diagonalization_oracle(PARAMS, registry)
+    amp = discrete_second_order(PARAMS, registry)
+    assert res.dimension == 9 * 153
+    assert res.metric_asymmetry < 1e-12
+    assert abs(res.epsilon_exact - amp) <= 1e-4 * abs(amp)
