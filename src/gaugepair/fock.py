@@ -142,13 +142,6 @@ class OccupationState:
         pairs = self.photons.items() if isinstance(self.photons, Mapping) else self.photons
         object.__setattr__(self, "photons", tuple(sorted((j, n) for j, n in pairs if n)))
 
-    @classmethod
-    def _from_canonical(cls, level_a: int, level_b: int, photons: tuple[tuple[int, int], ...]):
-        """Label from photons already in canonical form, skipping the conversion."""
-        occ = object.__new__(cls)
-        occ.__dict__.update(level_a=level_a, level_b=level_b, photons=photons)
-        return occ
-
     def step(self, mode: int, raising: bool, p_max: int):
         """One ordinary ladder step on mode: (new label, sqrt factor), or None
         where the step lowers an empty mode or raises past p_max photons in
@@ -260,8 +253,6 @@ class StateVector:
     def apply_metric(self) -> "StateVector":
         """Weight each term by scalar_metric_sign^(scalar photon count)."""
         sign = self.registry.scalar_metric_sign
-        if sign == 1:
-            return self
         return StateVector(
             self.registry,
             {

@@ -6,15 +6,16 @@ Independent code paths compute the same physics on purpose:
 
 * closed-form integrands (diagram_integrand, lorentz_bracket, ...) carry the
   algebra done by hand once;
-* the operator route writes the coupling as a list of vertices (Vertex: a
-  photon step on one mode times an oscillator matrix), built for every mode
-  in one pass over stacked oscillator matrices.  discrete_second_order
-  takes the first vertex through the state algebra (apply_vertices, the one
-  loop that applies every operator-route coupling, the gauge module's
-  included) and reads the second from the lowering vertices' elements;
+* the operator route keeps the coupling as one stack of oscillator matrices
+  per oscillator and direction (InteractionOperator.matrices; mode j's
+  matrix times a photon step on mode j is one vertex), built in one pass.
+  discrete_second_order takes the first vertex through the state algebra
+  (apply_vertices, the one loop that applies every operator-route coupling,
+  the gauge module's included; the Vertex list is formed only for it) and
+  reads the second in place from the lowering stacks;
   exact_diagonalization_oracle builds H only as photon-sector blocks, from the
-  same vertex matrices in Kronecker form with ladders and an H_0 of its own,
-  and partitions it sector by sector, so the two share only the vertices.
+  same stacks in Kronecker form with ladders and an H_0 of its own, and
+  partitions it sector by sector, so the two share only the vertex matrices.
 
 Collapsing any two into one would defeat the point: they disagree exactly when
 a sign or a factor is wrong, the dominant failure mode in this calculation.
@@ -224,9 +225,10 @@ def coulomb_integrand(params: SystemParams, k_vector) -> float:
 
 @dataclass(frozen=True)
 class Vertex:
-    """One photon step on one mode times an oscillator matrix: the form of
-    every operator-route coupling (InteractionOperator; the gauge map and the
-    residual coupling in gauge)."""
+    """One photon step on one mode times an oscillator matrix: the form in
+    which apply_vertices takes every operator-route coupling
+    (InteractionOperator.apply; the gauge map and the residual coupling in
+    gauge)."""
 
     mode_index: int
     oscillator: str  # "A" | "B"
@@ -259,12 +261,12 @@ def apply_vertices(registry: ModeRegistry, vertices: list[Vertex], state: StateV
             column = v.matrix[:, level]
             for m in range(n_levels):
                 c = column[m]
-                if abs(c) < 1e-300:
+                if abs(c) < 1e-300:  # the zero elements of gauge's two-level matrices
                     continue
                 if v.oscillator == "A":
-                    new_occ = OccupationState._from_canonical(m, occ.level_b, moved.photons)
+                    new_occ = OccupationState(m, occ.level_b, moved.photons)
                 else:
-                    new_occ = OccupationState._from_canonical(occ.level_a, m, moved.photons)
+                    new_occ = OccupationState(occ.level_a, m, moved.photons)
                 out[new_occ] = out.get(new_occ, 0.0) + amp * c * photon_factor
     return StateVector(registry, out)
 
@@ -272,12 +274,14 @@ def apply_vertices(registry: ModeRegistry, vertices: list[Vertex], state: StateV
 class InteractionOperator:
     """The covariant-gauge coupling mapped onto a finite mode registry.
 
-    vertices holds, per mode, the raising and lowering vertex of oscillator
-    A and then of B; the exact-diagonalization oracle reads only these, and
-    discrete_second_order reads the lowering ones for its second vertex.
-    apply() runs them through apply_vertices with the photon steps past
-    p_max projected out: the coupling restricted to the kept space, as the
-    second-order sum needs.
+    matrices holds the coupling as one stack per oscillator and direction:
+    matrices["A" | "B", raising][j] is mode j's oscillator matrix.  The
+    exact-diagonalization oracle reads only these stacks, and
+    discrete_second_order reads its second vertex in place from the lowering
+    ones.  apply() alone forms the per-mode Vertex list (mode, then A and B,
+    then raising and lowering) and runs it through apply_vertices with the
+    photon steps past p_max projected out: the coupling restricted to the
+    kept space, as the second-order sum needs.
 
     The quadratic field term of the minimal coupling is omitted: it is
     diagonal in both oscillators, so it cannot connect the singly-excited
@@ -287,10 +291,11 @@ class InteractionOperator:
     def __init__(self, params: SystemParams, registry: ModeRegistry):
         self.params = params
         self.registry = registry
-        self.vertices = self._build_vertices()
+        self.matrices = self._build_vertices()
 
-    def _build_vertices(self) -> list[Vertex]:
-        """Every mode's vertices in one pass over stacks of oscillator matrices.
+    def _build_vertices(self) -> dict[tuple[str, bool], np.ndarray]:
+        """Every mode's vertex matrices in one pass, as (modes, n_max + 1,
+        n_max + 1) stacks keyed (oscillator, raising).
 
         A scalar mode couples through E(k) = exp(-i k_x x_hat) with coefficient
         q c s_j; a longitudinal mode through k_hat . p_hat, i.e.
@@ -323,14 +328,13 @@ class InteractionOperator:
                 stack[longitudinal] = stack[longitudinal] @ (
                     2.0 * mom - (p.hbar * k[longitudinal])[:, None, None] * ident)
                 factor = coeff * sign_raise if raising else coeff
-                matrices[osc, raising] = factor[:, None, None] * stack[:, :size, :size]
-        return [Vertex(j, osc.value, raising, matrices[osc, raising][j])
-                for j in range(len(reg))
-                for osc in (OscillatorId.A, OscillatorId.B)
-                for raising in (True, False)]
+                matrices[osc.value, raising] = factor[:, None, None] * stack[:, :size, :size]
+        return matrices
 
     def apply(self, state: StateVector) -> StateVector:
-        return apply_vertices(self.registry, self.vertices, state, project=True)
+        vertices = [Vertex(j, osc, raising, self.matrices[osc, raising][j])
+                    for j in range(len(self.registry)) for osc in "AB" for raising in (True, False)]
+        return apply_vertices(self.registry, vertices, state, project=True)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +385,9 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     diagram integrands when the registry's weights are d^3k volumes.  The
     first vertex builds the whole state psi_1 = (E_n - H_0)^-1 H|n>.  Each of
     its terms holds one photon, in some mode j, so <m|H|psi_1> reads only
-    mode j's lowering vertex elements, summed in apply's order and pruned as
-    StateVector prunes: apply(psi_1).amplitude(m) bit for bit.
+    mode j's elements of the lowering stacks, in place, A's before B's as
+    apply sums them, and pruned as StateVector prunes:
+    apply(psi_1).amplitude(m) bit for bit.
     """
     if len(registry) == 0:
         return 0.0 + 0.0j
@@ -392,25 +397,16 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     # every vertex moves one photon: |l> = |n>, excluded by the printed formula, never occurs
     first = op.apply(StateVector.basis(registry, level_a=1, level_b=0))
     psi1 = resolvent(params, registry, first, e_n)
-    lowering: dict[int, list[Vertex]] = {}  # mode -> its lowering vertices, in build order
-    for v in op.vertices:
-        if not v.raising:
-            lowering.setdefault(v.mode_index, []).append(v)
+    lower_a, lower_b = op.matrices["A", False], op.matrices["B", False]
     total = 0.0
     for occ, amp in psi1.terms():
         ((j, _),) = occ.photons
         photon_factor = occ.step(j, False, registry.p_max)[1]
-        for v in lowering[j]:
-            # the vertex moves its own oscillator; the other must sit at the target level
-            if v.oscillator == "A" and occ.level_b == target.level_b:
-                c = v.matrix[target.level_a, occ.level_a]
-            elif v.oscillator == "B" and occ.level_a == target.level_a:
-                c = v.matrix[target.level_b, occ.level_b]
-            else:
-                continue
-            if abs(c) < 1e-300:
-                continue
-            total = total + amp * c * photon_factor
+        # each vertex moves its own oscillator; the other must sit at the target level
+        if occ.level_b == target.level_b:
+            total = total + amp * lower_a[j, target.level_a, occ.level_a] * photon_factor
+        if occ.level_a == target.level_a:
+            total = total + amp * lower_b[j, target.level_b, occ.level_b] * photon_factor
     second = complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
     return second / (e_n - uncoupled_energy(params, registry, target))
 
@@ -469,10 +465,7 @@ def _photon_sectors(params: SystemParams, registry: ModeRegistry, total_photon_c
                 energy[:, s] += registry.modes[j].omega * count
     h0 = [params.hbar * energy.ravel() for energy in h0]
 
-    vertices = InteractionOperator(params, registry).vertices
-    stacks = {(osc, raising): np.array([v.matrix for v in vertices if v.oscillator == osc
-                                        and v.raising is raising]).reshape(-1, n_levels, n_levels)
-              for osc, raising in itertools.product("AB", (True, False))}
+    stacks = InteractionOperator(params, registry).matrices
     ident, up, down = np.eye(n_levels), [], []
     for lower, upper in zip(sectors, sectors[1:]):
         # (upper state, lower state, mode, ladder factor) of every one-photon step
@@ -615,8 +608,8 @@ def oracle_scaling_exponent(
     lies within PRUNE_TOL at any sampled charge, since perturbation theory
     drops an amplitude that small.
     """
-    if all(np.abs(v.matrix).max() <= PRUNE_TOL
-           for v in InteractionOperator(params, registry).vertices):
+    if all(np.abs(stack).max(initial=0.0) <= PRUNE_TOL
+           for stack in InteractionOperator(params, registry).matrices.values()):
         raise ValidationError(f"the registry's coupling vanishes at charge_q = {params.charge_q}"
                               " (no vertex element above PRUNE_TOL): nothing to compare")
     samples: list[tuple[float, float]] = []

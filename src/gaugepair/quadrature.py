@@ -63,6 +63,7 @@ reported for the columns with a pole, never folded into the value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, NoReturn, Sequence
@@ -72,8 +73,6 @@ import numpy as np
 from .core import QUADRATURE_KEYS, SystemParams, ValidationError
 from .matelem import TWO_PI_CUBED, ConvergenceError
 from .perturbation import expansion_terms, lorentz_bracket
-
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # Smallest rel_tol accepted: two levels of a panel sum cannot be asked to
 # agree more closely than their rounding, a few tens of eps of |value|.
@@ -88,19 +87,19 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, n * (x * p - p_prev) / (x * x - 1)
 
 
+@functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]: numpy's rule polished by
     Newton steps in extended precision.  numpy's own weights are off by up to
     1.3e-12 relative at 64 nodes, and the same error repeats on every panel,
-    so on a sum of a hundred like-signed panels it adds up to 1e-10."""
-    if n not in _LEGGAUSS_CACHE:
-        x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
-        for _ in range(2):
-            p, dp = _legendre(n, x)
-            x = x - p / dp
-        dp = _legendre(n, x)[1]
-        _LEGGAUSS_CACHE[n] = (x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float))
-    return _LEGGAUSS_CACHE[n]
+    so on a sum of a hundred like-signed panels it adds up to 1e-10.  Cached:
+    no caller writes to the arrays."""
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(2):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    dp = _legendre(n, x)[1]
+    return x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
 
 
 def _panel_nodes(lo: float, hi: float, n_panels: int,

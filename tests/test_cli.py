@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gaugepair import cli, gauge
+from gaugepair import cli, gauge, perturbation
 from gaugepair.cli import (
     CSV_HEADER,
     EXIT_CONVERGENCE,
@@ -175,6 +175,28 @@ def test_oracle_human_table(capsys):
     assert lines[1].split() == ["registry", "+-k", "pair", "at", "|k|", "=", "1.7"]
     assert [line.split()[2] for line in lines[2:5]] == ["q", "q", "q"]
     assert lines[-1].split() == ["verdict", "pass"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_oracle_fit_stays_finite_on_an_exact_tie(monkeypatch, capsys):
+    # perturbation theory equal to ED at q/4 leaves a residual of exactly 0;
+    # the fit's floor keeps its logarithm, the exponent and the JSON finite
+    honest = perturbation.discrete_second_order
+
+    def tied(params, registry):
+        if params.charge_q == 0.25:
+            return perturbation.exact_diagonalization_oracle(params, registry).epsilon_exact
+        return honest(params, registry)
+
+    monkeypatch.setattr(perturbation, "discrete_second_order", tied)
+    assert main(["oracle", "--json"]) == EXIT_INVARIANT
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert [q for q, _ in report["samples"]] == [1.0, 0.5, 0.25]
+    assert report["samples"][2][1] == 0.0
+    assert math.isfinite(report["exponent"]) and report["verdict"] == "fail"
 
 
 def test_oracle_at_zero_charge_refuses(tmp_path, capsys):

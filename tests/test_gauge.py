@@ -100,6 +100,12 @@ def test_operator_route_weight_independent():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+def test_operator_route_refuses_a_wavevector_with_no_static_integrand():
+    # k_x = 0: (k.d)^2 = 0, so the brackets' normalization vanishes
+    with pytest.raises(ValidationError, match="static-route integrand vanishes"):
+        operator_route_brackets(PARAMS, (0.0, 1.3, 0.0))
+
+
 def test_first_order_state_is_nonempty_and_finite():
     reg = make_registry(((0.9, 0.0, 0.0), (-0.9, 0.0, 0.0)), n_max=2, p_max=2)
     state = residual_first_order_state(PARAMS, reg)

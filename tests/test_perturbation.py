@@ -375,9 +375,8 @@ def _per_mode_vertices(p, reg):
     return vertices
 
 
-def _vertex_bytes(vertices):
-    return [(v.mode_index, v.oscillator, v.raising, v.matrix.shape, v.matrix.tobytes())
-            for v in vertices]
+def _stack_bytes(matrices):
+    return {key: (stack.shape, stack.tobytes()) for key, stack in matrices.items()}
 
 
 def test_one_pass_vertices_equal_the_per_mode_build():
@@ -386,9 +385,14 @@ def test_one_pass_vertices_equal_the_per_mode_build():
     ks = _box_kvectors(48)
     registries.append(make_registry(ks, weights=[5.0**3 / len(ks)] * len(ks)))
     for reg in registries:
-        built = InteractionOperator(PARAMS, reg).vertices
-        # bit for bit, signed zeros included, in the per-mode order
-        assert _vertex_bytes(built) == _vertex_bytes(_per_mode_vertices(PARAMS, reg))
+        built = InteractionOperator(PARAMS, reg).matrices
+        # the per-mode vertices stacked in mode order, one stack per oscillator and direction
+        per_mode = _per_mode_vertices(PARAMS, reg)
+        expected = {(osc, raising): np.array([v.matrix for v in per_mode
+                                              if (v.oscillator, v.raising) == (osc, raising)])
+                    for osc in "AB" for raising in (True, False)}
+        # bit for bit, signed zeros included
+        assert _stack_bytes(built) == _stack_bytes(expected)
 
 
 # -- exact diagonalization ---------------------------------------------------------
@@ -451,14 +455,19 @@ def test_oracle_weighted_spectrum_is_real():
 
 
 def _edit_vertices(monkeypatch, edit):
+    """Build each mode's matrix in each stack as edit(registry, mode, raising, matrix)."""
     build = InteractionOperator._build_vertices
-    monkeypatch.setattr(InteractionOperator, "_build_vertices",
-                        lambda self: [edit(self.registry, v) for v in build(self)])
+
+    def edited(self):
+        return {(osc, raising): np.array([edit(self.registry, j, raising, matrix)
+                                          for j, matrix in enumerate(stack)])
+                for (osc, raising), stack in build(self).items()}
+
+    monkeypatch.setattr(InteractionOperator, "_build_vertices", edited)
 
 
-def _longitudinal_lowering(registry, vertex):
-    return (not vertex.raising
-            and registry.modes[vertex.mode_index].kind is PolarizationKind.LONGITUDINAL)
+def _longitudinal_lowering(registry, mode, raising):
+    return not raising and registry.modes[mode].kind is PolarizationKind.LONGITUDINAL
 
 
 # vertex slips that keep the weak-coupling spectrum of eta H real to 3e-15,
@@ -467,11 +476,11 @@ VERTEX_SLIPS = {
     "raising-without-metric-sign":
         lambda mp: mp.setattr(ModeRegistry, "raising_sign", lambda self, index: 1),
     "longitudinal-lowering-negated":
-        lambda mp: _edit_vertices(mp, lambda reg, v: replace(v, matrix=-v.matrix)
-                                  if _longitudinal_lowering(reg, v) else v),
+        lambda mp: _edit_vertices(mp, lambda reg, j, raising, matrix: -matrix
+                                  if _longitudinal_lowering(reg, j, raising) else matrix),
     "raising-too-strong-by-1e-3":
-        lambda mp: _edit_vertices(mp, lambda reg, v: replace(v, matrix=1.001 * v.matrix)
-                                  if v.raising else v),
+        lambda mp: _edit_vertices(mp, lambda reg, j, raising, matrix: 1.001 * matrix
+                                  if raising else matrix),
 }
 
 
