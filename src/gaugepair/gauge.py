@@ -70,16 +70,17 @@ from .quadrature import Column, IntegralResult, QuadratureConfig, epsilon_column
 
 @dataclass(frozen=True)
 class PerKReport:
-    """Single-wavevector comparison of the covariant bracket against the
-    three mapped terms.  residual must vanish to rounding for every valid
-    frequency -- the equivalence holds mode by mode, not just integrated."""
+    """Per-wavevector comparison of the covariant bracket against the three
+    mapped terms, at one frequency (floats) or at an array of them (arrays).
+    residual must vanish to rounding for every valid frequency -- the
+    equivalence holds mode by mode, not just integrated."""
 
-    omega_gamma: float
-    bracket_lorentz: float
-    bracket_identity: float
-    bracket_linear: float
-    bracket_quadratic: float
-    residual: float
+    omega_gamma: float | np.ndarray
+    bracket_lorentz: float | np.ndarray
+    bracket_identity: float | np.ndarray
+    bracket_linear: float | np.ndarray
+    bracket_quadratic: float | np.ndarray
+    residual: float | np.ndarray
 
 
 def transform_brackets(params: SystemParams, omega_gamma):
@@ -105,12 +106,13 @@ def transform_brackets(params: SystemParams, omega_gamma):
     return identity, linear, quadratic
 
 
-def per_k_equivalence(params: SystemParams, omega_gamma: float) -> PerKReport:
-    """Evaluate both routes at one frequency and report the residual."""
+def per_k_equivalence(params: SystemParams, omega_gamma) -> PerKReport:
+    """Evaluate both routes at one frequency, or elementwise at an array of
+    them, and report the residual."""
     ident, lin, quad = transform_brackets(params, omega_gamma)
     covariant = lorentz_bracket(params, omega_gamma)
     return PerKReport(
-        omega_gamma=float(omega_gamma),
+        omega_gamma=omega_gamma,
         bracket_lorentz=covariant,
         bracket_identity=ident,
         bracket_linear=lin,

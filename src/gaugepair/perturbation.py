@@ -323,8 +323,10 @@ class InteractionOperator:
             mass = p.implied_mass(osc.frequency(p))
             coeff = np.where(longitudinal, -(p.charge_q / (2.0 * mass)) * (kx / k_norm) * scale,
                              p.charge_q * p.c * scale)
-            for raising, k in ((True, kx), (False, -kx)):
-                stack = exponential_matrix(p, osc, k, pad)
+            # both directions in one call: each matrix depends on its own k_x alone
+            both = exponential_matrix(p, osc, np.concatenate([kx, -kx]), pad)
+            raised, lowered = np.split(both, 2)
+            for raising, k, stack in ((True, kx, raised), (False, -kx, lowered)):
                 stack[longitudinal] = stack[longitudinal] @ (
                     2.0 * mom - (p.hbar * k[longitudinal])[:, None, None] * ident)
                 factor = coeff * sign_raise if raising else coeff

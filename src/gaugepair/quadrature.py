@@ -24,9 +24,13 @@ bracket B.  Two reductions of it exist here, sharing no node:
   their difference plus that rounding size as its error estimate.  The
   on-shell residue is closed form: p^3 G(p) = 4 pi int_0^p k_x^2
   exp(-(d k_x)^2) cos(L k_x) dk_x on the same nodes, with p = omega_a/c.
-  Config keys: radial_nodes (nodes per panel), kmax_over_invd (K) and
-  rel_tol (the stopping rule, and the number of halvings in the graded
-  panels, log2(1/rel_tol)).
+  Config keys: radial_nodes (nodes per panel, 32 by default), kmax_over_invd
+  (K) and rel_tol (the stopping rule, and the number of halvings in the
+  graded panels, log2(1/rel_tol)).  32 nodes suffice because a panel spans
+  one period of cos(L k_x): at the default point levels 0 and 1 agree to
+  4e-12 relative or better, inside the amplitude sums' own rounding size of
+  4e-11, and the stopping rule verifies every result, so a panel too coarse
+  for its integrand costs a level, not digits.
 
 * The spherical engine (spherical_columns, the oracle; only tests call it).
   The angular kernel G(k) = 2 pi int u^2 exp(-(k d u)^2) cos(k L u) du is
@@ -55,7 +59,9 @@ bracket B.  Two reductions of it exist here, sharing no node:
   column uses this pole-split layout, pole-free brackets too: for them the
   window is a change of variables.  The residue is a central difference of
   the whole integrand at pole +- 1e-6 pole.  Fields read: radial_nodes,
-  angular_nodes (no config-file key), kmax_over_invd, rel_tol.
+  angular_nodes (no config-file key), kmax_over_invd, rel_tol.  Its radial
+  integrand grows with k, so the tests run it at 64 radial and 64 angular
+  nodes rather than the k_x route's default of 32.
 
 The on-shell residue (the imaginary part a +i eta regulator would produce) is
 reported for the columns with a pole, never folded into the value.
@@ -115,7 +121,10 @@ def _panel_nodes(lo: float, hi: float, n_panels: int,
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    radial_nodes: int = 64  # Gauss-Legendre nodes per k_x or radial panel
+    # Gauss-Legendre nodes per k_x or radial panel.  A k_x panel is one period
+    # of cos(L k_x) wide, where 32 nodes settle every report column at level 1;
+    # the stopping rule checks that, so too few nodes cost levels, not digits.
+    radial_nodes: int = 32
     angular_nodes: int = 64  # nodes per angular panel (spherical engine)
     kmax_over_invd: float = 8.0  # cutoff K in units of 1/dipole_d
     rel_tol: float = 1e-9

@@ -83,6 +83,15 @@ def test_per_k_report_fields():
     )
 
 
+def test_per_k_report_on_an_array_equals_its_scalar_reports():
+    # check's per-mode suite evaluates all its frequencies in one call
+    w = np.array([0.4, 0.999, 2.2, 8.0])
+    report = per_k_equivalence(PARAMS, w)
+    for i, omega in enumerate(w.tolist()):
+        single = per_k_equivalence(PARAMS, omega)
+        assert [field[i] for field in vars(report).values()] == list(vars(single).values())
+
+
 # -- operator route -----------------------------------------------------------------
 
 @pytest.mark.parametrize("k_mag", [0.7, 1.9, 3.3])

@@ -43,6 +43,8 @@ from dipole_limit import c1_limit, c2_limit
 PARAMS = SystemParams()
 CONFIG = QuadratureConfig()
 COARSE = QuadratureConfig(radial_nodes=32, angular_nodes=32)
+# the spherical engine's radial integrand grows with k: it keeps 64 nodes per panel
+ORACLE = QuadratureConfig(radial_nodes=64, angular_nodes=64)
 
 
 # -- angular reduction -----------------------------------------------------------
@@ -50,7 +52,7 @@ COARSE = QuadratureConfig(radial_nodes=32, angular_nodes=32)
 def _g(k):
     """G(k) from the kernel the radial pass runs, at the default geometry and nodes."""
     return float(_g_batch(np.array([k]), PARAMS.separation_l, PARAMS.dipole_d,
-                          CONFIG.angular_nodes)[0])
+                          ORACLE.angular_nodes)[0])
 
 
 def test_g_at_zero_is_full_solid_angle_moment():
@@ -80,7 +82,7 @@ def closed_pv(p, b):
 
 def test_pv_radial_reproduces_analytic_pole_integral():
     p, b = 1.0, 4.0
-    res = pv_radial(lambda k: 1.0 / (1.0 - k**2), p, CONFIG, (0.0, b))
+    res = pv_radial(lambda k: 1.0 / (1.0 - k**2), p, ORACLE, (0.0, b))
     assert res.value == pytest.approx(closed_pv(p, b), rel=1e-10)
     # the residue estimator is O(h^2) finite differencing; it is reported
     # diagnostics, never part of the principal value itself
@@ -91,12 +93,12 @@ def test_pv_radial_reproduces_analytic_pole_integral():
 def test_pv_window_clamps_near_domain_edge():
     # pole at 0.1 sits close to the lower limit; the window must shrink to fit
     p, b = 0.1, 4.0
-    res = pv_radial(lambda k: 1.0 / (p * p - k**2), p, CONFIG, (0.0, b))
+    res = pv_radial(lambda k: 1.0 / (p * p - k**2), p, ORACLE, (0.0, b))
     assert res.value == pytest.approx(closed_pv(p, b), rel=1e-9)
 
 
 def test_pv_radial_without_pole_is_plain_quadrature():
-    res = pv_radial(lambda k: k * k, None, CONFIG, (0.0, 1.0))
+    res = pv_radial(lambda k: k * k, None, ORACLE, (0.0, 1.0))
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert res.residue_imag == 0.0
     assert res.error_estimate <= 1e-12
@@ -104,14 +106,14 @@ def test_pv_radial_without_pole_is_plain_quadrature():
 
 def test_unreachable_tolerance_raises():
     # a kink inside a panel converges only algebraically under panel doubling
-    cfg = QuadratureConfig(rel_tol=1e-12)
+    cfg = QuadratureConfig(radial_nodes=64, angular_nodes=64, rel_tol=1e-12)
     with pytest.raises(ConvergenceError):
         pv_radial(lambda k: np.abs(k - 1.0 / 3.0), None, cfg, (0.0, 1.0))
 
 
 def test_empty_domain_rejected():
     with pytest.raises(ValidationError):
-        pv_radial(lambda k: k, None, CONFIG, (1.0, 1.0))
+        pv_radial(lambda k: k, None, ORACLE, (1.0, 1.0))
 
 
 # -- one pass, many columns --------------------------------------------------------
@@ -158,6 +160,29 @@ def test_coulomb_wrapper_returns_the_report_column():
     assert epsilon_coulomb(PARAMS, CONFIG).value == report["eps_coulomb"]["value"]
     assert (report["coefficients"]["c0"]["nodes_used"]
             == report["eps_coulomb"]["nodes_used"])
+
+
+@pytest.mark.parametrize("params", [
+    PARAMS,  # the CLI's default point
+    *(SystemParams(separation_l=sep_l, dipole_d=0.01 * sep_l, omega_b=1.0 + delta)
+      for sep_l in (1.8, 2.196) for delta in (0.002, 0.05)),  # the report grid's corners
+], ids=lambda p: f"L={p.separation_l},omega_b={p.omega_b}")
+def test_default_settles_at_level_one_on_half_the_nodes(params):
+    # the k_x panels are one period of cos(L k_x) wide, so 32 nodes per panel
+    # settle every report column at level 1: levels 0 and 1 hold 3 times the
+    # base panels' nodes, half of what 64 nodes per panel use
+    assert CONFIG.radial_nodes == 32
+    k_hi, per_unit = CONFIG.kmax_over_invd / params.dipole_d, params.separation_l / (2.0 * math.pi)
+    base = quadrature._kx_panels(params.omega_a / params.c, k_hi, per_unit,
+                                 math.ceil(-math.log2(CONFIG.rel_tol))).shape[0]
+    for config, nodes in ((CONFIG, 32), (QuadratureConfig(radial_nodes=64), 64)):
+        report = cli._epsilon_report(params, config)
+        coeffs = series_coefficients(params, config)
+        used = [report[key]["nodes_used"] for key in ("eps_coulomb", "eps_lorentz",
+                                                      "eps_transformed")]
+        used += [report["coefficients"][c]["nodes_used"] for c in ("c0", "c1", "c2")]
+        used += [coeffs.c0.nodes_used, coeffs.c1.nodes_used, coeffs.c2.nodes_used]
+        assert used == [3 * base * nodes] * 9, nodes
 
 
 def test_report_verbs_never_call_the_spherical_kernel(monkeypatch, capsys):
@@ -430,7 +455,7 @@ def test_kx_route_matches_spherical_oracle(x, delta):
     params = SystemParams(separation_l=x, dipole_d=0.01 * x, omega_b=1.0 + delta)
     columns = [column for column, _ in _columns_and_brackets(params)]
     kx = epsilon_columns(params, CONFIG, columns)
-    oracle = spherical_columns(params, CONFIG, columns)
+    oracle = spherical_columns(params, ORACLE, columns)
     margins = {name: _gap_and_bound(a, b) for name, a, b in zip(_COLUMN_NAMES, kx, oracle)}
     assert all(gap <= bound for gap, bound in margins.values()), _margins_text(margins)
     # residue: -pi * prefactor * lim (p - k) k^2 G(k) B(ck), with the oracle's
@@ -438,7 +463,7 @@ def test_kx_route_matches_spherical_oracle(x, delta):
     # the bracket alone; the oracle's own residue, a central difference of the
     # whole integrand, must agree with the k_x route's closed form
     p, h = params.omega_a / params.c, 1e-7
-    g_pole = float(_g_batch(np.array([p]), x, params.dipole_d, CONFIG.angular_nodes)[0])
+    g_pole = float(_g_batch(np.array([p]), x, params.dipole_d, ORACLE.angular_nodes)[0])
     prefactor = -(params.charge_q * params.dipole_d) ** 2 / (
         params.eps0 * params.delta_e * (2.0 * math.pi) ** 3)
     for (column, bracket), result, spherical in zip(_columns_and_brackets(params), kx, oracle):
@@ -453,7 +478,7 @@ def test_kx_route_with_the_pole_beyond_the_cutoff_matches_spherical_oracle():
     # pass runs: its panels are graded toward k_x = 0 alone
     params = SystemParams(separation_l=1000.0, dipole_d=10.0)
     (a,) = epsilon_columns(params, CONFIG, [COULOMB])
-    (b,) = spherical_columns(params, CONFIG, [COULOMB])
+    (b,) = spherical_columns(params, ORACLE, [COULOMB])
     assert a.residue_imag == 0.0
     gap, bound = _gap_and_bound(a, b)
     assert gap <= bound, _margins_text({"coulomb": (gap, bound)})
