@@ -1,6 +1,6 @@
-"""The exchange integrals, reduced to one dimension in k_x, with the
-spherical engine kept as their oracle; principal value across the
-resonance, and series-coefficient extraction.
+"""The exchange integrals, reduced to one dimension in k_x and taken on
+steepest-descent contour sides, with the spherical engine kept as their
+oracle; principal value across the resonance, and series coefficients.
 
 Every amplitude is a ball integral over |k| < K of
 (k_x/k)^2 exp(-(d k_x)^2) cos(L k_x) B(c k), with a different rational
@@ -12,25 +12,18 @@ bracket B.  Two reductions of it exist here, sharing no node:
           = 4 pi int_0^K k_x^2 exp(-(d k_x)^2) cos(L k_x) H(c k_x) dk_x,
       H(w) = PV int_w^{cK} B(v)/v dv,
   and H comes from hand-derived partial fractions of B(v)/v (Column.fractions),
-  evaluated in forms that do not cancel where w >> omega_a.  What is left is
-  one Gaussian-weighted integral in k_x, taken on one composite
-  Gauss-Legendre node set for every column.  Panels are about one period of
-  cos(L k_x) wide and graded geometrically toward k_x = 0 (where the
-  integrand goes as k_x^2 log k_x) and toward omega_a/c from both sides
-  (where log|omega_a - c k_x| sits).  The graded panels near the pole are
-  built in the distance from it, so no node lands on it.  Each level halves
-  every panel; a column settles once two levels agree to rel_tol of its
-  value or to the rounding size of its sum, eps * sum |w_i f_i|, and reports
-  their difference plus that rounding size as its error estimate.  The
-  on-shell residue is closed form: p^3 G(p) = 4 pi int_0^p k_x^2
-  exp(-(d k_x)^2) cos(L k_x) dk_x on the same nodes, with p = omega_a/c.
-  Config keys: radial_nodes (nodes per panel, 32 by default), kmax_over_invd
-  (K) and rel_tol (the stopping rule, and the number of halvings in the
-  graded panels, log2(1/rel_tol)).  32 nodes suffice because a panel spans
-  one period of cos(L k_x): at the default point levels 0 and 1 agree to
-  4e-12 relative or better, inside the amplitude sums' own rounding size of
-  4e-11, and the stopping rule verifies every result, so a panel too coarse
-  for its integrand costs a level, not digits.
+  evaluated in forms that do not cancel where w >> omega_a.  On the real
+  axis the integrand runs through K L / 2 pi periods; instead it is taken by
+  numerical steepest descent (Huybrechs and Vandewalle, SIAM J. Numer. Anal.
+  44 (2006) 1026).  H continues into the upper half plane, and Cauchy's
+  theorem moves the integral onto the sides k = iy and k = K + iy of a
+  rectangle, where exp(i L k) decays as exp(-L y): a side needs the same
+  nodes whatever L and L/d are (_contour_columns).  Each level halves every
+  panel; a column settles once two levels agree to rel_tol of its value or
+  to the rounding size of its sum, and reports their difference plus that
+  size as its error estimate.  Config keys: radial_nodes (nodes per panel,
+  32 by default), kmax_over_invd (K) and rel_tol.  The real-axis route is
+  the test-side oracle of this one (tests/kx_oracle.py).
 
 * The spherical engine (spherical_columns, the oracle; only tests call it).
   The angular kernel G(k) = 2 pi int u^2 exp(-(k d u)^2) cos(k L u) du is
@@ -61,7 +54,8 @@ bracket B.  Two reductions of it exist here, sharing no node:
   the whole integrand at pole +- 1e-6 pole.  Fields read: radial_nodes,
   angular_nodes (no config-file key), kmax_over_invd, rel_tol.  Its radial
   integrand grows with k, so the tests run it at 64 radial and 64 angular
-  nodes rather than the k_x route's default of 32.
+  nodes rather than the k_x route's default of 32.  Its error estimate adds
+  the rounding of G, which cancels far below its terms once k L is large.
 
 The on-shell residue (the imaginary part a +i eta regulator would produce) is
 reported for the columns with a pole, never folded into the value.
@@ -121,9 +115,9 @@ def _panel_nodes(lo: float, hi: float, n_panels: int,
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    # Gauss-Legendre nodes per k_x or radial panel.  A k_x panel is one period
-    # of cos(L k_x) wide, where 32 nodes settle every report column at level 1;
-    # the stopping rule checks that, so too few nodes cost levels, not digits.
+    # Gauss-Legendre nodes per contour or radial panel.  On a contour side the
+    # integrand decays as exp(-L y), and 32 nodes settle every report column at
+    # level 1; the stopping rule checks that, so too few cost levels, not digits.
     radial_nodes: int = 32
     angular_nodes: int = 64  # nodes per angular panel (spherical engine)
     kmax_over_invd: float = 8.0  # cutoff K in units of 1/dipole_d
@@ -194,43 +188,37 @@ class Column(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# The k_x route
+# The k_x integral on steepest-descent contour sides
 # ---------------------------------------------------------------------------
 
+# exp of any exponent below this is 0.0 in double precision
+_UNDERFLOW = -746.0
+_EPS = float(np.finfo(float).eps)
+
+
 def _log1p_excess(u: np.ndarray) -> np.ndarray:
-    """log(1 + u) - u/(1 + u) in place of u, summed as its series where
-    u < 1/8, where the two terms would cancel to u^2/2."""
-    small = u < 0.125
-    us, ub = u[small], u[~small]
-    u[~small] = np.log1p(ub) - ub / (1.0 + ub)
-    acc = np.zeros_like(us)
-    for n in range(20, 1, -1):  # sum over n >= 2 of (-1)^n (n-1)/n u^n
-        acc *= us
-        acc += (-1) ** n * (n - 1) / n
-    u[small] = acc * us * us
-    return u
-
-
-def _antiderivative(kind: str, shift: float, w: np.ndarray, off: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """F of one basis function into out, with int_w^W = F(w) - F(W).  off is
-    w - shift, exact near the pole."""
-    if kind == "inv2":
-        return np.divide(1.0, w, out=out)
-    if kind == "pole":  # of 1/(s - v) + 1/v: -log|1 - s/v| = -F
-        far = w > 2.0 * shift
-        out[far] = np.log1p(-shift / w[far])
-        out[~far] = np.log(np.abs(off[~far]) / w[~far])
-        return out
-    if kind == "excess":
-        return _log1p_excess(np.divide(shift, w, out=out))
-    return np.divide(1.0, np.add(shift, w, out=out), out=out)  # "frac", of 1/(s + v)^2
+    """log(1 + u) - u/(1 + u) for complex u.  Where |u| < 1/8 the two terms
+    would cancel to u^2/2; there log(1 + u) = 2 atanh v, v = u/(2 + u), gives
+    the series 2v^2/(1 + v) + 2 v^3 sum_{m >= 0} v^(2m)/(2m + 3), with
+    |v| < 1/15, whose terms do not cancel and fall by 225 each."""
+    out = np.empty_like(u)
+    small = np.abs(u) < 0.125
+    ub, us = u[~small], u[small]
+    out[~small] = np.log(1.0 + ub) - ub / (1.0 + ub)
+    v = us / (2.0 + us)
+    v2 = v * v
+    acc = np.full_like(v, 1.0 / 19.0)
+    for m in range(7, -1, -1):
+        acc *= v2
+        acc += 1.0 / (2 * m + 3)
+    out[small] = 2.0 * v2 * (1.0 / (1.0 + v) + v * acc)
+    return out
 
 
 def _h_coefficients(fractions: tuple) -> dict[tuple[str, float], float]:
     """The fractions as coefficients of H's basis, each summed before use so
     that parts which cancel exactly (the order-2 term's 1/(s + v)) never
-    enter as two large values:
+    enter as two large values.  On the real axis, with W = cK:
       "log"    log(W/w), from 1/v;
       "inv2"   1/w - 1/W;
       "pole"   F(w) - F(W), F = log|1 - s/w|, from 1/(s - v) + 1/v;
@@ -238,6 +226,8 @@ def _h_coefficients(fractions: tuple) -> dict[tuple[str, float], float]:
                is split as -[e(s/w) - e(s/W)] - s[1/(s + w) - 1/(s + W)],
                e = _log1p_excess;
       "frac"   1/(s + w) - 1/(s + W), from 1/(s + v)^2.
+    Each continues into the upper half plane (_basis); there F is
+    log(1 - s/w), which reaches the axis as log|1 - s/w| + i pi on 0 < w < s.
     """
     coeffs: dict[tuple[str, float], float] = {}
 
@@ -263,94 +253,88 @@ def _h_coefficients(fractions: tuple) -> dict[tuple[str, float], float]:
     return {key: coeff for key, coeff in coeffs.items() if coeff != 0.0}
 
 
+def _antiderivative(kind: str, shift: float, w: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """F of one basis function at complex w, off = w - shift."""
+    if kind == "inv2":
+        return 1.0 / w
+    if kind == "frac":
+        return 1.0 / (shift + w)
+    if kind == "excess":
+        return _log1p_excess(shift / w)
+    # "pole": log(1 - s/w), as e(u) + u/(1 + u) with u = -s/w where |u| < 1/8
+    u = -shift / w
+    far = np.abs(u) < 0.125
+    out = np.empty_like(w)
+    out[far] = _log1p_excess(u[far]) - shift / off[far]
+    out[~far] = np.log(off[~far] / w[~far])
+    return out
+
+
 def _basis(key: tuple[str, float], w: np.ndarray, off: np.ndarray, w_hi: float,
-           off_hi: float, out: np.ndarray) -> np.ndarray:
-    """One basis function of H (see _h_coefficients) at every w, into out."""
+           off_hi: float) -> np.ndarray:
+    """One basis function of H (see _h_coefficients) at complex w in the
+    closed upper half plane; off is w - shift, w_hi = W."""
     if key[0] == "log":
-        return np.log(np.divide(w_hi, w, out=out), out=out)
-    at_hi = _antiderivative(*key, np.array([w_hi]), np.array([off_hi]), np.empty(1))[0]
-    return np.subtract(_antiderivative(*key, w, off, out), at_hi, out=out)
+        return np.log(w_hi / w)
+    return _antiderivative(*key, w, off) - _at_hi(*key, w_hi, off_hi)
 
 
-def _h_values(fractions: tuple, basis: dict, h: np.ndarray) -> np.ndarray:
-    """H(w) = PV int_w^W B(v)/v dv into h, from the basis functions' values."""
-    h.fill(0.0)
-    term = np.empty_like(h)
-    for key, coeff in _h_coefficients(fractions).items():
-        h += np.multiply(coeff, basis[key], out=term)
-    return h
+@functools.lru_cache(maxsize=64)
+def _at_hi(kind: str, shift: float, w_hi: float, off_hi: float) -> complex:
+    return complex(_antiderivative(kind, shift, np.array([complex(w_hi)]),
+                                   np.array([complex(off_hi)]))[0])
 
 
-def _graded(anchor: float, sign: float, width: float, halvings: int) -> np.ndarray:
-    """Panels (anchor, sign, t_lo, t_hi) covering distances [0, width] from
-    anchor, halving toward it: [width/2, width], [width/4, width/2], ..."""
-    hi = width * 0.5 ** np.arange(halvings + 1)
-    lo = np.append(hi[1:], 0.0)
-    return np.column_stack([np.full(hi.size, anchor), np.full(hi.size, sign), lo, hi])
-
-
-def _uniform(lo: float, hi: float, n: int) -> np.ndarray:
-    edges = np.linspace(lo, hi, n + 1)
-    return np.column_stack([np.zeros(n), np.ones(n), edges[:-1], edges[1:]])
-
-
-def _kx_panels(pole: float | None, k_hi: float, per_unit: float, halvings: int) -> np.ndarray:
-    """Base panels on [0, k_hi] as rows (anchor, sign, t_lo, t_hi): the nodes
-    are anchor + sign * t.  Panels are about 1/per_unit wide; the ones next
-    to k_x = 0 and to the pole are graded toward it."""
-
-    def count(length: float) -> int:
-        return max(1, int(length * per_unit) + 1)
-
-    if pole is None:
-        n = count(k_hi)
-        return np.concatenate([_graded(0.0, 1.0, k_hi / n, halvings),
-                               _uniform(k_hi / n, k_hi, n - 1)])
-    n = count(pole)
-    if n == 1:
-        left = [_graded(0.0, 1.0, 0.5 * pole, halvings), _graded(pole, -1.0, 0.5 * pole, halvings)]
-    else:
-        width = pole / n
-        left = [_graded(0.0, 1.0, width, halvings), _uniform(width, pole - width, n - 2),
-                _graded(pole, -1.0, width, halvings)]
-    n = count(k_hi - pole)
-    width = (k_hi - pole) / n
-    right = [_graded(pole, 1.0, width, halvings), _uniform(pole + width, k_hi, n - 1)]
-    return np.concatenate(left + right)
-
-
-def _kx_nodes(panels: np.ndarray, level: int, nodes: int, pole: float | None,
-              work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(k_x, low, k_x - pole, weights) with every base panel split into
-    2^level, written into work[:4].
-
-    Nodes are measured from their sub-panel's left edge, so each rule covers
-    exactly the interval between two shared edges; measured from a rounded
-    midpoint, neighbours would overlap or leave gaps of an ulp.  k_x is the
-    rounded node and k_x + low the node itself: the dropped low bits
-    repeat in every panel of a binade, and panels one period of cos(L k_x)
-    wide would add their phase error coherently.
+def _contour_panels(length: float, d: float, k_pole: float,
+                    k_hi: float) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """(side panels in y, top panels in x, the top's height or None), as
+    rows (lo, hi).  The sides run up to the saddle height L/(2 d^2), where
+    the top side does not oscillate, unless exp(-d^2 k^2 + i L k) underflows
+    to 0.0 below it: then the rest of the rectangle is exactly zero.  Side
+    panels halve toward y = 0 until they are narrower than H's nearest
+    singularity off the sides (k = -omega_a/c, and omega_a/c seen from
+    K + iy), and double above 1/L; top panels are 1/d wide, split at the pole.
     """
-    anchor, sign, lo, hi = panels.T
-    frac = np.arange(2**level + 1) / 2**level
-    t_edges = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-    x_edges = anchor[:, None] + sign[:, None] * t_edges
-    left = np.minimum(x_edges[:, :-1], x_edges[:, 1:]).reshape(-1, 1)
-    half = 0.5 * np.abs(x_edges[:, 1:] - x_edges[:, :-1]).reshape(-1, 1)
-    xg, wg = _leggauss(nodes)
-    kx, low, off, weights = work[:4]
-    step = half * (1.0 + np.repeat(sign, 2**level)[:, None] * xg)  # reversed where k_x falls with t
-    back = np.add(left, step, out=kx) - left  # two-sum: left + step = kx + low exactly
-    np.add(left - (kx - back), step - back, out=low)
-    if pole is None:
-        off = kx
-    else:  # distances from the pole, exact on the panels graded toward it
-        np.subtract(kx, pole, out=off)
-        rows = anchor == pole
-        t_half = 0.5 * (t_edges[rows, 1:] - t_edges[rows, :-1]).reshape(-1, 1)
-        t = t_edges[rows, :-1].reshape(-1, 1) + t_half * (1.0 + xg[None, :])
-        off.reshape(panels.shape[0], -1)[rows] = sign[rows, None] * t.reshape(rows.sum(), -1)
-    return kx.ravel(), low.ravel(), off.ravel(), np.multiply(half, wg, out=weights).ravel()
+    saddle = length / (2.0 * d * d)
+    disc = length * length + 4.0 * d * d * _UNDERFLOW
+    if disc > 0.0:  # the exponent along the left side reaches _UNDERFLOW first
+        y_end, height = -2.0 * _UNDERFLOW / (length + math.sqrt(disc)), None
+    else:
+        y_end, height = saddle, saddle
+    y0 = min(1.0 / length, y_end)
+    inside = k_pole < k_hi
+    nearest = min(k_pole, k_hi - k_pole) if inside else k_pole
+    halvings = max(0, math.ceil(math.log2(2.0 * y0 / nearest)))
+    doublings = max(0, math.ceil(math.log2(y_end / y0)))
+    edges = np.concatenate([[0.0], y0 * 2.0 ** np.arange(-halvings, doublings), [y_end]])
+    cuts = [0.0, k_pole, k_hi] if inside else [0.0, k_hi]
+    top = np.concatenate([np.linspace(lo, hi, max(1, math.ceil((hi - lo) * d)) + 1)[:-1]
+                          for lo, hi in zip(cuts[:-1], cuts[1:])] + [[k_hi]])
+    tops = np.column_stack([top[:-1], top[1:]]) if height else np.empty((0, 2))
+    return np.column_stack([edges[:-1], edges[1:]]), tops, height
+
+
+def _split(panels: np.ndarray, level: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, Gauss-Legendre weights) with every (lo, hi) panel split into
+    2^level; points run panel by panel, measured from each part's left edge
+    so that neighbours share their edges exactly."""
+    lo, hi = panels.T
+    edges = lo[:, None] + (hi - lo)[:, None] * (np.arange(2**level + 1) / 2**level)
+    left, half = edges[:, :-1].reshape(-1, 1), 0.5 * np.diff(edges, axis=1).reshape(-1, 1)
+    x, w = _leggauss(nodes)
+    return (left + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+
+def _g_terms(k: np.ndarray, weights: np.ndarray, d: float,
+             length: float) -> tuple[np.ndarray, np.ndarray]:
+    """(weights * 4 pi k^2 exp(-d^2 k^2 + i L k), their rounding sizes) at
+    complex k.  The exponent z is formed as one: exp(-d^2 k^2) alone overflows
+    high up a side.  A rounded z moves exp(z) by eps |z| relative, and by at
+    most twice its size, so a term's size is |term| (1 + min(|z|, 1/eps))."""
+    a, b = k.real, k.imag
+    z = (b * (d * d * b - length) - (d * a) ** 2) + 1j * (a * (length - 2.0 * d * d * b))
+    terms = weights * (4.0 * math.pi) * k * k * np.exp(z)
+    return terms, np.abs(terms) * (1.0 + np.minimum(np.abs(z), 1.0 / _EPS))
 
 
 def _panel_sum(terms: np.ndarray, nodes: int) -> float:
@@ -358,9 +342,18 @@ def _panel_sum(terms: np.ndarray, nodes: int) -> float:
     return math.fsum(terms.reshape(-1, nodes).sum(axis=1).tolist())
 
 
-def _kx_columns(params: SystemParams, config: QuadratureConfig,
-                columns: Sequence[Column]) -> list[IntegralResult]:
-    """int_0^K k^2 G(k) B(ck) dk for every column, by the k_x reduction."""
+def _contour_columns(params: SystemParams, config: QuadratureConfig,
+                     columns: Sequence[Column]) -> list[IntegralResult]:
+    """int_0^K k^2 G(k) B(ck) dk for every column, on the contour sides.
+
+    With g(k) = 4 pi k^2 exp(-d^2 k^2 + i L k), H_a the continued H and
+    J = int_0^p g, p = omega_a/c:
+      I = Re[i int_0^Y g(iy) H_a(icy) dy - i int_0^Y g(K+iy) H_a(c(K+iy)) dy
+             + int_0^K g(x+iY) H_a(c(x+iY)) dx] + pi c_p Im J,
+    c_p the "pole" coefficient: H_a = H + i pi c_p on 0 < k < p.  J comes
+    from the same left side, a side at k = p + iy and the top over [0, p];
+    the residue p^3 G(p) is Re J.
+    """
     d, length, c = params.dipole_d, params.separation_l, params.c
     k_hi = config.kmax_over_invd / d
     k_pole = params.omega_a / c
@@ -368,62 +361,46 @@ def _kx_columns(params: SystemParams, config: QuadratureConfig,
     if pole is None and any(col.pole for col in columns):
         raise ValidationError(f"pole {k_pole} must sit strictly inside (0, {k_hi})")
     nodes = config.radial_nodes
-    halvings = math.ceil(-math.log2(config.rel_tol))
-    if k_hi * length / (2.0 * math.pi) * nodes > _NODE_BUDGET:  # the base panels alone exceed it
-        _stalled(math.inf, config)
-    panels = _kx_panels(pole, k_hi, length / (2.0 * math.pi), halvings)
-    w_hi, off_hi = c * k_hi, c * (k_hi - (pole or 0.0))
+    sides, tops, height = _contour_panels(length, d, k_pole, k_hi)
+    w_hi, off_hi = c * k_hi, c * (k_hi - k_pole)
+    coeffs = [_h_coefficients(col.fractions) for col in columns]
 
     results: list[IntegralResult | None] = [None] * len(columns)
-    prev = [0.0] * len(columns)
-    n_rows = 8 + len({key for col in columns for key in _h_coefficients(col.fractions)})
-    unsettled, used = math.inf, 0
+    prev, used = [0.0] * len(columns), 0
     for level in range(_MAX_LEVELS):
-        if panels.shape[0] * 2**level * nodes > _NODE_BUDGET:
-            break
-        # one buffer for every array of the level, so no level faults in fresh pages
-        work = np.empty((n_rows, panels.shape[0] * 2**level, nodes))
-        kx, low, off, weights = _kx_nodes(panels, level, nodes, pole, work)
-        phase, cos, slope, base, *spare = work[4:].reshape(n_rows - 4, -1)
-        used += kx.size
-        # 4 pi k_x^2 exp(-(d k_x)^2) cos(L k_x) at k_x + low, to first order, as
-        # weights 4 pi k_x k_x exp(-(d k_x)^2) (cos + low ((2/k_x - 2 d^2 k_x) cos - L sin))
-        np.cos(np.multiply(length, kx, out=phase), out=cos)
-        np.multiply(length, np.sin(phase, out=phase), out=phase)
-        np.subtract(np.divide(2.0, kx, out=slope), np.multiply(2.0 * d * d, kx, out=base), out=slope)
-        np.subtract(np.multiply(slope, cos, out=slope), phase, out=slope)
-        np.exp(np.negative(np.square(np.multiply(d, kx, out=phase), out=phase), out=phase), out=phase)
-        np.multiply(weights, 4.0 * math.pi, out=base)
-        for factor in (kx, kx, phase, np.add(cos, np.multiply(low, slope, out=slope), out=slope)):
-            base *= factor
-        w, w_off = np.multiply(c, kx, out=phase), np.multiply(c, off, out=cos)  # rows now free
-        live = {key for col, r in zip(columns, results) if r is None
-                for key in _h_coefficients(col.fractions)}
-        basis = {key: _basis(key, w, w_off, w_hi, off_hi, row) for key, row in zip(live, spare)}
-        p3g = None
-        if level > 0:
-            unsettled = 0.0
-        for j, col in enumerate(columns):
-            if results[j] is not None:
-                continue
-            terms = np.multiply(base, _h_values(col.fractions, basis, slope), out=slope)
-            value = _panel_sum(terms, nodes)
-            rounding = float(np.finfo(float).eps * np.abs(terms, out=terms).sum())
-            delta = abs(value - prev[j])
-            prev[j] = value
+        unsettled = 0.0
+        (y, wy), (x, wx) = _split(sides, level, nodes), _split(tops, level, nodes)
+        k = np.concatenate([1j * y, k_hi + 1j * y, x + 1j * (height or 0.0)])
+        terms, sizes = _g_terms(k, np.concatenate([1j * wy, -1j * wy, wx]), d, length)
+        live = [j for j, r in enumerate(results) if r is None]
+        sums = {}
+        for key in {key for j in live for key in coeffs[j]}:
+            basis = _basis(key, c * k, c * (k - k_pole), w_hi, off_hi)
+            sums[key] = (_panel_sum((terms * basis).real, nodes), float(sizes @ np.abs(basis)))
+        j_im = j_re = j_size = 0.0
+        if pole is not None:  # J: the left side, a side at k = p + iy, the top over [0, p]
+            side, side_sizes = _g_terms(pole + 1j * y, -1j * wy, d, length)
+            on_j = np.concatenate([np.arange(2 * y.size) < y.size, x < pole])
+            j_terms = np.concatenate([terms[on_j], side])
+            j_im, j_re = _panel_sum(j_terms.imag, nodes), _panel_sum(j_terms.real, nodes)
+            j_size = float(sizes[on_j].sum() + side_sizes.sum())
+            used += y.size
+        used += k.size
+        for j in live:
+            c_p = sum(cf for (kind, _), cf in coeffs[j].items() if kind == "pole")
+            value = math.fsum([cf * sums[key][0] for key, cf in coeffs[j].items()]
+                              + [math.pi * c_p * j_im])
+            rounding = _EPS * (sum(abs(cf) * sums[key][1] for key, cf in coeffs[j].items())
+                              + math.pi * abs(c_p) * j_size)
+            delta, prev[j] = abs(value - prev[j]), value
             if level == 0:
                 continue
             if delta > config.rel_tol * abs(value) + rounding:
                 unsettled = max(unsettled, delta)
                 continue
-            residue = 0.0
-            if col.pole:
-                if p3g is None:  # p^3 G(p): the base integrated over [0, p]
-                    p3g = _panel_sum(np.where(off < 0.0, base, 0.0), nodes)
-                coeff = sum(cf for kind, _, cf in col.fractions if kind == "pole")
-                residue = -math.pi * coeff * p3g
-            results[j] = IntegralResult(value=value, error_estimate=delta + rounding,
-                                        residue_imag=residue, nodes_used=used)
+            results[j] = IntegralResult(
+                value=value, error_estimate=delta + rounding,
+                residue_imag=-math.pi * c_p * j_re if columns[j].pole else 0.0, nodes_used=used)
         if all(r is not None for r in results):
             return results
     _stalled(unsettled, config)
@@ -450,6 +427,13 @@ def _g_batch(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int) -
     The full angular content of the exchange integrands: u is the cosine of
     the angle between k and the oscillator axis.  G(0) = 4 pi / 3.
     """
+    return _angular_sums(ks, separation_l, dipole_d, nodes, phase=True)
+
+
+def _angular_sums(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int,
+                  phase: bool) -> np.ndarray:
+    """2 pi sum_u u^2 exp(-(k d u)^2) w_u, times cos(k L u) with phase: G(k),
+    and without it the sum of its terms' sizes, which bounds G's rounding."""
     if ks.size == 0:
         return np.zeros(0)
     n_panels = _angular_panels(float(np.max(np.abs(ks))), separation_l, dipole_d, nodes)
@@ -461,7 +445,9 @@ def _g_batch(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int) -
     block = max(1, 2_000_000 // u.size)
     for start in range(0, ks.shape[0], block):
         ku = np.outer(ks[start:start + block], u)
-        vals = u_sq[None, :] * np.exp(-((dipole_d * ku) ** 2)) * np.cos(separation_l * ku)
+        vals = u_sq[None, :] * np.exp(-((dipole_d * ku) ** 2))
+        if phase:
+            vals *= np.cos(separation_l * ku)
         out[start:start + block] = vals @ weights
     return 2.0 * math.pi * out
 
@@ -480,9 +466,11 @@ class _Segment:
 
 
 def _segment_sums(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
-                  seg: _Segment, panels: int, nodes: int) -> list[float]:
+                  seg: _Segment, panels: int, nodes: int,
+                  sizes: Callable[[np.ndarray], np.ndarray] | None) -> list[tuple[float, float]]:
     """One level of one segment: the base once, then each column's panel
-    sums, reduced in a fixed order.
+    sums, reduced in a fixed order, each with the rounding size eps * sum
+    |w_i times(sizes)_i| (0 without sizes).
 
     A window's p + t and p - t points go to the base as one array, so both
     halves see one angular panel count and their 1/t parts cancel.
@@ -490,30 +478,34 @@ def _segment_sums(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Co
     pts, w, half = _panel_nodes(seg.lo, seg.hi, panels, nodes)
     ks = pts if seg.centre is None else np.concatenate([seg.centre + pts, seg.centre - pts])
     base_vals = np.asarray(base(ks), dtype=float)
+    size_vals = np.zeros_like(base_vals) if sizes is None else sizes(ks)
     sums = []
     for col in columns:
-        vals = col.times(base_vals, ks)
+        vals, size = col.times(base_vals, ks), np.abs(col.times(size_vals, ks))
         if seg.centre is not None:
-            vals = vals[:pts.size] + vals[pts.size:]
+            vals, size = vals[:pts.size] + vals[pts.size:], size[:pts.size] + size[pts.size:]
         panel_sums = (vals.reshape(panels, nodes) * w[None, :]).sum(axis=1) * half
         # compensated, order-fixed reduction: deterministic for a given config
-        sums.append(math.fsum(panel_sums.tolist()))
+        sums.append((math.fsum(panel_sums.tolist()),
+                     _EPS * float(size.reshape(panels, nodes) @ w @ half)))
     return sums
 
 
 def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
-            segments: Sequence[_Segment],
-            config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            segments: Sequence[_Segment], config: QuadratureConfig,
+            sizes: Callable[[np.ndarray], np.ndarray] | None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, error estimates, nodes used), each indexed [segment, column].
 
     Segments are refined in lockstep, so at every comparison each column's
     whole integral is known.  A column stops refining a segment once two
     successive levels agree to rel_tol of the segment's own |value| or of the
-    column's sum of |value| over the segments.
+    column's sum of |value| over the segments.  The error estimate is that
+    difference plus the last level's rounding size (see _segment_sums).
     """
     nodes = config.radial_nodes
     shape = (len(segments), len(columns))
-    value, delta = np.zeros(shape), np.full(shape, math.inf)
+    value, delta, rounding = np.zeros(shape), np.full(shape, math.inf), np.zeros(shape)
     used, done = np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
     panels = [seg.panels for seg in segments]
     for level in range(_MAX_LEVELS):
@@ -521,8 +513,9 @@ def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
         for s, seg in enumerate(segments):
             live = ~done[s]
             if live.any():
-                value[s, live] = _segment_sums(
-                    base, [c for c, on in zip(columns, live) if on], seg, panels[s], nodes)
+                value[s, live], rounding[s, live] = np.array(_segment_sums(
+                    base, [c for c, on in zip(columns, live) if on], seg, panels[s], nodes,
+                    sizes)).T
                 used[s, live] += panels[s] * nodes
         if level > 0:
             live = ~done
@@ -532,7 +525,7 @@ def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
                        | (delta <= config.rel_tol * np.abs(value).sum(axis=0)))
             done |= live & settled
         if done.all():
-            return value, delta, used
+            return value, delta + rounding, used
         for s in range(len(segments)):
             if not done[s].all():
                 panels[s] *= 2
@@ -548,9 +541,11 @@ def radial_columns(
     config: QuadratureConfig,
     domain: tuple[float, float],
     min_panels_per_unit: float = 0.0,
+    sizes: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[IntegralResult]:
     """Integrals over `domain` of base(k) * weight(k), one per column, on one
-    shared node set.  base is evaluated once per segment and level.
+    shared node set.  base is evaluated once per segment and level; sizes(k),
+    if given, bounds base's rounding, and adds eps * int |sizes * weight|.
 
     pole_omega None: plain adaptive quadrature on one segment.  Otherwise the
     domain splits at pole_omega.  Window rule: half-width
@@ -589,7 +584,7 @@ def radial_columns(
         samples = [(k, base(k)) for k in (np.array([p + h]), np.array([p - h]))
                    if any(col.pole for col in columns)]
 
-    values, errors, used = _refine(base, columns, segments, config)
+    values, errors, used = _refine(base, columns, segments, config, sizes)
     results = []
     for j, col in enumerate(columns):
         residue_imag, extra = 0.0, 0
@@ -694,7 +689,7 @@ def epsilon_columns(params: SystemParams, config: QuadratureConfig,
     comparisons share quadrature behavior exactly.
     """
     prefactor = _prefactor(params)
-    return [_rescale(raw, prefactor) for raw in _kx_columns(params, config, brackets)]
+    return [_rescale(raw, prefactor) for raw in _contour_columns(params, config, brackets)]
 
 
 def spherical_columns(params: SystemParams, config: QuadratureConfig,
@@ -711,6 +706,9 @@ def spherical_columns(params: SystemParams, config: QuadratureConfig,
     def radial(ks: np.ndarray) -> np.ndarray:
         return ks * ks * _g_batch(ks, params.separation_l, d, config.angular_nodes)
 
+    def sizes(ks: np.ndarray) -> np.ndarray:  # once k L is large, G cancels far below these
+        return ks * ks * _angular_sums(ks, params.separation_l, d, config.angular_nodes, False)
+
     def in_k(bracket: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
         return lambda ks: bracket(params.c * ks)
 
@@ -718,7 +716,7 @@ def spherical_columns(params: SystemParams, config: QuadratureConfig,
     k_pole = params.omega_a / params.c
     split = k_pole if 0.0 < k_pole < k_hi or any(b.pole for b in brackets) else None
     raws = radial_columns(radial, columns, split, config, (0.0, k_hi),
-                          min_panels_per_unit=per_unit)
+                          min_panels_per_unit=per_unit, sizes=sizes)
     prefactor = _prefactor(params)
     return [_rescale(raw, prefactor) for raw in raws]
 

@@ -20,8 +20,10 @@ from gaugepair.cli import (
     EXIT_VALIDATION,
     main,
 )
+from gaugepair.core import SystemParams
 from gaugepair.fock import PolarizationKind
 from gaugepair.perturbation import PoleError
+from gaugepair.quadrature import coulomb_closed_form
 
 COARSE = "radial_nodes = 32\nrel_tol = 1e-7\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -319,8 +321,8 @@ def test_sweep_with_one_invalid_row_exits_nonzero(coarse_cfg, tmp_path, capsys):
 
 
 def test_stalled_quadrature_exits_convergence(tmp_path, capsys):
-    # two nodes per k_x panel shrink the error 16x a level, against a sum that
-    # cancels about 2e5-fold: ten levels leave it short of the tolerance
+    # two nodes per contour panel shrink the level difference 16x a level:
+    # after ten levels it is still 5.7e-13 of the Coulomb column, short of 1e-14
     cfg = tmp_path / "unreachable.cfg"
     cfg.write_text("radial_nodes = 2\nrel_tol = 1e-14\n")
     assert main(["--config", str(cfg), "epsilon"]) == EXIT_CONVERGENCE
@@ -450,8 +452,6 @@ EDGE_INPUTS = [
       for config in ("charge_q = 0", "omega_b = 1e300", "separation_l = 1e-300",
                      "dipole_d = 1e-300", "separation_l = 1e300")
       for verb in ("epsilon", "expand")],
-    # the normalizations hold, but the k_x panels alone overrun the node budget
-    ("separation_l = 1e20", ["epsilon"], EXIT_CONVERGENCE),
     # a directory where a file is read or written; {dir} is the test's tmp_path
     ("", ["--config", "{dir}", "epsilon"], EXIT_VALIDATION),
     ("", ["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02", "--points", "2",
@@ -471,6 +471,24 @@ def test_out_of_range_input_exits_with_one_error_line(config, argv, code, tmp_pa
     # validate's soft-limit warnings may precede the one error line
     errors = [line for line in out.err.splitlines() if not line.startswith("warning: ")]
     assert len(errors) == 1 and errors[0].startswith(("error: ", "convergence failure: "))
+
+
+def test_separation_far_beyond_the_dipole_reports_its_lost_digits(tmp_path, capsys):
+    # L = 1e20 passes every normalization.  The contour's nodes do not grow
+    # with L, so the report runs, and each estimate covers the column's
+    # distance from the point-dipole closed form (every amplitude is within
+    # 1e-6 of it there): the Coulomb column keeps six digits, while the
+    # covariant ones, which cancel 1e38-fold, report an estimate above their
+    # value.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("separation_l = 1e20\n")
+    assert main(["--config", str(cfg), "epsilon", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    closed = coulomb_closed_form(SystemParams(separation_l=1e20))
+    for name in ("eps_coulomb", "eps_lorentz", "eps_transformed"):
+        assert abs(report[name]["value"] - closed) <= report[name]["error_estimate"], name
+    assert report["eps_coulomb"]["error_estimate"] <= 1e-5 * closed
+    assert report["eps_lorentz"]["error_estimate"] >= abs(report["eps_lorentz"]["value"])
 
 
 def test_unknown_subcommand_exits_validation(capsys):

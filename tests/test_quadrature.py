@@ -1,5 +1,7 @@
-"""The k_x route, its partial fractions, the spherical oracle (angular
-reduction and the principal-value radial engine), and the amplitudes."""
+"""The k_x integral on contour sides, H's partial fractions and their
+continuation, the real-axis oracle (tests/kx_oracle.py), the spherical
+oracle (angular reduction and the principal-value radial engine), and the
+amplitudes."""
 
 import decimal
 import math
@@ -18,10 +20,8 @@ from gaugepair.perturbation import expansion_terms, lorentz_bracket
 from gaugepair.quadrature import (
     COULOMB,
     ROUNDING_FLOOR,
-    _basis,
     _g_batch,
     _h_coefficients,
-    _h_values,
     Column,
     IntegralResult,
     QuadratureConfig,
@@ -38,6 +38,7 @@ from gaugepair.quadrature import (
     spherical_columns,
 )
 
+import kx_oracle
 from dipole_limit import c1_limit, c2_limit
 
 PARAMS = SystemParams()
@@ -167,22 +168,22 @@ def test_coulomb_wrapper_returns_the_report_column():
     *(SystemParams(separation_l=sep_l, dipole_d=0.01 * sep_l, omega_b=1.0 + delta)
       for sep_l in (1.8, 2.196) for delta in (0.002, 0.05)),  # the report grid's corners
 ], ids=lambda p: f"L={p.separation_l},omega_b={p.omega_b}")
-def test_default_settles_at_level_one_on_half_the_nodes(params):
-    # the k_x panels are one period of cos(L k_x) wide, so 32 nodes per panel
-    # settle every report column at level 1: levels 0 and 1 hold 3 times the
-    # base panels' nodes, half of what 64 nodes per panel use
-    assert CONFIG.radial_nodes == 32
-    k_hi, per_unit = CONFIG.kmax_over_invd / params.dipole_d, params.separation_l / (2.0 * math.pi)
-    base = quadrature._kx_panels(params.omega_a / params.c, k_hi, per_unit,
-                                 math.ceil(-math.log2(CONFIG.rel_tol))).shape[0]
-    for config, nodes in ((CONFIG, 32), (QuadratureConfig(radial_nodes=64), 64)):
-        report = cli._epsilon_report(params, config)
-        coeffs = series_coefficients(params, config)
-        used = [report[key]["nodes_used"] for key in ("eps_coulomb", "eps_lorentz",
-                                                      "eps_transformed")]
-        used += [report["coefficients"][c]["nodes_used"] for c in ("c0", "c1", "c2")]
-        used += [coeffs.c0.nodes_used, coeffs.c1.nodes_used, coeffs.c2.nodes_used]
-        assert used == [3 * base * nodes] * 9, nodes
+def test_default_settles_at_level_one(params):
+    # every report column settles at level 1: levels 0 and 1 hold 3 times the
+    # base panels' nodes on each of the sides k = iy and k = K + iy and on the
+    # side k = omega_a/c + iy that J takes; at the report grid's d/L = 0.01
+    # the rectangle underflows below the saddle, so it has no top side
+    sides, tops, height = quadrature._contour_panels(
+        params.separation_l, params.dipole_d, params.omega_a / params.c,
+        CONFIG.kmax_over_invd / params.dipole_d)
+    assert height is None and tops.size == 0
+    report = cli._epsilon_report(params, CONFIG)
+    coeffs = series_coefficients(params, CONFIG)
+    used = [report[key]["nodes_used"] for key in ("eps_coulomb", "eps_lorentz",
+                                                  "eps_transformed")]
+    used += [report["coefficients"][c]["nodes_used"] for c in ("c0", "c1", "c2")]
+    used += [coeffs.c0.nodes_used, coeffs.c1.nodes_used, coeffs.c2.nodes_used]
+    assert used == [3 * 3 * sides.shape[0] * CONFIG.radial_nodes] * 9
 
 
 def test_report_verbs_never_call_the_spherical_kernel(monkeypatch, capsys):
@@ -237,7 +238,7 @@ def test_oracle_estimates_cover_its_angular_node_count():
         assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
-# -- the k_x route: partial fractions and the closed-form H ------------------------
+# -- H: partial fractions and the oracle's closed form ----------------------------
 
 _TERMS = {
     "inv2": lambda s, w: 1.0 / w**2,
@@ -249,10 +250,10 @@ _TERMS = {
 
 
 def _h(fractions, w, off, w_hi, off_hi):
-    """H at every w, from the route's own basis functions and sum."""
-    basis = {key: _basis(key, w, off, w_hi, off_hi, np.empty_like(w))
+    """H at every w, from the real-axis oracle's basis functions and sum."""
+    basis = {key: kx_oracle._basis(key, w, off, w_hi, off_hi, np.empty_like(w))
              for key in _h_coefficients(fractions)}
-    return _h_values(fractions, basis, np.empty_like(w))
+    return kx_oracle._h_values(fractions, basis, np.empty_like(w))
 
 
 def _columns_and_brackets(params):
@@ -311,7 +312,7 @@ def test_closed_form_h_is_continuous_across_the_pole(t):
 
 
 @pytest.mark.parametrize("x", [0.05, 1.832, 400.0])
-def test_kx_route_settles_at_the_rounding_floor(x):
+def test_contour_route_settles_at_the_rounding_floor(x):
     # the stopping rule accepts a level difference at the rounding size of the
     # sum, so the tightest accepted tolerance cannot stall on noise
     params = SystemParams(separation_l=x, dipole_d=0.01 * x)
@@ -323,12 +324,19 @@ def test_kx_route_settles_at_the_rounding_floor(x):
 @pytest.mark.parametrize("sep_l, delta", [(1.8, 0.002), (2.0, 0.01), (2.196, 0.05)])
 def test_panel_order_moves_no_value_and_no_residue(monkeypatch, sep_l, delta):
     # each panel is summed in its own node order and the panel sums exactly
-    # (math.fsum), so no value or residue depends on the order of the panels
-    params = SystemParams(separation_l=sep_l, dipole_d=0.01 * sep_l, omega_b=1.0 + delta)
+    # (math.fsum), so no value or residue depends on the order of the panels;
+    # d/L = 0.1 gives the rectangle a top side, split at the pole for J
+    params = SystemParams(separation_l=sep_l, dipole_d=0.1 * sep_l, omega_b=1.0 + delta)
     columns = _report_columns(params)
     in_order = epsilon_columns(params, CONFIG, columns)
-    panels, rng = quadrature._kx_panels, np.random.default_rng(7)
-    monkeypatch.setattr(quadrature, "_kx_panels", lambda *args: rng.permutation(panels(*args)))
+    panels, rng = quadrature._contour_panels, np.random.default_rng(7)
+
+    def shuffled_panels(*args):
+        sides, tops, height = panels(*args)
+        assert height is not None
+        return rng.permutation(sides), rng.permutation(tops), height
+
+    monkeypatch.setattr(quadrature, "_contour_panels", shuffled_panels)
     shuffled = epsilon_columns(params, CONFIG, columns)
     for name, a, b in zip(_COLUMN_NAMES, in_order, shuffled):
         assert (a.value, a.residue_imag) == (b.value, b.residue_imag), name
@@ -345,8 +353,12 @@ def test_second_order_column_keeps_no_frac_term_off_unit_frequency(delta):
 
 def test_report_columns_are_invariant_when_frequencies_and_lengths_scale():
     # hbar = c = 1: every frequency times 3 and every length over 3 leave each
-    # amplitude unchanged; 3 is no power of two, so each input rounds anew
-    params = SystemParams()
+    # amplitude unchanged; 3 is no power of two, so each length rounds anew.
+    # The splitting omega_b - omega_a = 2^-7 stays exact: an omega_b that
+    # rounded anew would move delta_e by up to eps omega_b/delta_e, 1e-14
+    # relative, and every amplitude with it, an input's rounding that no
+    # quadrature estimate covers.
+    params = SystemParams(omega_b=1.0 + 2.0**-7)
     scaled = SystemParams(omega_a=3.0 * params.omega_a, omega_b=3.0 * params.omega_b,
                           separation_l=params.separation_l / 3.0, dipole_d=params.dipole_d / 3.0)
     results = zip(_COLUMN_NAMES, epsilon_columns(params, CONFIG, _report_columns(params)),
@@ -361,7 +373,7 @@ def test_pole_beyond_the_cutoff_is_rejected():
         epsilon_lorentz(SystemParams(dipole_d=10.0), CONFIG)
 
 
-# -- every basis function of H, node by node, at 40 digits ------------------------
+# -- every basis function of the oracle's real H, node by node, at 40 digits ------
 
 def _exact_basis(key, w, off, w_hi, off_hi):
     """(value, rounding size) of one basis function at one node: the closed
@@ -373,7 +385,7 @@ def _exact_basis(key, w, off, w_hi, off_hi):
     s = Decimal(shift)
 
     def at(x, x_off):  # (F(x), its pieces), as _antiderivative forms F
-        series = shift / x < 0.125  # the route's own branch, decided in floats
+        series = shift / x < 0.125  # the oracle's own branch, decided in floats
         x, x_off = Decimal(x), Decimal(x_off)
         if kind == "inv2":
             return 1 / x, 1 / x
@@ -399,22 +411,22 @@ def _exact_basis(key, w, off, w_hi, off_hi):
 
 @pytest.mark.parametrize("omega_a", [1.0, 3.0])
 def test_every_basis_function_matches_40_digits_at_every_node(omega_a):
-    # one level of the route's own nodes at the default geometry, with 16
+    # one level of the oracle's own nodes at the default geometry, with 16
     # nodes per panel to keep the 40-digit logs cheap; every panel is there
     params = SystemParams(omega_a=omega_a, omega_b=1.01 * omega_a)
     config = QuadratureConfig(radial_nodes=16)
     c, k_hi, pole = params.c, config.kmax_over_invd / params.dipole_d, params.omega_a / params.c
-    panels = quadrature._kx_panels(pole, k_hi, params.separation_l / (2.0 * math.pi),
-                                   math.ceil(-math.log2(config.rel_tol)))
+    panels = kx_oracle._kx_panels(pole, k_hi, params.separation_l / (2.0 * math.pi),
+                                  math.ceil(-math.log2(config.rel_tol)))
     work = np.empty((4, panels.shape[0], config.radial_nodes))
-    kx, _, off, _ = quadrature._kx_nodes(panels, 0, config.radial_nodes, pole, work)
+    kx, _, off, _ = kx_oracle._kx_nodes(panels, 0, config.radial_nodes, pole, work)
     w, off, w_hi, off_hi = c * kx, c * off, c * k_hi, c * (k_hi - pole)
     keys = {key for column, _ in _columns_and_brackets(params)
             for key in _h_coefficients(column.fractions)}
     assert {kind for kind, _ in keys} == {"log", "inv2", "pole", "excess", "frac"}
     worst = {}
     for key in sorted(keys):
-        got = _basis(key, w, off, w_hi, off_hi, np.empty_like(w))
+        got = kx_oracle._basis(key, w, off, w_hi, off_hi, np.empty_like(w))
         exact = np.array([_exact_basis(key, *node, w_hi, off_hi) for node in zip(w, off)])
         ratio = np.abs(got - exact[:, 0]) / (np.finfo(float).eps * exact[:, 1])
         for side, on_side in _branches(key, w).items():
@@ -432,6 +444,150 @@ def _branches(key, w):
     if kind == "excess":
         return {"s/w < 1/8": shift / w < 0.125, "s/w >= 1/8": shift / w >= 0.125}
     return {"all": np.ones(w.size, dtype=bool)}
+
+
+# -- H continued into the upper half plane: the branch choices -------------------
+
+@pytest.mark.parametrize("omega_a", [1.0, 3.0])
+def test_continued_basis_reaches_the_axis_as_the_oracles_real_basis(omega_a):
+    # every basis function the contour sides evaluate, taken at w + 0j on one
+    # level of the oracle's nodes (both formulas of every key), is the
+    # oracle's real one; "pole" adds i pi on 0 < w < s, the axis seen from
+    # above, and so H adds i pi c_p there
+    params = SystemParams(omega_a=omega_a, omega_b=1.01 * omega_a)
+    config = QuadratureConfig(radial_nodes=16)
+    c, k_hi, pole = params.c, config.kmax_over_invd / params.dipole_d, params.omega_a / params.c
+    panels = kx_oracle._kx_panels(pole, k_hi, params.separation_l / (2.0 * math.pi),
+                                  math.ceil(-math.log2(config.rel_tol)))
+    work = np.empty((4, panels.shape[0], config.radial_nodes))
+    kx, _, off, _ = kx_oracle._kx_nodes(panels, 0, config.radial_nodes, pole, work)
+    w, off, w_hi, off_hi = c * kx, c * off, c * k_hi, c * (k_hi - pole)
+    eps = np.finfo(float).eps
+    continued = {}
+    for column, _ in _columns_and_brackets(params):
+        coeffs = _h_coefficients(column.fractions)
+        for key in coeffs:
+            real = kx_oracle._basis(key, w, off, w_hi, off_hi, np.empty_like(w))
+            continued[key] = quadrature._basis(key, w + 0j, off + 0j, w_hi, off_hi)
+            jump = np.where((key[0] == "pole") & (w < key[1]), math.pi, 0.0)
+            assert (np.abs(continued[key].real - real) <= 8 * eps * (1.0 + np.abs(real))).all(), key
+            assert (continued[key].imag == jump).all(), key
+        h_a = sum(cf * continued[key] for key, cf in coeffs.items())
+        pieces = sum(abs(cf * continued[key]) for key, cf in coeffs.items())
+        c_p = sum(cf for kind, _, cf in column.fractions if kind == "pole")
+        h = _h(column.fractions, w, off, w_hi, off_hi)
+        assert (np.abs(h_a.real - h) <= 8 * eps * (1.0 + pieces)).all(), column
+        assert (np.abs(h_a.imag - np.where(w < omega_a, math.pi * c_p, 0.0))
+                <= 8 * eps * abs(math.pi * c_p)).all(), column
+
+
+def _exact_excess(u):
+    """(re, im) of log(1 + u) - u/(1 + u) at 40 digits, from the float u:
+    with m = |1 + u|^2, it is ln(m)/2 - (a + a^2 + b^2)/m + i (arg(1 + u) - b/m)."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        a, b = Decimal(u.real), Decimal(u.imag)
+        m = (1 + a) ** 2 + b * b
+        x, arg, n = b / (1 + a), Decimal(0), 0  # arg = atan(x) by its series, |x| < 1/7
+        power = x
+        while abs(power) > Decimal(10) ** -45:
+            arg += (-1) ** n * power / (2 * n + 1)
+            power *= x * x
+            n += 1
+        return float(m.ln() / 2 - (a + a * a + b * b) / m), float(arg - b / m)
+
+
+def test_complex_excess_series_matches_40_digits():
+    # the series branch, |u| < 1/8, at every angle, on both axes and down to
+    # |u| = 1e-12, where the closed form would lose every digit
+    rng = np.random.default_rng(3)
+    radius = 0.125 * np.concatenate([np.sqrt(rng.random(400)), 10.0 ** -rng.uniform(0, 11, 100)])
+    angle = np.concatenate([2 * math.pi * rng.random(500), [0.0, math.pi / 2, math.pi, -math.pi / 2]])
+    u = np.append(radius, [0.1, 0.1, 0.1, 0.1]) * np.exp(1j * angle)
+    u[-4:] = [0.1, 0.1j, -0.1, -0.1j]
+    assert (np.abs(u) < 0.125).all()
+    got = quadrature._log1p_excess(u)
+    eps = np.finfo(float).eps
+    for ui, gi in zip(u, got):
+        re, im = _exact_excess(ui)
+        size = math.hypot(re, im)
+        assert abs(gi.real - re) <= 8 * eps * size and abs(gi.imag - im) <= 8 * eps * size, ui
+
+
+# -- the contour route against the real-axis oracle --------------------------------
+
+@pytest.mark.parametrize("x", [0.05, 0.2, 2.0, 20.0, 100.0, 400.0])
+def test_contour_route_matches_the_real_axis_oracle(x):
+    # omega_a = c = 1, so omega_a L/c = L.  The two routes share H's partial
+    # fractions but no node and no basis function, so every column must lie
+    # within the sum of their error estimates.  At x = 400, d/L = 0.04 the
+    # pole lies beyond the cutoff K = 8/d, which both routes refuse: 34
+    # geometries, 170 columns in all.
+    margins = {}
+    for dl in (0.001, 0.01, 0.04):
+        for delta in (0.01, 0.05):
+            params = SystemParams(separation_l=x, dipole_d=dl * x, omega_b=1.0 + delta)
+            if params.dipole_d * params.omega_a / params.c >= CONFIG.kmax_over_invd:
+                continue
+            columns = _report_columns(params)
+            contour = epsilon_columns(params, CONFIG, columns)
+            oracle = kx_oracle.oracle_columns(params, CONFIG, columns)
+            for name, a, b in zip(_COLUMN_NAMES, contour, oracle):
+                margins[f"d/L={dl},delta={delta} {name}"] = (
+                    abs(a.value - b.value), a.error_estimate + b.error_estimate)
+    assert len(margins) == (20 if x == 400.0 else 30)
+    assert all(gap <= bound for gap, bound in margins.values()), _margins_text(margins)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05])
+def test_oracle_low_bits_let_its_two_levels_agree(delta):
+    # omega_a L/c = 400, d/L = 0.001: the oracle runs through K L/2 pi = 1273
+    # periods, and every column settles at level 1 only because each node's
+    # dropped low bits enter the phase (kx_oracle._kx_nodes, low * slope);
+    # without them the Coulomb column's levels disagree past rel_tol to level 4
+    params = SystemParams(separation_l=400.0, dipole_d=0.4, omega_b=1.0 + delta)
+    base = kx_oracle._kx_panels(params.omega_a / params.c, CONFIG.kmax_over_invd / params.dipole_d,
+                                params.separation_l / (2.0 * math.pi),
+                                math.ceil(-math.log2(CONFIG.rel_tol))).shape[0]
+    oracle = kx_oracle.oracle_columns(params, CONFIG, _report_columns(params))
+    assert [r.nodes_used for r in oracle] == [3 * base * CONFIG.radial_nodes] * 5
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05])
+def test_top_side_carries_the_integral_at_a_tenth_of_the_separation(monkeypatch, delta):
+    # d/L = 0.1, which the CLI warns about but accepts: the rectangle reaches
+    # the saddle height L/(2 d^2) before exp(-d^2 k^2 + i L k) underflows,
+    # and its top side is integrated there.  With it every column matches
+    # the spherical engine, which shares no node with it; without it every
+    # column misses by more than a hundred bounds.
+    params = SystemParams(dipole_d=0.2, omega_b=1.0 + delta)
+    columns = _report_columns(params)
+    oracle = spherical_columns(params, ORACLE, columns)
+    margins = {name: _gap_and_bound(a, b)
+               for name, a, b in zip(_COLUMN_NAMES, epsilon_columns(params, CONFIG, columns), oracle)}
+    assert all(gap <= bound for gap, bound in margins.values()), _margins_text(margins)
+    panels = quadrature._contour_panels
+    monkeypatch.setattr(quadrature, "_contour_panels",
+                        lambda *args: (panels(*args)[0], np.empty((0, 2)), None))
+    margins = {name: _gap_and_bound(a, b)
+               for name, a, b in zip(_COLUMN_NAMES, epsilon_columns(params, CONFIG, columns), oracle)}
+    assert all(gap > 100.0 * bound for gap, bound in margins.values()), _margins_text(margins)
+
+
+def test_small_dipoles_meet_the_closed_form_on_a_fixed_node_count():
+    # the real-axis route ran through K L/2 pi = 8 L/d periods and gave up at
+    # d/L = 1e-6, where they passed its node budget; the sides take the same
+    # nodes at every d/L.  The gap to the d -> 0 closed form is the physical
+    # 12 (d/L)^2, so it falls by 100 a decade, down to 1.2e-11 at 1e-6.
+    results, gaps = [], []
+    for dl in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        params = SystemParams(dipole_d=dl * PARAMS.separation_l)
+        results.append(epsilon_coulomb(params, CONFIG))
+        gaps.append(results[-1].value / coulomb_closed_form(params) - 1.0)
+    assert all(r.error_estimate <= 1e-14 * abs(r.value) for r in results)
+    assert len({r.nodes_used for r in results}) == 1
+    assert 0.0 < gaps[-1] <= 1e-10
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse / fine == pytest.approx(100.0, rel=2e-3)
 
 
 # -- the k_x route against the spherical oracle -----------------------------------
