@@ -21,9 +21,10 @@ bracket B.  Two reductions of it exist here, sharing no node:
   nodes whatever L and L/d are (_contour_columns).  Each level halves every
   panel; a column settles once two levels agree to rel_tol of its value or
   to the rounding size of its sum, and reports their difference plus that
-  size as its error estimate.  Config keys: radial_nodes (nodes per panel,
-  32 by default), kmax_over_invd (K) and rel_tol.  The real-axis route is
-  the test-side oracle of this one (tests/kx_oracle.py).
+  size as its error estimate; a level past the node budget (which also caps
+  the nodes per panel) stops the pass as stalled.  Config keys: radial_nodes
+  (nodes per panel, 32 by default), kmax_over_invd (K) and rel_tol.  The
+  real-axis route is the test-side oracle of this one (tests/kx_oracle.py).
 
 * The spherical engine (spherical_columns, the oracle; only tests call it).
   The angular kernel G(k) = 2 pi int u^2 exp(-(k d u)^2) cos(k L u) du is
@@ -54,8 +55,8 @@ bracket B.  Two reductions of it exist here, sharing no node:
   the whole integrand at pole +- 1e-6 pole.  Fields read: radial_nodes,
   angular_nodes (no config-file key), kmax_over_invd, rel_tol.  Its radial
   integrand grows with k, so the tests run it at 64 radial and 64 angular
-  nodes rather than the k_x route's default of 32.  Its error estimate adds
-  the rounding of G, which cancels far below its terms once k L is large.
+  nodes rather than the k_x route's default of 32.  G is summed in long
+  double: once k L is large it cancels far below its terms.
 
 The on-shell residue (the imaginary part a +i eta regulator would produce) is
 reported for the columns with a pole, never folded into the value.
@@ -88,26 +89,26 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]: numpy's rule polished by
-    Newton steps in extended precision.  numpy's own weights are off by up to
-    1.3e-12 relative at 64 nodes, and the same error repeats on every panel,
-    so on a sum of a hundred like-signed panels it adds up to 1e-10.  Cached:
-    no caller writes to the arrays."""
+def _leggauss(n: int, dtype: type = float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], as dtype: numpy's rule
+    polished by Newton steps in extended precision.  numpy's own weights are
+    off by up to 1.3e-12 relative at 64 nodes, and the same error repeats on
+    every panel, so on a sum of a hundred like-signed panels it adds up to
+    1e-10.  Cached: no caller writes to the arrays."""
     x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
     for _ in range(2):
         p, dp = _legendre(n, x)
         x = x - p / dp
     dp = _legendre(n, x)[1]
-    return x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
+    return x.astype(dtype), (2 / ((1 - x * x) * dp * dp)).astype(dtype)
 
 
-def _panel_nodes(lo: float, hi: float, n_panels: int,
-                 nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _panel_nodes(lo: float, hi: float, n_panels: int, nodes: int,
+                 dtype: type = float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(points, Gauss-Legendre weights, panel half-widths) of n_panels equal
-    panels on [lo, hi]; points run panel by panel."""
-    x, w = _leggauss(nodes)
-    edges = np.linspace(lo, hi, n_panels + 1)
+    panels on [lo, hi], as dtype; points run panel by panel."""
+    x, w = _leggauss(nodes, dtype)
+    edges = np.linspace(dtype(lo), dtype(hi), n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), w, half
@@ -366,8 +367,13 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
     coeffs = [_h_coefficients(col.fractions) for col in columns]
 
     results: list[IntegralResult | None] = [None] * len(columns)
-    prev, used = [0.0] * len(columns), 0
+    prev, used, unsettled = [0.0] * len(columns), 0, math.inf
     for level in range(_MAX_LEVELS):
+        # nodes of the level, J's side included; nodes^2, the rule's own
+        # companion matrix, caps the nodes per panel before _leggauss builds it
+        n_level = ((3 if pole is not None else 2) * sides.shape[0] + tops.shape[0]) * nodes
+        if max(n_level << level, nodes * nodes) > _NODE_BUDGET:
+            _stalled(unsettled, config)
         unsettled = 0.0
         (y, wy), (x, wx) = _split(sides, level, nodes), _split(tops, level, nodes)
         k = np.concatenate([1j * y, k_hi + 1j * y, x + 1j * (height or 0.0)])
@@ -426,28 +432,27 @@ def _g_batch(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int) -
 
     The full angular content of the exchange integrands: u is the cosine of
     the angle between k and the oscillator axis.  G(0) = 4 pi / 3.
+
+    Once k L is large the sum cancels to about 1/(k L) of its terms, and a
+    node rounded to double moves cos(k L u) by about eps k L, so nodes,
+    weights, terms and sum are all long double; G is rounded once at the end.
+    The panels are symmetric about u = 0 and the integrand is even, so only
+    the nodes at u > 0 are summed, twice.
     """
-    return _angular_sums(ks, separation_l, dipole_d, nodes, phase=True)
-
-
-def _angular_sums(ks: np.ndarray, separation_l: float, dipole_d: float, nodes: int,
-                  phase: bool) -> np.ndarray:
-    """2 pi sum_u u^2 exp(-(k d u)^2) w_u, times cos(k L u) with phase: G(k),
-    and without it the sum of its terms' sizes, which bounds G's rounding."""
     if ks.size == 0:
         return np.zeros(0)
     n_panels = _angular_panels(float(np.max(np.abs(ks))), separation_l, dipole_d, nodes)
-    u, w, half = _panel_nodes(-1.0, 1.0, n_panels, nodes)
+    u, w, half = _panel_nodes(-1.0, 1.0, n_panels, nodes, np.longdouble)
     weights = (np.broadcast_to(w, (n_panels, nodes)) * half[:, None]).ravel()
+    u, weights = u[u > 0], 2 * weights[u > 0]
     u_sq = u * u
+    length, d = np.longdouble(separation_l), np.longdouble(dipole_d)
     out = np.empty(ks.shape[0])
-    # block so the (k x u) work matrix stays ~16 MB regardless of panel count
+    # block so the (k x u) work matrix stays ~32 MB regardless of panel count
     block = max(1, 2_000_000 // u.size)
     for start in range(0, ks.shape[0], block):
-        ku = np.outer(ks[start:start + block], u)
-        vals = u_sq[None, :] * np.exp(-((dipole_d * ku) ** 2))
-        if phase:
-            vals *= np.cos(separation_l * ku)
+        ku = np.outer(ks[start:start + block].astype(np.longdouble), u)
+        vals = u_sq[None, :] * np.exp(-((d * ku) ** 2)) * np.cos(length * ku)
         out[start:start + block] = vals @ weights
     return 2.0 * math.pi * out
 
@@ -466,11 +471,9 @@ class _Segment:
 
 
 def _segment_sums(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
-                  seg: _Segment, panels: int, nodes: int,
-                  sizes: Callable[[np.ndarray], np.ndarray] | None) -> list[tuple[float, float]]:
+                  seg: _Segment, panels: int, nodes: int) -> list[float]:
     """One level of one segment: the base once, then each column's panel
-    sums, reduced in a fixed order, each with the rounding size eps * sum
-    |w_i times(sizes)_i| (0 without sizes).
+    sums, reduced in a fixed order.
 
     A window's p + t and p - t points go to the base as one array, so both
     halves see one angular panel count and their 1/t parts cancel.
@@ -478,34 +481,30 @@ def _segment_sums(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Co
     pts, w, half = _panel_nodes(seg.lo, seg.hi, panels, nodes)
     ks = pts if seg.centre is None else np.concatenate([seg.centre + pts, seg.centre - pts])
     base_vals = np.asarray(base(ks), dtype=float)
-    size_vals = np.zeros_like(base_vals) if sizes is None else sizes(ks)
     sums = []
     for col in columns:
-        vals, size = col.times(base_vals, ks), np.abs(col.times(size_vals, ks))
+        vals = col.times(base_vals, ks)
         if seg.centre is not None:
-            vals, size = vals[:pts.size] + vals[pts.size:], size[:pts.size] + size[pts.size:]
+            vals = vals[:pts.size] + vals[pts.size:]
         panel_sums = (vals.reshape(panels, nodes) * w[None, :]).sum(axis=1) * half
         # compensated, order-fixed reduction: deterministic for a given config
-        sums.append((math.fsum(panel_sums.tolist()),
-                     _EPS * float(size.reshape(panels, nodes) @ w @ half)))
+        sums.append(math.fsum(panel_sums.tolist()))
     return sums
 
 
 def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
-            segments: Sequence[_Segment], config: QuadratureConfig,
-            sizes: Callable[[np.ndarray], np.ndarray] | None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            segments: Sequence[_Segment],
+            config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, error estimates, nodes used), each indexed [segment, column].
 
     Segments are refined in lockstep, so at every comparison each column's
     whole integral is known.  A column stops refining a segment once two
     successive levels agree to rel_tol of the segment's own |value| or of the
-    column's sum of |value| over the segments.  The error estimate is that
-    difference plus the last level's rounding size (see _segment_sums).
+    column's sum of |value| over the segments.
     """
     nodes = config.radial_nodes
     shape = (len(segments), len(columns))
-    value, delta, rounding = np.zeros(shape), np.full(shape, math.inf), np.zeros(shape)
+    value, delta = np.zeros(shape), np.full(shape, math.inf)
     used, done = np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
     panels = [seg.panels for seg in segments]
     for level in range(_MAX_LEVELS):
@@ -513,9 +512,8 @@ def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
         for s, seg in enumerate(segments):
             live = ~done[s]
             if live.any():
-                value[s, live], rounding[s, live] = np.array(_segment_sums(
-                    base, [c for c, on in zip(columns, live) if on], seg, panels[s], nodes,
-                    sizes)).T
+                value[s, live] = _segment_sums(
+                    base, [c for c, on in zip(columns, live) if on], seg, panels[s], nodes)
                 used[s, live] += panels[s] * nodes
         if level > 0:
             live = ~done
@@ -525,7 +523,7 @@ def _refine(base: Callable[[np.ndarray], np.ndarray], columns: Sequence[Column],
                        | (delta <= config.rel_tol * np.abs(value).sum(axis=0)))
             done |= live & settled
         if done.all():
-            return value, delta + rounding, used
+            return value, delta, used
         for s in range(len(segments)):
             if not done[s].all():
                 panels[s] *= 2
@@ -541,11 +539,9 @@ def radial_columns(
     config: QuadratureConfig,
     domain: tuple[float, float],
     min_panels_per_unit: float = 0.0,
-    sizes: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[IntegralResult]:
     """Integrals over `domain` of base(k) * weight(k), one per column, on one
-    shared node set.  base is evaluated once per segment and level; sizes(k),
-    if given, bounds base's rounding, and adds eps * int |sizes * weight|.
+    shared node set.  base is evaluated once per segment and level.
 
     pole_omega None: plain adaptive quadrature on one segment.  Otherwise the
     domain splits at pole_omega.  Window rule: half-width
@@ -584,7 +580,7 @@ def radial_columns(
         samples = [(k, base(k)) for k in (np.array([p + h]), np.array([p - h]))
                    if any(col.pole for col in columns)]
 
-    values, errors, used = _refine(base, columns, segments, config, sizes)
+    values, errors, used = _refine(base, columns, segments, config)
     results = []
     for j, col in enumerate(columns):
         residue_imag, extra = 0.0, 0
@@ -706,9 +702,6 @@ def spherical_columns(params: SystemParams, config: QuadratureConfig,
     def radial(ks: np.ndarray) -> np.ndarray:
         return ks * ks * _g_batch(ks, params.separation_l, d, config.angular_nodes)
 
-    def sizes(ks: np.ndarray) -> np.ndarray:  # once k L is large, G cancels far below these
-        return ks * ks * _angular_sums(ks, params.separation_l, d, config.angular_nodes, False)
-
     def in_k(bracket: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
         return lambda ks: bracket(params.c * ks)
 
@@ -716,7 +709,7 @@ def spherical_columns(params: SystemParams, config: QuadratureConfig,
     k_pole = params.omega_a / params.c
     split = k_pole if 0.0 < k_pole < k_hi or any(b.pole for b in brackets) else None
     raws = radial_columns(radial, columns, split, config, (0.0, k_hi),
-                          min_panels_per_unit=per_unit, sizes=sizes)
+                          min_panels_per_unit=per_unit)
     prefactor = _prefactor(params)
     return [_rescale(raw, prefactor) for raw in raws]
 

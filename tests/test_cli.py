@@ -452,6 +452,10 @@ EDGE_INPUTS = [
       for config in ("charge_q = 0", "omega_b = 1e300", "separation_l = 1e-300",
                      "dipole_d = 1e-300", "separation_l = 1e300")
       for verb in ("epsilon", "expand")],
+    # the contour's level would overrun the node budget before it is built
+    # (the rule alone would be a 1e5 x 1e5 companion matrix)
+    ("radial_nodes = 100000", ["epsilon"], EXIT_CONVERGENCE),
+    ("radial_nodes = 100000", ["expand"], EXIT_CONVERGENCE),
     # a directory where a file is read or written; {dir} is the test's tmp_path
     ("", ["--config", "{dir}", "epsilon"], EXIT_VALIDATION),
     ("", ["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02", "--points", "2",

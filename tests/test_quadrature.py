@@ -6,6 +6,7 @@ amplitudes."""
 import decimal
 import math
 from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -351,20 +352,24 @@ def test_second_order_column_keeps_no_frac_term_off_unit_frequency(delta):
     assert ("frac", params.omega_a) not in _h_coefficients(second.fractions)
 
 
-def test_report_columns_are_invariant_when_frequencies_and_lengths_scale():
+@pytest.mark.parametrize("omega_b", [1.01, 1.0 + 2.0**-7])
+def test_report_columns_are_invariant_when_frequencies_and_lengths_scale(omega_b):
     # hbar = c = 1: every frequency times 3 and every length over 3 leave each
-    # amplitude unchanged; 3 is no power of two, so each length rounds anew.
-    # The splitting omega_b - omega_a = 2^-7 stays exact: an omega_b that
-    # rounded anew would move delta_e by up to eps omega_b/delta_e, 1e-14
-    # relative, and every amplitude with it, an input's rounding that no
-    # quadrature estimate covers.
-    params = SystemParams(omega_b=1.0 + 2.0**-7)
+    # amplitude unchanged; 3 is no power of two, so each input rounds anew.
+    # A rounded 3 omega_b moves delta_e by the exact relative amount r below
+    # (0 at omega_b = 1 + 2^-7, 7.4e-15 at the default 1.01), and each amplitude,
+    # 1/delta_e times a function of omega_b/omega_a, moves with it: no
+    # quadrature estimate covers that, so the bound adds r |value|.
+    params = SystemParams(omega_b=omega_b)
     scaled = SystemParams(omega_a=3.0 * params.omega_a, omega_b=3.0 * params.omega_b,
                           separation_l=params.separation_l / 3.0, dipole_d=params.dipole_d / 3.0)
+    r = abs(float(
+        (Fraction(scaled.omega_b) - Fraction(scaled.omega_a))
+        / (3 * (Fraction(params.omega_b) - Fraction(params.omega_a))) - 1))
     results = zip(_COLUMN_NAMES, epsilon_columns(params, CONFIG, _report_columns(params)),
                   epsilon_columns(scaled, CONFIG, _report_columns(scaled)))
     for name, a, b in results:
-        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, name
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + r * abs(a.value), name
 
 
 def test_pole_beyond_the_cutoff_is_rejected():
