@@ -78,9 +78,17 @@ class SystemParams:
         """Mass that gives this oscillator the shared dipole length at frequency omega.
 
         Both oscillators carry the same d, so their masses differ:
-        m = hbar / (2 d^2 omega).
+        m = hbar / (2 d^2 omega).  One that is zero or not finite raises
+        ValidationError: d^2 or m is a scale beyond floating-point range.
         """
-        return self.hbar / (2.0 * self.dipole_d**2 * omega)
+        try:
+            mass = self.hbar / (2.0 * self.dipole_d**2 * omega)
+        except (ZeroDivisionError, OverflowError):
+            mass = 0.0
+        if not 0.0 < mass < math.inf:
+            raise ValidationError(f"implied mass hbar/(2 d^2 omega) at dipole_d = {self.dipole_d} "
+                                  "is a scale beyond floating-point range")
+        return mass
 
 
 def validate(params: SystemParams) -> list[tuple[str, str]]:

@@ -65,7 +65,7 @@ from .perturbation import (
     resolvent,
     uncoupled_energy,
 )
-from .quadrature import Column, IntegralResult, QuadratureConfig, epsilon_columns
+from .quadrature import Fractions, IntegralResult, QuadratureConfig, epsilon_columns
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,12 @@ def per_k_equivalence(params: SystemParams, omega_gamma) -> PerKReport:
     )
 
 
-def mapped_column(params: SystemParams) -> Column:
-    """The summed mapped bracket as a column of both radial routes, with the
-    covariant bracket's pole at omega_a.
+def mapped_column(params: SystemParams) -> Fractions:
+    """The summed mapped bracket as a report column: B(omega)/omega in
+    partial fractions, with the covariant bracket's pole at omega_a.
 
-    Its partial fractions are the sum of the three pieces', each divided by
-    omega (de = delta_e/hbar):
+    They are the sum of the three pieces' (transform_brackets), each divided
+    by omega (de = delta_e/hbar):
       identity:  1/omega;
       linear:    (de/2) [2/omega^2 + (1/omega_a - 1/omega_b)/omega
                          + (1/omega_a)/(omega_a - omega) + (1/omega_b)/(omega_b + omega)],
@@ -144,12 +144,7 @@ def mapped_column(params: SystemParams) -> Column:
         ("plus", wb, half / wb),
     )
     quadratic = (("inv2", 0.0, -half),)
-
-    def bracket(omega: np.ndarray) -> np.ndarray:
-        ident, lin, quad = transform_brackets(params, omega)
-        return ident + lin + quad
-
-    return Column(bracket, pole=True, fractions=identity + linear + quadratic)
+    return identity + linear + quadratic
 
 
 def transformed_epsilon(params: SystemParams, config: QuadratureConfig) -> IntegralResult:

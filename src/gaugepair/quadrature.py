@@ -1,6 +1,6 @@
 """The exchange integrals, reduced to one dimension in k_x and taken on
-steepest-descent contour sides, with the spherical engine kept as their
-oracle; principal value across the resonance, and series coefficients.
+steepest-descent contour sides, and the spherical engine that a test-side
+oracle runs; principal value across the resonance, and series coefficients.
 
 Every amplitude is a ball integral over |k| < K of
 (k_x/k)^2 exp(-(d k_x)^2) cos(L k_x) B(c k), with a different rational
@@ -11,14 +11,17 @@ bracket B.  Two reductions of it exist here, sharing no node:
       int_0^K k^2 G(k) B(ck) dk
           = 4 pi int_0^K k_x^2 exp(-(d k_x)^2) cos(L k_x) H(c k_x) dk_x,
       H(w) = PV int_w^{cK} B(v)/v dv,
-  and H comes from hand-derived partial fractions of B(v)/v (Column.fractions),
-  evaluated in forms that do not cancel where w >> omega_a.  On the real
-  axis the integrand runs through K L / 2 pi periods; instead it is taken by
-  numerical steepest descent (Huybrechs and Vandewalle, SIAM J. Numer. Anal.
-  44 (2006) 1026).  H continues into the upper half plane, and Cauchy's
-  theorem moves the integral onto the sides k = iy and k = K + iy of a
-  rectangle, where exp(i L k) decays as exp(-L y): a side needs the same
-  nodes whatever L and L/d are (_contour_columns).  Each level halves every
+  and H comes from hand-derived partial fractions of B(v)/v, evaluated in
+  forms that do not cancel where w >> omega_a.  A report column is nothing
+  but those fractions (Fractions: COULOMB, lorentz_column, series_columns
+  and gauge.mapped_column); it has a pole exactly when its "pole" terms sum
+  to a nonzero coefficient.  On the real axis the integrand runs through
+  K L / 2 pi periods; instead it is taken by numerical steepest descent
+  (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026).  H
+  continues into the upper half plane, and Cauchy's theorem moves the
+  integral onto the sides k = iy and k = K + iy of a rectangle, where
+  exp(i L k) decays as exp(-L y): a side needs the same nodes whatever L
+  and L/d are (_contour_columns).  Each level halves every
   panel; a column settles once two levels agree to rel_tol of its value or
   to the rounding size of its sum, and reports their difference plus that
   size as its error estimate; a level past the node budget (which also caps
@@ -26,7 +29,9 @@ bracket B.  Two reductions of it exist here, sharing no node:
   (nodes per panel, 32 by default), kmax_over_invd (K) and rel_tol.  The
   real-axis route is the test-side oracle of this one (tests/kx_oracle.py).
 
-* The spherical engine (spherical_columns, the oracle; only tests call it).
+* The spherical engine (radial_columns and _g_batch).  No CLI verb runs
+  it; the test-side oracle tests/spherical_oracle.py does, pairing each
+  report column with its closed-form bracket B.
   The angular kernel G(k) = 2 pi int u^2 exp(-(k d u)^2) cos(k L u) du is
   integrated on angular panels, then k^2 G(k) B(ck) radially.  That
   integrand grows linearly in k while oscillating with period 2 pi / L; only
@@ -73,7 +78,10 @@ import numpy as np
 
 from .core import QUADRATURE_KEYS, SystemParams, ValidationError
 from .matelem import TWO_PI_CUBED, ConvergenceError
-from .perturbation import expansion_terms, lorentz_bracket
+from .perturbation import (  # imported only for perfbench/tracing.py to wrap
+    expansion_terms,
+    lorentz_bracket,
+)
 
 # Smallest rel_tol accepted: two levels of a panel sum cannot be asked to
 # agree more closely than their rounding, a few tens of eps of |value|.
@@ -167,22 +175,24 @@ def _stalled(residual: float, config: QuadratureConfig) -> NoReturn:
 
 
 # ---------------------------------------------------------------------------
-# Columns: one bracket B, in the two forms the two routes integrate
+# Columns: one bracket B, in the form each route integrates
 # ---------------------------------------------------------------------------
 
+# One bracket B of the k_x route: B(omega)/omega in partial fractions, a sum
+# of (kind, shift, coefficient) terms, kind one of "inv2" 1/omega^2, "inv"
+# 1/omega, "pole" 1/(shift - omega), "plus" 1/(shift + omega) and "plus2"
+# 1/(shift + omega)^2 (shift is ignored for the first two).  A column whose
+# "pole" coefficients sum to nonzero has a simple pole at omega_a; only such
+# columns report a residue, the others report 0.
+Fractions = tuple[tuple[str, float, float], ...]
+
+
 class Column(NamedTuple):
-    """One bracket B of a pass.  weight maps photon frequencies to B for the
-    spherical engine (None: B = 1).  fractions is B(omega)/omega for the k_x
-    route, in partial fractions: a sum of (kind, shift, coefficient) terms,
-    kind one of "inv2" 1/omega^2, "inv" 1/omega, "pole" 1/(shift - omega),
-    "plus" 1/(shift + omega) and "plus2" 1/(shift + omega)^2 (shift is
-    ignored for the first two).  pole marks a simple pole at omega_a; only
-    such columns report a residue, the others report 0.
-    """
+    """One bracket B of a spherical-engine pass.  weight maps k to B (None:
+    B = 1); pole marks a simple pole at the pass's pole_omega."""
 
     weight: Callable[[np.ndarray], np.ndarray] | None
     pole: bool = False
-    fractions: tuple[tuple[str, float, float], ...] | None = None
 
     def times(self, base_vals: np.ndarray, ks: np.ndarray) -> np.ndarray:
         return base_vals if self.weight is None else base_vals * self.weight(ks)
@@ -286,15 +296,17 @@ def _at_hi(kind: str, shift: float, w_hi: float, off_hi: float) -> complex:
                                    np.array([complex(off_hi)]))[0])
 
 
-def _contour_panels(length: float, d: float, k_pole: float,
-                    k_hi: float) -> tuple[np.ndarray, np.ndarray, float | None]:
+def _contour_panels(length: float, d: float, k_pole: float, k_hi: float,
+                    nodes: int) -> tuple[np.ndarray, np.ndarray, float | None]:
     """(side panels in y, top panels in x, the top's height or None), as
     rows (lo, hi).  The sides run up to the saddle height L/(2 d^2), where
     the top side does not oscillate, unless exp(-d^2 k^2 + i L k) underflows
     to 0.0 below it: then the rest of the rectangle is exactly zero.  Side
     panels halve toward y = 0 until they are narrower than H's nearest
     singularity off the sides (k = -omega_a/c, and omega_a/c seen from
-    K + iy), and double above 1/L; top panels are 1/d wide, split at the pole.
+    K + iy), and double above 1/L; top panels are 1/d wide, split at the pole,
+    and are counted at `nodes` each against the node budget before any is
+    built.
     """
     saddle = length / (2.0 * d * d)
     disc = length * length + 4.0 * d * d * _UNDERFLOW
@@ -308,11 +320,18 @@ def _contour_panels(length: float, d: float, k_pole: float,
     halvings = max(0, math.ceil(math.log2(2.0 * y0 / nearest)))
     doublings = max(0, math.ceil(math.log2(y_end / y0)))
     edges = np.concatenate([[0.0], y0 * 2.0 ** np.arange(-halvings, doublings), [y_end]])
+    sides = np.column_stack([edges[:-1], edges[1:]])
+    if height is None:
+        return sides, np.empty((0, 2)), None
     cuts = [0.0, k_pole, k_hi] if inside else [0.0, k_hi]
-    top = np.concatenate([np.linspace(lo, hi, max(1, math.ceil((hi - lo) * d)) + 1)[:-1]
-                          for lo, hi in zip(cuts[:-1], cuts[1:])] + [[k_hi]])
-    tops = np.column_stack([top[:-1], top[1:]]) if height else np.empty((0, 2))
-    return np.column_stack([edges[:-1], edges[1:]]), tops, height
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    counts = [max(1, math.ceil((hi - lo) * d)) for lo, hi in spans]
+    if sum(counts) * nodes > _NODE_BUDGET:
+        raise ConvergenceError(f"the top side needs {sum(counts):.3g} panels of {nodes} nodes, "
+                               f"past the node budget of {_NODE_BUDGET}")
+    top = np.concatenate([np.linspace(lo, hi, n + 1)[:-1] for (lo, hi), n in zip(spans, counts)]
+                         + [[k_hi]])
+    return sides, np.column_stack([top[:-1], top[1:]]), height
 
 
 def _split(panels: np.ndarray, level: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -344,7 +363,7 @@ def _panel_sum(terms: np.ndarray, nodes: int) -> float:
 
 
 def _contour_columns(params: SystemParams, config: QuadratureConfig,
-                     columns: Sequence[Column]) -> list[IntegralResult]:
+                     columns: Sequence[Fractions]) -> list[IntegralResult]:
     """int_0^K k^2 G(k) B(ck) dk for every column, on the contour sides.
 
     With g(k) = 4 pi k^2 exp(-d^2 k^2 + i L k), H_a the continued H and
@@ -353,18 +372,22 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
              + int_0^K g(x+iY) H_a(c(x+iY)) dx] + pi c_p Im J,
     c_p the "pole" coefficient: H_a = H + i pi c_p on 0 < k < p.  J comes
     from the same left side, a side at k = p + iy and the top over [0, p];
-    the residue p^3 G(p) is Re J.
+    the residue p^3 G(p) is Re J.  A column with c_p = 0 has no pole and
+    reports no residue.
     """
     d, length, c = params.dipole_d, params.separation_l, params.c
     k_hi = config.kmax_over_invd / d
+    if not k_hi * k_hi < math.inf:  # K^2 enters every term at K + iy
+        raise ValidationError(f"cutoff K = {k_hi:.3g} squares beyond floating-point range")
     k_pole = params.omega_a / c
     pole = k_pole if 0.0 < k_pole < k_hi else None
-    if pole is None and any(col.pole for col in columns):
+    coeffs = [_h_coefficients(col) for col in columns]
+    c_ps = [sum(cf for (kind, _), cf in co.items() if kind == "pole") for co in coeffs]
+    if pole is None and any(c_ps):
         raise ValidationError(f"pole {k_pole} must sit strictly inside (0, {k_hi})")
     nodes = config.radial_nodes
-    sides, tops, height = _contour_panels(length, d, k_pole, k_hi)
+    sides, tops, height = _contour_panels(length, d, k_pole, k_hi, nodes)
     w_hi, off_hi = c * k_hi, c * (k_hi - k_pole)
-    coeffs = [_h_coefficients(col.fractions) for col in columns]
 
     results: list[IntegralResult | None] = [None] * len(columns)
     prev, used, unsettled = [0.0] * len(columns), 0, math.inf
@@ -393,7 +416,7 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
             used += y.size
         used += k.size
         for j in live:
-            c_p = sum(cf for (kind, _), cf in coeffs[j].items() if kind == "pole")
+            c_p = c_ps[j]
             value = math.fsum([cf * sums[key][0] for key, cf in coeffs[j].items()]
                               + [math.pi * c_p * j_im])
             rounding = _EPS * (sum(abs(cf) * sums[key][1] for key, cf in coeffs[j].items())
@@ -406,7 +429,7 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
                 continue
             results[j] = IntegralResult(
                 value=value, error_estimate=delta + rounding,
-                residue_imag=-math.pi * c_p * j_re if columns[j].pole else 0.0, nodes_used=used)
+                residue_imag=-math.pi * c_p * j_re if c_p else 0.0, nodes_used=used)
         if all(r is not None for r in results):
             return results
     _stalled(unsettled, config)
@@ -615,10 +638,10 @@ def pv_radial(
 # ---------------------------------------------------------------------------
 
 # B = 1: the static route and the zeroth series term
-COULOMB = Column(None, fractions=(("inv", 0.0, 1.0),))
+COULOMB: Fractions = (("inv", 0.0, 1.0),)
 
 
-def lorentz_column(params: SystemParams) -> Column:
+def lorentz_column(params: SystemParams) -> Fractions:
     """The covariant bracket, with its simple pole at omega_a.
 
     With delta = omega_b - omega_a,
@@ -627,16 +650,15 @@ def lorentz_column(params: SystemParams) -> Column:
     """
     wa, wb = params.omega_a, params.omega_b
     half = 0.5 * (wb - wa)
-    fractions = (
+    return (
         ("inv2", 0.0, half),
         ("inv", 0.0, 1.0 + half / wa - half / wb),
         ("pole", wa, half / wa),
         ("plus", wb, half / wb),
     )
-    return Column(lambda omega: lorentz_bracket(params, omega), pole=True, fractions=fractions)
 
 
-def series_columns(params: SystemParams) -> tuple[Column, Column]:
+def series_columns(params: SystemParams) -> tuple[Fractions, Fractions]:
     """The first- and second-order splitting terms of the bracket; the
     zeroth-order term is COULOMB.
 
@@ -657,8 +679,7 @@ def series_columns(params: SystemParams) -> tuple[Column, Column]:
     # -k * wa, not -(de^2/2)/wa: the two 1/(omega_a + omega) parts of H then
     # cancel exactly
     second = (("inv", 0.0, k), ("plus", wa, -k), ("plus2", wa, -k * wa))
-    return (Column(lambda omega: expansion_terms(params, omega, 1), pole=True, fractions=first),
-            Column(lambda omega: expansion_terms(params, omega, 2), fractions=second))
+    return first, second
 
 
 def _rescale(result: IntegralResult, factor: float) -> IntegralResult:
@@ -676,42 +697,16 @@ def _prefactor(params: SystemParams) -> float:
 
 
 def epsilon_columns(params: SystemParams, config: QuadratureConfig,
-                    brackets: Sequence[Column]) -> list[IntegralResult]:
+                    brackets: Sequence[Fractions]) -> list[IntegralResult]:
     """Amplitudes -(q^2 d^2 / (eps0 delta_e (2pi)^3)) * int k^2 G(k) B(ck) dk,
     one per bracket, all on one k_x node set.
 
-    Each bracket's fractions give B(omega)/omega; COULOMB is B = 1.  All
+    Each bracket is B(omega)/omega in partial fractions; COULOMB is B = 1.  All
     gauge variants share this one route and its node set, so their
     comparisons share quadrature behavior exactly.
     """
     prefactor = _prefactor(params)
     return [_rescale(raw, prefactor) for raw in _contour_columns(params, config, brackets)]
-
-
-def spherical_columns(params: SystemParams, config: QuadratureConfig,
-                      brackets: Sequence[Column]) -> list[IntegralResult]:
-    """The amplitudes of epsilon_columns from the spherical engine: G(k) on
-    angular panels, then one adaptive radial pass with the pole window.
-
-    The oracle of the k_x route; it shares no node with it.
-    """
-    d = params.dipole_d
-    k_hi = config.kmax_over_invd / d
-    per_unit = params.separation_l / (2.0 * math.pi)  # panels per oscillation
-
-    def radial(ks: np.ndarray) -> np.ndarray:
-        return ks * ks * _g_batch(ks, params.separation_l, d, config.angular_nodes)
-
-    def in_k(bracket: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda ks: bracket(params.c * ks)
-
-    columns = [Column(None if b.weight is None else in_k(b.weight), b.pole) for b in brackets]
-    k_pole = params.omega_a / params.c
-    split = k_pole if 0.0 < k_pole < k_hi or any(b.pole for b in brackets) else None
-    raws = radial_columns(radial, columns, split, config, (0.0, k_hi),
-                          min_panels_per_unit=per_unit)
-    prefactor = _prefactor(params)
-    return [_rescale(raw, prefactor) for raw in raws]
 
 
 def epsilon_coulomb(params: SystemParams, config: QuadratureConfig) -> IntegralResult:

@@ -36,7 +36,7 @@ from gaugepair.core import SystemParams, ValidationError
 from gaugepair.quadrature import (
     _MAX_LEVELS,
     _NODE_BUDGET,
-    Column,
+    Fractions,
     IntegralResult,
     QuadratureConfig,
     _h_coefficients,
@@ -189,13 +189,14 @@ def _panel_sum(terms: np.ndarray, nodes: int) -> float:
 
 
 def kx_columns(params: SystemParams, config: QuadratureConfig,
-               columns: Sequence[Column]) -> list[IntegralResult]:
+               columns: Sequence[Fractions]) -> list[IntegralResult]:
     """int_0^K k^2 G(k) B(ck) dk for every column, on the real k_x axis."""
     d, length, c = params.dipole_d, params.separation_l, params.c
     k_hi = config.kmax_over_invd / d
     k_pole = params.omega_a / c
     pole = k_pole if 0.0 < k_pole < k_hi else None
-    if pole is None and any(col.pole for col in columns):
+    c_ps = [sum(cf for kind, _, cf in col if kind == "pole") for col in columns]
+    if pole is None and any(c_ps):
         raise ValidationError(f"pole {k_pole} must sit strictly inside (0, {k_hi})")
     nodes = config.radial_nodes
     halvings = math.ceil(-math.log2(config.rel_tol))
@@ -206,7 +207,7 @@ def kx_columns(params: SystemParams, config: QuadratureConfig,
 
     results: list[IntegralResult | None] = [None] * len(columns)
     prev = [0.0] * len(columns)
-    n_rows = 8 + len({key for col in columns for key in _h_coefficients(col.fractions)})
+    n_rows = 8 + len({key for col in columns for key in _h_coefficients(col)})
     unsettled, used = math.inf, 0
     for level in range(_MAX_LEVELS):
         if panels.shape[0] * 2**level * nodes > _NODE_BUDGET:
@@ -228,7 +229,7 @@ def kx_columns(params: SystemParams, config: QuadratureConfig,
             base *= factor
         w, w_off = np.multiply(c, kx, out=phase), np.multiply(c, off, out=cos)  # rows now free
         live = {key for col, r in zip(columns, results) if r is None
-                for key in _h_coefficients(col.fractions)}
+                for key in _h_coefficients(col)}
         basis = {key: _basis(key, w, w_off, w_hi, off_hi, row) for key, row in zip(live, spare)}
         p3g = None
         if level > 0:
@@ -236,9 +237,9 @@ def kx_columns(params: SystemParams, config: QuadratureConfig,
         for j, col in enumerate(columns):
             if results[j] is not None:
                 continue
-            terms = np.multiply(base, _h_values(col.fractions, basis, slope), out=slope)
+            terms = np.multiply(base, _h_values(col, basis, slope), out=slope)
             value = _panel_sum(terms, nodes)
-            pieces = np.abs(base, out=cos) * _pieces(col.fractions, basis, low)
+            pieces = np.abs(base, out=cos) * _pieces(col, basis, low)
             rounding = float(np.finfo(float).eps * pieces.sum())
             delta = abs(value - prev[j])
             prev[j] = value
@@ -248,11 +249,10 @@ def kx_columns(params: SystemParams, config: QuadratureConfig,
                 unsettled = max(unsettled, delta)
                 continue
             residue = 0.0
-            if col.pole:
+            if c_ps[j]:
                 if p3g is None:  # p^3 G(p): the base integrated over [0, p]
                     p3g = _panel_sum(np.where(off < 0.0, base, 0.0), nodes)
-                coeff = sum(cf for kind, _, cf in col.fractions if kind == "pole")
-                residue = -math.pi * coeff * p3g
+                residue = -math.pi * c_ps[j] * p3g
             results[j] = IntegralResult(value=value, error_estimate=delta + rounding,
                                         residue_imag=residue, nodes_used=used)
         if all(r is not None for r in results):
@@ -261,7 +261,7 @@ def kx_columns(params: SystemParams, config: QuadratureConfig,
 
 
 def oracle_columns(params: SystemParams, config: QuadratureConfig,
-                   brackets: Sequence[Column]) -> list[IntegralResult]:
+                   brackets: Sequence[Fractions]) -> list[IntegralResult]:
     """The amplitudes of quadrature.epsilon_columns from the real k_x axis."""
     prefactor = _prefactor(params)
     return [_rescale(raw, prefactor) for raw in kx_columns(params, config, brackets)]

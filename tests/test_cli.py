@@ -456,6 +456,13 @@ EDGE_INPUTS = [
     # (the rule alone would be a 1e5 x 1e5 companion matrix)
     ("radial_nodes = 100000", ["epsilon"], EXIT_CONVERGENCE),
     ("radial_nodes = 100000", ["expand"], EXIT_CONVERGENCE),
+    # a cutoff K whose square overflows; the default d/L = 0.01 has no top side
+    ("kmax_over_invd = 1e300", ["epsilon"], EXIT_VALIDATION),
+    ("kmax_over_invd = 1e300", ["expand"], EXIT_VALIDATION),
+    # at d/L = 0.1 the top side's 1e100 panels are counted before any is built
+    ("dipole_d = 0.2\nkmax_over_invd = 1e100", ["epsilon"], EXIT_CONVERGENCE),
+    # the implied oscillator mass hbar/(2 d^2 omega) squares d past the range
+    ("dipole_d = 1e300", ["oracle"], EXIT_VALIDATION),
     # a directory where a file is read or written; {dir} is the test's tmp_path
     ("", ["--config", "{dir}", "epsilon"], EXIT_VALIDATION),
     ("", ["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02", "--points", "2",

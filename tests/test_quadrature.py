@@ -1,7 +1,7 @@
 """The k_x integral on contour sides, H's partial fractions and their
 continuation, the real-axis oracle (tests/kx_oracle.py), the spherical
-oracle (angular reduction and the principal-value radial engine), and the
-amplitudes."""
+oracle (tests/spherical_oracle.py, on the angular reduction and the
+principal-value radial engine), and the amplitudes."""
 
 import decimal
 import math
@@ -15,9 +15,8 @@ from scipy.integrate import quad
 
 from gaugepair import cli, quadrature
 from gaugepair.core import SystemParams, ValidationError
-from gaugepair.gauge import mapped_column, transform_brackets
+from gaugepair.gauge import mapped_column
 from gaugepair.matelem import ConvergenceError
-from gaugepair.perturbation import expansion_terms, lorentz_bracket
 from gaugepair.quadrature import (
     COULOMB,
     ROUNDING_FLOOR,
@@ -36,17 +35,15 @@ from gaugepair.quadrature import (
     radial_columns,
     series_coefficients,
     series_columns,
-    spherical_columns,
 )
 
 import kx_oracle
 from dipole_limit import c1_limit, c2_limit
+from spherical_oracle import ORACLE, closed_forms, has_pole, spherical_columns
 
 PARAMS = SystemParams()
 CONFIG = QuadratureConfig()
 COARSE = QuadratureConfig(radial_nodes=32, angular_nodes=32)
-# the spherical engine's radial integrand grows with k: it keeps 64 nodes per panel
-ORACLE = QuadratureConfig(radial_nodes=64, angular_nodes=64)
 
 
 # -- angular reduction -----------------------------------------------------------
@@ -133,7 +130,7 @@ def test_every_column_of_a_pass_equals_its_one_column_pass():
     for column, result in zip(columns, together):
         alone = epsilon_columns(PARAMS, COARSE, [column])[0]
         assert result == alone  # value, error estimate, residue and nodes, exactly
-        if column.pole:
+        if has_pole(column):
             assert result.residue_imag != 0.0
         else:
             assert result.residue_imag == 0.0
@@ -176,7 +173,7 @@ def test_default_settles_at_level_one(params):
     # the rectangle underflows below the saddle, so it has no top side
     sides, tops, height = quadrature._contour_panels(
         params.separation_l, params.dipole_d, params.omega_a / params.c,
-        CONFIG.kmax_over_invd / params.dipole_d)
+        CONFIG.kmax_over_invd / params.dipole_d, CONFIG.radial_nodes)
     assert height is None and tops.size == 0
     report = cli._epsilon_report(params, CONFIG)
     coeffs = series_coefficients(params, CONFIG)
@@ -258,15 +255,10 @@ def _h(fractions, w, off, w_hi, off_hi):
 
 
 def _columns_and_brackets(params):
-    """Each report column with its bracket B(omega) from the closed forms."""
-    first, second = series_columns(params)
-    return (
-        (COULOMB, lambda w: np.ones_like(w)),
-        (lorentz_column(params), lambda w: lorentz_bracket(params, w)),
-        (mapped_column(params), lambda w: sum(transform_brackets(params, w))),
-        (first, lambda w: expansion_terms(params, w, 1)),
-        (second, lambda w: expansion_terms(params, w, 2)),
-    )
+    """Each report column, in _report_columns order, with its bracket B(omega)
+    from the closed forms."""
+    forms = closed_forms(params)
+    return tuple((column, forms[column]) for column in _report_columns(params))
 
 
 @pytest.mark.parametrize("delta", [0.002, 0.01, 0.05])
@@ -275,7 +267,7 @@ def test_fractions_equal_each_bracket_over_omega(delta):
     w = np.linspace(0.0, 50.0 * params.omega_a, 1002)[1:-1]
     w = w[np.abs(w - params.omega_a) > 1e-3]
     for column, bracket in _columns_and_brackets(params):
-        parts = np.array([c * _TERMS[kind](s, w) for kind, s, c in column.fractions])
+        parts = np.array([c * _TERMS[kind](s, w) for kind, s, c in column])
         # relative to the terms' size, the rounding scale of their sum (B has a zero)
         gap = np.abs(parts.sum(axis=0) - bracket(w) / w)
         assert (gap <= 1e-13 * np.abs(parts).sum(axis=0)).all(), column
@@ -287,7 +279,7 @@ def test_closed_form_h_matches_direct_principal_value(offset):
     a, w_hi = params.omega_a, 400.0
     w = a + offset
     for column, bracket in _columns_and_brackets(params):
-        h = _h(column.fractions, np.array([w]), np.array([w - a]), w_hi, w_hi - a)[0]
+        h = _h(column, np.array([w]), np.array([w - a]), w_hi, w_hi - a)[0]
         if offset < 0.0:  # QAWC: PV int g(v)/(v - a) dv with g(v) = (v - a) B(v)/v
             ref, err = quad(lambda v: (v - a) * bracket(v) / v, w, w_hi, weight="cauchy",
                             wvar=a, epsabs=0.0, epsrel=1e-12, limit=400)
@@ -308,7 +300,7 @@ def test_closed_form_h_is_continuous_across_the_pole(t):
     a = params.omega_a
     w = np.array([a - t, a + t])
     for column, _ in _columns_and_brackets(params):
-        below, above = _h(column.fractions, w, w - a, 400.0, 400.0 - a)
+        below, above = _h(column, w, w - a, 400.0, 400.0 - a)
         assert abs(below - above) <= 10.0 * t + 1e-13, column
 
 
@@ -349,7 +341,7 @@ def test_second_order_column_keeps_no_frac_term_off_unit_frequency(delta):
     # at omega_a = 1 every spelling gives the same float
     params = SystemParams(omega_a=3.0, omega_b=3.0 * (1.0 + delta))
     _, second = series_columns(params)
-    assert ("frac", params.omega_a) not in _h_coefficients(second.fractions)
+    assert ("frac", params.omega_a) not in _h_coefficients(second)
 
 
 @pytest.mark.parametrize("omega_b", [1.01, 1.0 + 2.0**-7])
@@ -427,7 +419,7 @@ def test_every_basis_function_matches_40_digits_at_every_node(omega_a):
     kx, _, off, _ = kx_oracle._kx_nodes(panels, 0, config.radial_nodes, pole, work)
     w, off, w_hi, off_hi = c * kx, c * off, c * k_hi, c * (k_hi - pole)
     keys = {key for column, _ in _columns_and_brackets(params)
-            for key in _h_coefficients(column.fractions)}
+            for key in _h_coefficients(column)}
     assert {kind for kind, _ in keys} == {"log", "inv2", "pole", "excess", "frac"}
     worst = {}
     for key in sorted(keys):
@@ -470,7 +462,7 @@ def test_continued_basis_reaches_the_axis_as_the_oracles_real_basis(omega_a):
     eps = np.finfo(float).eps
     continued = {}
     for column, _ in _columns_and_brackets(params):
-        coeffs = _h_coefficients(column.fractions)
+        coeffs = _h_coefficients(column)
         for key in coeffs:
             real = kx_oracle._basis(key, w, off, w_hi, off_hi, np.empty_like(w))
             continued[key] = quadrature._basis(key, w + 0j, off + 0j, w_hi, off_hi)
@@ -479,8 +471,8 @@ def test_continued_basis_reaches_the_axis_as_the_oracles_real_basis(omega_a):
             assert (continued[key].imag == jump).all(), key
         h_a = sum(cf * continued[key] for key, cf in coeffs.items())
         pieces = sum(abs(cf * continued[key]) for key, cf in coeffs.items())
-        c_p = sum(cf for kind, _, cf in column.fractions if kind == "pole")
-        h = _h(column.fractions, w, off, w_hi, off_hi)
+        c_p = sum(cf for kind, _, cf in column if kind == "pole")
+        h = _h(column, w, off, w_hi, off_hi)
         assert (np.abs(h_a.real - h) <= 8 * eps * (1.0 + pieces)).all(), column
         assert (np.abs(h_a.imag - np.where(w < omega_a, math.pi * c_p, 0.0))
                 <= 8 * eps * abs(math.pi * c_p)).all(), column
@@ -543,6 +535,16 @@ def test_contour_route_matches_the_real_axis_oracle(x):
     assert all(gap <= bound for gap, bound in margins.values()), _margins_text(margins)
 
 
+def _oracle_levels(params, config, halvings):
+    """The level at which each report column of the real-axis oracle settles,
+    on base panels graded `halvings` times toward k_x = 0."""
+    base = kx_oracle._kx_panels(params.omega_a / params.c, config.kmax_over_invd / params.dipole_d,
+                                params.separation_l / (2.0 * math.pi), halvings).shape[0]
+    oracle = kx_oracle.oracle_columns(params, config, _report_columns(params))
+    # levels 0 .. n hold (2^(n+1) - 1) times the base panels' nodes
+    return [round(math.log2(r.nodes_used / (base * config.radial_nodes) + 1)) - 1 for r in oracle]
+
+
 @pytest.mark.parametrize("delta", [0.01, 0.05])
 def test_oracle_low_bits_let_its_two_levels_agree(delta):
     # omega_a L/c = 400, d/L = 0.001: the oracle runs through K L/2 pi = 1273
@@ -550,11 +552,45 @@ def test_oracle_low_bits_let_its_two_levels_agree(delta):
     # dropped low bits enter the phase (kx_oracle._kx_nodes, low * slope);
     # without them the Coulomb column's levels disagree past rel_tol to level 4
     params = SystemParams(separation_l=400.0, dipole_d=0.4, omega_b=1.0 + delta)
-    base = kx_oracle._kx_panels(params.omega_a / params.c, CONFIG.kmax_over_invd / params.dipole_d,
-                                params.separation_l / (2.0 * math.pi),
-                                math.ceil(-math.log2(CONFIG.rel_tol))).shape[0]
-    oracle = kx_oracle.oracle_columns(params, CONFIG, _report_columns(params))
-    assert [r.nodes_used for r in oracle] == [3 * base * CONFIG.radial_nodes] * 5
+    assert _oracle_levels(params, CONFIG, math.ceil(-math.log2(CONFIG.rel_tol))) == [1] * 5
+
+
+FLOOR = QuadratureConfig(rel_tol=ROUNDING_FLOOR)
+
+
+@pytest.mark.parametrize("x, dl", [(20.0, 0.04), (100.0, 0.01)])
+@pytest.mark.parametrize("delta", [0.01, 0.05])
+def test_oracle_pole_panels_put_its_first_order_error_below_rounding(monkeypatch, x, dl, delta):
+    # Gauss-Legendre misses int log|t| on the innermost panel at the pole by
+    # a fixed fraction of its width, an error that only halves per level.
+    # The oracle halves its pole panels POLE_HALVINGS more times than the ones
+    # at k_x = 0, which puts that error below the rounding size of its sum:
+    # held on the default tolerance's panels and stopped at the rounding
+    # floor, which accepts two levels within 32 eps of the value plus that
+    # size, every column settles at level 1.  With the pole panels halved
+    # only as often as the ones at k_x = 0, the order-1 column's two levels
+    # differ by the error, 1e-12 of it, and it needs level 7.
+    params = SystemParams(separation_l=x, dipole_d=dl * x, omega_b=1.0 + delta)
+    halvings = math.ceil(-math.log2(CONFIG.rel_tol))  # 30; the floor's own 47 would hide the error
+    panels = kx_oracle._kx_panels
+    monkeypatch.setattr(kx_oracle, "_kx_panels",
+                        lambda pole, k_hi, per_unit, _: panels(pole, k_hi, per_unit, halvings))
+    assert _oracle_levels(params, FLOOR, halvings) == [1] * 5
+
+
+@pytest.mark.parametrize("x, dl", [(0.05, 0.001), (100.0, 0.001)])
+@pytest.mark.parametrize("delta", [0.01, 0.05])
+def test_oracle_rounding_size_counts_the_pieces_of_h(x, dl, delta):
+    # Each term w_i f_i = w_i base_i H_i holds H summed from basis values that
+    # partly cancel, so it is rounded by eps |w_i base_i| sum_key |c_key basis_key|,
+    # not by eps |w_i f_i|.  Stopped at the rounding floor, which accepts two
+    # levels within 32 eps of the value plus the rounding size of the sum, the
+    # order-1 column settles at level 1 on its own panels; with the size
+    # counted as eps sum |w_i f_i| its level difference lies outside it, and
+    # it needs level 3 at these K L/2 pi = 1273 periods.
+    params = SystemParams(separation_l=x, dipole_d=dl * x, omega_b=1.0 + delta)
+    levels = _oracle_levels(params, FLOOR, math.ceil(-math.log2(FLOOR.rel_tol)))
+    assert levels[_COLUMN_NAMES.index("order 1")] == 1, levels
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.05])
@@ -629,7 +665,7 @@ def test_kx_route_matches_spherical_oracle(x, delta):
         params.eps0 * params.delta_e * (2.0 * math.pi) ** 3)
     for (column, bracket), result, spherical in zip(_columns_and_brackets(params), kx, oracle):
         strength = 0.5 * h * (bracket(params.c * (p - h)) - bracket(params.c * (p + h)))
-        expected = -math.pi * prefactor * p * p * g_pole * strength if column.pole else 0.0
+        expected = -math.pi * prefactor * p * p * g_pole * strength if has_pole(column) else 0.0
         assert result.residue_imag == pytest.approx(expected, rel=1e-6), column
         assert spherical.residue_imag == pytest.approx(result.residue_imag, rel=1e-6), column
 
