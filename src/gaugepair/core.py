@@ -11,7 +11,7 @@ Natural units: hbar = c = eps0 = 1.  All frequencies are angular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 HBAR = 1.0
@@ -137,15 +137,9 @@ def validate(params: SystemParams) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 # Full key schema.  Quadrature keys are owned by the quadrature module but the
-# schema lives here so unknown keys are rejected in one place.
-PARAM_KEYS = {
-    "omega_a": float,
-    "omega_b": float,
-    "separation_l": float,
-    "dipole_d": float,
-    "mass_m": float,
-    "charge_q": float,
-}
+# schema lives here so unknown keys are rejected in one place.  The parameter
+# keys are SystemParams' fields, in their order.
+PARAM_KEYS = {f.name: float for f in fields(SystemParams)}
 QUADRATURE_KEYS = {
     "radial_nodes": int,
     "kmax_over_invd": float,

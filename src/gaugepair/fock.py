@@ -10,6 +10,12 @@ Hamiltonian builders use via ModeRegistry.raising_sign.  All the sign folklore
 of the covariant gauge (negative norms, the vacuum identity
 a_s a_s^dag|0> = -|0>, the flipped absorption elements) falls out of this one
 switch, which is therefore also the negative-control knob.
+
+One loop applies every photon step term by term: apply_vertices, which takes
+a list of Vertex (a ladder step on one mode times an oscillator matrix).
+StateVector.create and annihilate are the vertex with the identity on the
+oscillators; the operator route's couplings (perturbation, gauge) are vertex
+lists too.  The truncation wall and its TruncationError live there alone.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+
+import numpy as np
 
 PRUNE_TOL = 1e-15
 
@@ -228,25 +236,16 @@ class StateVector:
 
     def create(self, index: int) -> "StateVector":
         """Ordinary raising a^+ on mode index; errors loudly at the truncation wall."""
-        p_max = self.registry.p_max
-        out: dict[OccupationState, complex] = {}
-        for occ, a in self._amp.items():
-            stepped = occ.step(index, True, p_max)
-            if stepped is None:
-                raise TruncationError(
-                    f"mode {index} ({self.registry.modes[index].kind.value}) would exceed "
-                    f"p_max = {p_max}"
-                )
-            out[stepped[0]] = out.get(stepped[0], 0.0) + a * stepped[1]
-        return StateVector(self.registry, out)
+        return self._photon_step(index, True)
 
     def annihilate(self, index: int) -> "StateVector":
-        out: dict[OccupationState, complex] = {}
-        for occ, a in self._amp.items():
-            stepped = occ.step(index, False, self.registry.p_max)
-            if stepped is not None:
-                out[stepped[0]] = out.get(stepped[0], 0.0) + a * stepped[1]
-        return StateVector(self.registry, out)
+        return self._photon_step(index, False)
+
+    def _photon_step(self, index: int, raising: bool) -> "StateVector":
+        """a^+ or a on mode index times the identity on the oscillators, as a
+        vertex on oscillator A."""
+        vertex = Vertex(index, "A", raising, np.eye(self.registry.n_max + 1))
+        return apply_vertices(self.registry, [vertex], self)
 
     # -- metric ----------------------------------------------------------------
 
@@ -285,6 +284,52 @@ class StateVector:
 
     def ordinary_norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """One photon step on one mode times an oscillator matrix: the form in
+    which apply_vertices takes every photon step."""
+
+    mode_index: int
+    oscillator: str  # "A" | "B"
+    raising: bool
+    matrix: np.ndarray  # oscillator-space coefficient matrix, couplings folded in
+
+
+def apply_vertices(registry: ModeRegistry, vertices: list[Vertex], state: StateVector,
+                   project: bool = False) -> StateVector:
+    """The sum of vertices applied to state, summed term by term in vertex
+    order and level order.
+
+    A raising step on a mode that already holds p_max photons raises
+    TruncationError; project=True drops that amplitude instead (the operator
+    restricted to the kept space).  A lowering step on an empty mode is zero.
+    """
+    n_levels = registry.n_max + 1
+    out: dict[OccupationState, complex] = {}
+    for occ, amp in state.terms():
+        for v in vertices:
+            stepped = occ.step(v.mode_index, v.raising, registry.p_max)
+            if stepped is None:
+                if v.raising and not project:
+                    raise TruncationError(
+                        f"mode {v.mode_index} ({registry.modes[v.mode_index].kind.value}) "
+                        f"would exceed p_max = {registry.p_max}")
+                continue
+            moved, photon_factor = stepped
+            level = occ.level_a if v.oscillator == "A" else occ.level_b
+            column = v.matrix[:, level]
+            for m in range(n_levels):
+                c = column[m]
+                if abs(c) < 1e-300:  # the zeros of the identity and of gauge's two-level matrices
+                    continue
+                if v.oscillator == "A":
+                    new_occ = OccupationState(m, occ.level_b, moved.photons)
+                else:
+                    new_occ = OccupationState(occ.level_a, m, moved.photons)
+                out[new_occ] = out.get(new_occ, 0.0) + amp * c * photon_factor
+    return StateVector(registry, out)
 
 
 def indefinite_inner(bra: StateVector, ket: StateVector) -> complex:

@@ -21,7 +21,7 @@ Two independent routes produce the same brackets:
 Both operators of that algebra -- the mapping operator's exponent
 (apply_inverse_transform_linear) and the residual coupling -- are vertex
 lists, as the covariant coupling is: a photon step on one mode times a
-two-level oscillator matrix, applied by perturbation.apply_vertices.  Unlike
+two-level oscillator matrix, applied by fock.apply_vertices.  Unlike
 the coupling they project nothing: a raising step past p_max photons raises
 TruncationError.
 
@@ -44,6 +44,8 @@ from .fock import (
     OccupationState,
     PolarizationKind,
     StateVector,
+    Vertex,
+    apply_vertices,
     check_subsidiary,
     make_registry,
     physical_pair_raise,
@@ -58,8 +60,6 @@ from .matelem import (
 )
 from .perturbation import (
     PoleError,
-    Vertex,
-    apply_vertices,
     coulomb_integrand,
     lorentz_bracket,
     resolvent,

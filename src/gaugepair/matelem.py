@@ -13,6 +13,13 @@ Conventions that every sign in this module hangs on:
   emission element flips sign.  The closed forms below keep that minus
   explicitly; operator-route code must reproduce it from the metric switch.
 
+The scalar emission and absorption elements and the charge-density element
+are one 0<->1 dipole element, scale (-i k_x d) exp(-i k_x x0) exp(-(k_x d)^2/2)
+(_dipole_element), at a signed k_x: absorption is the element at -k_x with
+scale -q c s.  The displacement matrices (exponential_matrix) and the
+wavefunction quadrature (form_factor_oracle) are built apart from it, as its
+checks.
+
 Every function returns 0 when charge_q = 0.
 """
 
@@ -71,40 +78,31 @@ def gaussian_form_factor(params: SystemParams, k_x: float) -> float:
 # Covariant-gauge elements: scalar and longitudinal photons
 # ---------------------------------------------------------------------------
 
+def _dipole_element(params: SystemParams, osc: OscillatorId, kx: float, scale: float) -> complex:
+    """scale (-i k_x d) exp(-i k_x x0) exp(-(k_x d)^2/2) at the signed k_x:
+    the 0<->1 element of scale exp(-i k_x x_hat), multiplied left to right."""
+    kd = kx * params.dipole_d
+    x0 = osc.center(params)
+    phase = complex(math.cos(kx * x0), -math.sin(kx * x0))
+    return scale * complex(0.0, -kd) * phase * gaussian_form_factor(params, kx)
+
+
 def scalar_emission(params: SystemParams, osc: OscillatorId, k_vector) -> complex:
     """Oscillator drops one level, emits one scalar photon at k."""
     kx, k_norm = _k_parts(k_vector)
-    omega_gamma = params.c * k_norm
-    kd = kx * params.dipole_d
-    phase = complex(math.cos(kx * osc.center(params)), -math.sin(kx * osc.center(params)))
-    return (
-        params.charge_q
-        * params.c
-        * mode_scale(params, omega_gamma)
-        * complex(0.0, -kd)
-        * phase
-        * gaussian_form_factor(params, kx)
-    )
+    scale = params.charge_q * params.c * mode_scale(params, params.c * k_norm)
+    return _dipole_element(params, osc, kx, scale)
 
 
 def scalar_absorption(params: SystemParams, osc: OscillatorId, k_vector) -> complex:
     """Oscillator climbs one level, absorbs one scalar photon at k.
 
     Leading minus sign: metric adjoint, not ordinary Hermitian conjugate.
-    Equals -conj(scalar_emission) at the same (osc, k).
+    Equals -conj(scalar_emission) at the same (osc, k): the element at -k_x.
     """
     kx, k_norm = _k_parts(k_vector)
-    omega_gamma = params.c * k_norm
-    kd = kx * params.dipole_d
-    phase = complex(math.cos(kx * osc.center(params)), math.sin(kx * osc.center(params)))
-    return (
-        -params.charge_q
-        * params.c
-        * mode_scale(params, omega_gamma)
-        * complex(0.0, kd)
-        * phase
-        * gaussian_form_factor(params, kx)
-    )
+    scale = -params.charge_q * params.c * mode_scale(params, params.c * k_norm)
+    return _dipole_element(params, osc, -kx, scale)
 
 
 def longitudinal_emission(params: SystemParams, osc: OscillatorId, k_vector) -> complex:
@@ -138,17 +136,7 @@ def rho_fourier_element(params: SystemParams, osc: OscillatorId, k_vector, sign:
     prefactor -(q^2/(eps0 delta_e (2pi)^3)).
     """
     kx, _ = _k_parts(k_vector)
-    kx *= sign
-    kd = kx * params.dipole_d
-    x0 = osc.center(params)
-    phase = complex(math.cos(kx * x0), -math.sin(kx * x0))
-    return (
-        params.charge_q
-        * complex(0.0, -kd)
-        * phase
-        * gaussian_form_factor(params, kx)
-        / (2.0 * math.pi) ** 1.5
-    )
+    return _dipole_element(params, osc, sign * kx, params.charge_q) / (2.0 * math.pi) ** 1.5
 
 
 # ---------------------------------------------------------------------------

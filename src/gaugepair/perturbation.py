@@ -10,9 +10,9 @@ Independent code paths compute the same physics on purpose:
   per oscillator and direction (InteractionOperator.matrices; mode j's
   matrix times a photon step on mode j is one vertex), built in one pass.
   discrete_second_order takes the first vertex through the state algebra
-  (apply_vertices, the one loop that applies every operator-route coupling,
-  the gauge module's included; the Vertex list is formed only for it) and
-  reads the second in place from the lowering stacks;
+  (fock.apply_vertices, the one loop that applies every photon step, the
+  ladders and the gauge module's couplings included; the Vertex list is
+  formed only for it) and reads the second in place from the lowering stacks;
   exact_diagonalization_oracle builds H only as photon-sector blocks, from the
   same stacks in Kronecker form with ladders and an H_0 of its own, and
   partitions it sector by sector, so the two share only the vertex matrices.
@@ -39,7 +39,8 @@ from .fock import (
     OccupationState,
     PolarizationKind,
     StateVector,
-    TruncationError,
+    Vertex,
+    apply_vertices,
 )
 from .matelem import (
     TWO_PI_CUBED,
@@ -222,54 +223,6 @@ def coulomb_integrand(params: SystemParams, k_vector) -> float:
 # ---------------------------------------------------------------------------
 # Operator route: the coupling as ladder operators on a registry
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Vertex:
-    """One photon step on one mode times an oscillator matrix: the form in
-    which apply_vertices takes every operator-route coupling
-    (InteractionOperator.apply; the gauge map and the residual coupling in
-    gauge)."""
-
-    mode_index: int
-    oscillator: str  # "A" | "B"
-    raising: bool
-    matrix: np.ndarray  # oscillator-space coefficient matrix, couplings folded in
-
-
-def apply_vertices(registry: ModeRegistry, vertices: list[Vertex], state: StateVector,
-                   project: bool = False) -> StateVector:
-    """The sum of vertices applied to state, summed term by term in vertex
-    order and level order.
-
-    A raising step on a mode that already holds p_max photons raises
-    TruncationError, as StateVector.create does; project=True drops that
-    amplitude instead (the operator restricted to the kept space).
-    """
-    n_levels = registry.n_max + 1
-    out: dict[OccupationState, complex] = {}
-    for occ, amp in state.terms():
-        for v in vertices:
-            stepped = occ.step(v.mode_index, v.raising, registry.p_max)
-            if stepped is None:
-                if v.raising and not project:
-                    raise TruncationError(
-                        f"mode {v.mode_index} ({registry.modes[v.mode_index].kind.value}) "
-                        f"would exceed p_max = {registry.p_max}")
-                continue
-            moved, photon_factor = stepped
-            level = occ.level_a if v.oscillator == "A" else occ.level_b
-            column = v.matrix[:, level]
-            for m in range(n_levels):
-                c = column[m]
-                if abs(c) < 1e-300:  # the zero elements of gauge's two-level matrices
-                    continue
-                if v.oscillator == "A":
-                    new_occ = OccupationState(m, occ.level_b, moved.photons)
-                else:
-                    new_occ = OccupationState(occ.level_a, m, moved.photons)
-                out[new_occ] = out.get(new_occ, 0.0) + amp * c * photon_factor
-    return StateVector(registry, out)
-
 
 class InteractionOperator:
     """The covariant-gauge coupling mapped onto a finite mode registry.

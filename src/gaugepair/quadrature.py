@@ -296,17 +296,19 @@ def _at_hi(kind: str, shift: float, w_hi: float, off_hi: float) -> complex:
                                    np.array([complex(off_hi)]))[0])
 
 
-def _contour_panels(length: float, d: float, k_pole: float, k_hi: float,
-                    nodes: int) -> tuple[np.ndarray, np.ndarray, float | None]:
+def _contour_panels(length: float, d: float, k_pole: float,
+                    k_hi: float) -> tuple[np.ndarray, np.ndarray, float | None]:
     """(side panels in y, top panels in x, the top's height or None), as
     rows (lo, hi).  The sides run up to the saddle height L/(2 d^2), where
     the top side does not oscillate, unless exp(-d^2 k^2 + i L k) underflows
     to 0.0 below it: then the rest of the rectangle is exactly zero.  Side
     panels halve toward y = 0 until they are narrower than H's nearest
     singularity off the sides (k = -omega_a/c, and omega_a/c seen from
-    K + iy), and double above 1/L; top panels are 1/d wide, split at the pole,
-    and are counted at `nodes` each against the node budget before any is
-    built.
+    K + iy), and double above 1/L.  Top panels are 1/d wide, split at the
+    pole, and end with the one that reaches x_end = sqrt(746 - L^2/(4 d^2))/d:
+    past it exp(-d^2 x^2 - L^2/(4 d^2)) underflows, so the top's terms are
+    0.0 and its node count does not grow with K.  Their edges are
+    np.linspace's, lo + i * step, up to there.
     """
     saddle = length / (2.0 * d * d)
     disc = length * length + 4.0 * d * d * _UNDERFLOW
@@ -323,14 +325,18 @@ def _contour_panels(length: float, d: float, k_pole: float, k_hi: float,
     sides = np.column_stack([edges[:-1], edges[1:]])
     if height is None:
         return sides, np.empty((0, 2)), None
+    x_end = math.sqrt(max(0.0, -_UNDERFLOW - length * saddle / 2.0)) / d
     cuts = [0.0, k_pole, k_hi] if inside else [0.0, k_hi]
-    spans = list(zip(cuts[:-1], cuts[1:]))
-    counts = [max(1, math.ceil((hi - lo) * d)) for lo, hi in spans]
-    if sum(counts) * nodes > _NODE_BUDGET:
-        raise ConvergenceError(f"the top side needs {sum(counts):.3g} panels of {nodes} nodes, "
-                               f"past the node budget of {_NODE_BUDGET}")
-    top = np.concatenate([np.linspace(lo, hi, n + 1)[:-1] for (lo, hi), n in zip(spans, counts)]
-                         + [[k_hi]])
+    lefts = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lefts and lo >= x_end:
+            break
+        n = max(1, math.ceil((hi - lo) * d))
+        step = (hi - lo) / n
+        m = min(n, max(1, math.ceil((x_end - lo) / step)))
+        lefts.append(lo + np.arange(m) * step)
+        right = hi if m == n else lo + m * step
+    top = np.concatenate(lefts + [[right]])
     return sides, np.column_stack([top[:-1], top[1:]]), height
 
 
@@ -386,7 +392,7 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
     if pole is None and any(c_ps):
         raise ValidationError(f"pole {k_pole} must sit strictly inside (0, {k_hi})")
     nodes = config.radial_nodes
-    sides, tops, height = _contour_panels(length, d, k_pole, k_hi, nodes)
+    sides, tops, height = _contour_panels(length, d, k_pole, k_hi)
     w_hi, off_hi = c * k_hi, c * (k_hi - k_pole)
 
     results: list[IntegralResult | None] = [None] * len(columns)

@@ -113,6 +113,35 @@ def test_truncation_walls_error_loudly(registry):
         vac.create(1).create(1).create(1).create(1)
 
 
+def test_ladders_are_the_term_by_term_step():
+    # create and annihilate run through apply_vertices with the identity on
+    # the oscillators; on a state with both oscillators excited they must
+    # equal OccupationState.step taken term by term and summed.  Mode 3's
+    # first term sits at p_max: create raises there, and each mode's terms
+    # that hold none of its photons drop out of annihilate
+    reg = make_registry((K, (0.4, 0.3, 0.0)), n_max=2, p_max=2)
+    terms = {
+        OccupationState(1, 2, {0: 1, 3: 2}): 0.5 - 0.25j,
+        OccupationState(2, 1, {1: 1, 2: 1}): -1.5 + 0.0j,
+        OccupationState(2, 2, {0: 1, 2: 1}): 0.75j,
+        OccupationState(1, 1): 2.0 + 1.0j,
+    }
+    state = StateVector(reg, terms)
+    for j in range(len(reg)):
+        for raising, ladder in ((True, state.create), (False, state.annihilate)):
+            steps = [(occ.step(j, raising, reg.p_max), amp) for occ, amp in terms.items()]
+            if raising and any(stepped is None for stepped, _ in steps):
+                assert j == 3
+                with pytest.raises(TruncationError, match="mode 3 .* p_max = 2"):
+                    ladder(j)
+                continue
+            expected = {}
+            for stepped, amp in steps:
+                if stepped is not None:
+                    expected[stepped[0]] = expected.get(stepped[0], 0.0) + amp * stepped[1]
+            assert dict(ladder(j).terms()) == expected, (j, raising)
+
+
 def test_registry_mismatch_rejected(registry):
     other = make_registry(((0.7, 0.0, 0.0),))
     with pytest.raises(RegistryMismatchError):

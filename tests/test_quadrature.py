@@ -173,7 +173,7 @@ def test_default_settles_at_level_one(params):
     # the rectangle underflows below the saddle, so it has no top side
     sides, tops, height = quadrature._contour_panels(
         params.separation_l, params.dipole_d, params.omega_a / params.c,
-        CONFIG.kmax_over_invd / params.dipole_d, CONFIG.radial_nodes)
+        CONFIG.kmax_over_invd / params.dipole_d)
     assert height is None and tops.size == 0
     report = cli._epsilon_report(params, CONFIG)
     coeffs = series_coefficients(params, CONFIG)
@@ -612,6 +612,30 @@ def test_top_side_carries_the_integral_at_a_tenth_of_the_separation(monkeypatch,
     margins = {name: _gap_and_bound(a, b)
                for name, a, b in zip(_COLUMN_NAMES, epsilon_columns(params, CONFIG, columns), oracle)}
     assert all(gap > 100.0 * bound for gap, bound in margins.values()), _margins_text(margins)
+
+
+def test_top_side_ends_where_its_terms_underflow(tmp_path):
+    # at d/L = 0.1 the top side's terms carry exp(-d^2 x^2 - L^2/(4 d^2)),
+    # which is exactly 0.0 past x_end = sqrt(746 - L^2/(4 d^2))/d, so its
+    # last panel is the one that reaches x_end and a larger cutoff adds no
+    # node; a cutoff of 1e100/d runs as 30/d does
+    params = SystemParams(dipole_d=0.2)
+    d, length, k_pole = params.dipole_d, params.separation_l, params.omega_a / params.c
+    columns = _report_columns(params)
+    used = [[r.nodes_used for r in epsilon_columns(
+                params, QuadratureConfig(kmax_over_invd=kmax), columns)]
+            for kmax in (30.0, 1e3, 1e4, 1e100)]
+    assert used == [used[0]] * 4
+    x_end = math.sqrt(746.0 - (length / (2.0 * d)) ** 2) / d
+    for kmax in (30.0, 1e100):
+        _, tops, height = quadrature._contour_panels(length, d, k_pole, kmax / d)
+        assert tops[-1, 0] < x_end <= tops[-1, 1]
+    past = np.nextafter(x_end, math.inf) + 1j * height
+    terms, sizes = quadrature._g_terms(np.array([past]), np.ones(1), d, length)
+    assert terms[0] == 0.0 and sizes[0] == 0.0
+    cfg = tmp_path / "far_cutoff.cfg"
+    cfg.write_text("dipole_d = 0.2\nkmax_over_invd = 1e100\n")
+    assert cli.main(["--config", str(cfg), "epsilon"]) == cli.EXIT_OK
 
 
 def test_small_dipoles_meet_the_closed_form_on_a_fixed_node_count():
