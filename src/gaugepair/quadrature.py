@@ -23,10 +23,11 @@ bracket B.  Two reductions of it exist here, sharing no node:
   exp(i L k) decays as exp(-L y): a side needs the same nodes whatever L
   and L/d are (_contour_columns).  Each level halves every
   panel; a column settles once two levels agree to rel_tol of its value or
-  to the rounding size of its sum, and reports their difference plus that
+  to the rounding size of its sum (so it needs levels 0 and 1 at least,
+  which one batch evaluates together), and reports their difference plus that
   size as its error estimate; a level past the node budget (which also caps
   the nodes per panel) stops the pass as stalled.  Config keys: radial_nodes
-  (nodes per panel, 32 by default), kmax_over_invd (K) and rel_tol.  The
+  (nodes per panel, 16 by default), kmax_over_invd (K) and rel_tol.  The
   real-axis route is the test-side oracle of this one (tests/kx_oracle.py).
 
 * The spherical engine (radial_columns and _g_batch).  No CLI verb runs
@@ -60,7 +61,7 @@ bracket B.  Two reductions of it exist here, sharing no node:
   the whole integrand at pole +- 1e-6 pole.  Fields read: radial_nodes,
   angular_nodes (no config-file key), kmax_over_invd, rel_tol.  Its radial
   integrand grows with k, so the tests run it at 64 radial and 64 angular
-  nodes rather than the k_x route's default of 32.  G is summed in long
+  nodes rather than the k_x route's default of 16.  G is summed in long
   double: once k L is large it cancels far below its terms.
 
 The on-shell residue (the imaginary part a +i eta regulator would produce) is
@@ -125,9 +126,9 @@ def _panel_nodes(lo: float, hi: float, n_panels: int, nodes: int,
 @dataclass(frozen=True)
 class QuadratureConfig:
     # Gauss-Legendre nodes per contour or radial panel.  On a contour side the
-    # integrand decays as exp(-L y), and 32 nodes settle every report column at
+    # integrand decays as exp(-L y), and 16 nodes settle every report column at
     # level 1; the stopping rule checks that, so too few cost levels, not digits.
-    radial_nodes: int = 32
+    radial_nodes: int = 16
     angular_nodes: int = 64  # nodes per angular panel (spherical engine)
     kmax_over_invd: float = 8.0  # cutoff K in units of 1/dipole_d
     rel_tol: float = 1e-9
@@ -281,19 +282,14 @@ def _antiderivative(kind: str, shift: float, w: np.ndarray, off: np.ndarray) -> 
     return out
 
 
-def _basis(key: tuple[str, float], w: np.ndarray, off: np.ndarray, w_hi: float,
-           off_hi: float) -> np.ndarray:
-    """One basis function of H (see _h_coefficients) at complex w in the
-    closed upper half plane; off is w - shift, w_hi = W."""
+def _basis(key: tuple[str, float], w: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """One basis function of H (see _h_coefficients) at complex w[:-1] in the
+    closed upper half plane; off is w - shift, and w[-1] = W, so F(W) comes
+    from the same evaluation as the nodes' F(w)."""
     if key[0] == "log":
-        return np.log(w_hi / w)
-    return _antiderivative(*key, w, off) - _at_hi(*key, w_hi, off_hi)
-
-
-@functools.lru_cache(maxsize=64)
-def _at_hi(kind: str, shift: float, w_hi: float, off_hi: float) -> complex:
-    return complex(_antiderivative(kind, shift, np.array([complex(w_hi)]),
-                                   np.array([complex(off_hi)]))[0])
+        return np.log(w[-1] / w[:-1])
+    f = _antiderivative(*key, w, off)
+    return f[:-1] - f[-1]
 
 
 def _contour_panels(length: float, d: float, k_pole: float,
@@ -379,7 +375,8 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
     c_p the "pole" coefficient: H_a = H + i pi c_p on 0 < k < p.  J comes
     from the same left side, a side at k = p + iy and the top over [0, p];
     the residue p^3 G(p) is Re J.  A column with c_p = 0 has no pole and
-    reports no residue.
+    reports no residue.  Level 0 never settles, so levels 0 and 1 are
+    evaluated as one batch; each later level is a batch of its own.
     """
     d, length, c = params.dipole_d, params.separation_l, params.c
     k_hi = config.kmax_over_invd / d
@@ -393,49 +390,74 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
         raise ValidationError(f"pole {k_pole} must sit strictly inside (0, {k_hi})")
     nodes = config.radial_nodes
     sides, tops, height = _contour_panels(length, d, k_pole, k_hi)
-    w_hi, off_hi = c * k_hi, c * (k_hi - k_pole)
+    # nodes of level 0, J's side included
+    n_base = ((3 if pole is not None else 2) * sides.shape[0] + tops.shape[0]) * nodes
+
+    def level_sums(levels: tuple[int, ...], keys: set) -> list[tuple[dict, tuple, int]]:
+        """Per level of the batch: ({key: (Re sum of the terms times that
+        basis function, its rounding size)}, J's (Im, Re, rounding size), the
+        level's nodes), from one _g_terms call and one basis evaluation per key."""
+        splits = [(_split(sides, level, nodes), _split(tops, level, nodes)) for level in levels]
+        k = [np.concatenate([1j * y, k_hi + 1j * y, x + 1j * (height or 0.0)])
+             for (y, _), (x, _) in splits]
+        weights = [np.concatenate([1j * wy, -1j * wy, wx]) for (_, wy), (_, wx) in splits]
+        n_main = sum(part.size for part in k)
+        if pole is not None:  # J's side at k = p + iy, after every level's main nodes
+            k += [pole + 1j * y for (y, _), _ in splits]
+            weights += [-1j * wy for (_, wy), _ in splits]
+        k = np.concatenate(k)
+        terms, sizes = _g_terms(k, np.concatenate(weights), d, length)
+        w = np.append(c * k[:n_main], c * k_hi)
+        off = np.append(c * (k[:n_main] - k_pole), c * (k_hi - k_pole))
+        bases = {key: _basis(key, w, off) for key in keys}
+        magnitudes = {key: np.abs(basis) for key, basis in bases.items()}
+        out, start, j_start = [], 0, n_main
+        for (y, _), (x, _) in splits:
+            n_level = 2 * y.size + x.size
+            at = slice(start, start + n_level)
+            sums = {key: (_panel_sum((terms[at] * basis[at]).real, nodes),
+                          float(sizes[at] @ magnitudes[key][at]))
+                    for key, basis in bases.items()}
+            j_sums = (0.0, 0.0, 0.0)
+            if pole is not None:  # J: the left side, the side at p + iy, the top over [0, p]
+                side = slice(j_start, j_start + y.size)
+                on_j = np.concatenate([np.arange(2 * y.size) < y.size, x < pole])
+                j_terms = np.concatenate([terms[at][on_j], terms[side]])
+                j_sums = (_panel_sum(j_terms.imag, nodes), _panel_sum(j_terms.real, nodes),
+                          float(sizes[at][on_j].sum() + sizes[side].sum()))
+                j_start += y.size
+                n_level += y.size
+            out.append((sums, j_sums, n_level))
+            start = at.stop
+        return out
 
     results: list[IntegralResult | None] = [None] * len(columns)
     prev, used, unsettled = [0.0] * len(columns), 0, math.inf
-    for level in range(_MAX_LEVELS):
-        # nodes of the level, J's side included; nodes^2, the rule's own
+    for levels in ((0, 1), *((level,) for level in range(2, _MAX_LEVELS))):
+        # the batch's last level is its largest; nodes^2, the rule's own
         # companion matrix, caps the nodes per panel before _leggauss builds it
-        n_level = ((3 if pole is not None else 2) * sides.shape[0] + tops.shape[0]) * nodes
-        if max(n_level << level, nodes * nodes) > _NODE_BUDGET:
+        if max(n_base << levels[-1], nodes * nodes) > _NODE_BUDGET:
             _stalled(unsettled, config)
-        unsettled = 0.0
-        (y, wy), (x, wx) = _split(sides, level, nodes), _split(tops, level, nodes)
-        k = np.concatenate([1j * y, k_hi + 1j * y, x + 1j * (height or 0.0)])
-        terms, sizes = _g_terms(k, np.concatenate([1j * wy, -1j * wy, wx]), d, length)
         live = [j for j, r in enumerate(results) if r is None]
-        sums = {}
-        for key in {key for j in live for key in coeffs[j]}:
-            basis = _basis(key, c * k, c * (k - k_pole), w_hi, off_hi)
-            sums[key] = (_panel_sum((terms * basis).real, nodes), float(sizes @ np.abs(basis)))
-        j_im = j_re = j_size = 0.0
-        if pole is not None:  # J: the left side, a side at k = p + iy, the top over [0, p]
-            side, side_sizes = _g_terms(pole + 1j * y, -1j * wy, d, length)
-            on_j = np.concatenate([np.arange(2 * y.size) < y.size, x < pole])
-            j_terms = np.concatenate([terms[on_j], side])
-            j_im, j_re = _panel_sum(j_terms.imag, nodes), _panel_sum(j_terms.real, nodes)
-            j_size = float(sizes[on_j].sum() + side_sizes.sum())
-            used += y.size
-        used += k.size
-        for j in live:
-            c_p = c_ps[j]
-            value = math.fsum([cf * sums[key][0] for key, cf in coeffs[j].items()]
-                              + [math.pi * c_p * j_im])
-            rounding = _EPS * (sum(abs(cf) * sums[key][1] for key, cf in coeffs[j].items())
-                              + math.pi * abs(c_p) * j_size)
-            delta, prev[j] = abs(value - prev[j]), value
-            if level == 0:
-                continue
-            if delta > config.rel_tol * abs(value) + rounding:
-                unsettled = max(unsettled, delta)
-                continue
-            results[j] = IntegralResult(
-                value=value, error_estimate=delta + rounding,
-                residue_imag=-math.pi * c_p * j_re if c_p else 0.0, nodes_used=used)
+        batch = level_sums(levels, {key for j in live for key in coeffs[j]})
+        for level, (sums, (j_im, j_re, j_size), n_level) in zip(levels, batch):
+            used += n_level
+            unsettled = 0.0
+            for j in live:
+                c_p = c_ps[j]
+                value = math.fsum([cf * sums[key][0] for key, cf in coeffs[j].items()]
+                                  + [math.pi * c_p * j_im])
+                rounding = _EPS * (sum(abs(cf) * sums[key][1] for key, cf in coeffs[j].items())
+                                  + math.pi * abs(c_p) * j_size)
+                delta, prev[j] = abs(value - prev[j]), value
+                if level == 0:
+                    continue
+                if delta > config.rel_tol * abs(value) + rounding:
+                    unsettled = max(unsettled, delta)
+                    continue
+                results[j] = IntegralResult(
+                    value=value, error_estimate=delta + rounding,
+                    residue_imag=-math.pi * c_p * j_re if c_p else 0.0, nodes_used=used)
         if all(r is not None for r in results):
             return results
     _stalled(unsettled, config)

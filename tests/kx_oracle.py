@@ -46,6 +46,11 @@ from gaugepair.quadrature import (
     _stalled,
 )
 
+# The oracle's own config: 32 nodes per panel, twice the contour route's
+# default.  Its panels are a period of cos(L k_x) wide, and at 16 nodes
+# several columns need level 2 where they settle at level 1 on 32.
+ORACLE = QuadratureConfig(radial_nodes=32)
+
 # Halvings of the graded panels at the pole beyond the ones at k = 0: each
 # halves the first-order error of the innermost panel, 4e-13 relative at the
 # default point before them.

@@ -7,7 +7,7 @@ is integrated by one adaptive radial pass with the pole window
 column, which the product holds only as its partial fractions, is paired
 here with its closed-form bracket (closed_forms).  Its radial integrand
 grows with k, so it runs at ORACLE's 64 radial and 64 angular nodes rather
-than the k_x route's default of 32.
+than the k_x route's default of 16.
 """
 
 from __future__ import annotations

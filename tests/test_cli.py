@@ -463,6 +463,7 @@ EDGE_INPUTS = [
     ("kmax_over_invd = 1e300", ["expand"], EXIT_VALIDATION),
     # the implied oscillator mass hbar/(2 d^2 omega) squares d past the range
     ("dipole_d = 1e300", ["oracle"], EXIT_VALIDATION),
+    ("dipole_d = 1e300", ["check"], EXIT_VALIDATION),
     # a directory where a file is read or written; {dir} is the test's tmp_path
     ("", ["--config", "{dir}", "epsilon"], EXIT_VALIDATION),
     ("", ["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02", "--points", "2",

@@ -3,6 +3,7 @@ continuation, the real-axis oracle (tests/kx_oracle.py), the spherical
 oracle (tests/spherical_oracle.py, on the angular reduction and the
 principal-value radial engine), and the amplitudes."""
 
+import dataclasses
 import decimal
 import math
 from decimal import Decimal
@@ -182,6 +183,43 @@ def test_default_settles_at_level_one(params):
     used += [report["coefficients"][c]["nodes_used"] for c in ("c0", "c1", "c2")]
     used += [coeffs.c0.nodes_used, coeffs.c1.nodes_used, coeffs.c2.nodes_used]
     assert used == [3 * 3 * sides.shape[0] * CONFIG.radial_nodes] * 9
+
+
+@pytest.mark.parametrize("params", [
+    *(SystemParams(separation_l=sep_l, dipole_d=0.01 * sep_l, omega_b=1.0 + delta)
+      for sep_l in (1.8, 2.196) for delta in (0.002, 0.05)),  # the report grid's corners
+    SystemParams(separation_l=0.05, dipole_d=0.0005),  # omega_a L/c = 0.05, d/L = 0.01
+    SystemParams(separation_l=400.0, dipole_d=4.0),  # omega_a L/c = 400, d/L = 0.01
+    SystemParams(dipole_d=2e-6),  # d/L = 1e-6
+    SystemParams(dipole_d=0.2),  # d/L = 0.1, where the rectangle has a top side
+], ids=lambda p: f"L={p.separation_l},d={p.dipole_d},omega_b={p.omega_b}")
+def test_default_takes_half_the_nodes_of_32_per_panel(params):
+    # the default 16 nodes per panel settle every column at the level that
+    # 32 do, on exactly half their nodes, and each value lies within the two
+    # runs' error estimates
+    columns = _report_columns(params)
+    default = epsilon_columns(params, CONFIG, columns)
+    doubled = epsilon_columns(params, QuadratureConfig(radial_nodes=32), columns)
+    for name, a, b in zip(_COLUMN_NAMES, default, doubled):
+        assert 2 * a.nodes_used == b.nodes_used, name
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, name
+
+
+def test_levels_past_the_first_batch_run_one_at_a_time():
+    # at 4 nodes per panel no column settles at level 1: past the batch of
+    # levels 0 and 1 each later level runs once, so a column settled at level
+    # n holds (2^(n+1) - 1) times level 0's nodes, and still lies within the
+    # default's estimates
+    sides, tops, _ = quadrature._contour_panels(
+        PARAMS.separation_l, PARAMS.dipole_d, PARAMS.omega_a / PARAMS.c,
+        CONFIG.kmax_over_invd / PARAMS.dipole_d)
+    base = (3 * sides.shape[0] + tops.shape[0]) * 4
+    columns = _report_columns(PARAMS)
+    coarse = epsilon_columns(PARAMS, QuadratureConfig(radial_nodes=4), columns)
+    for name, a, b in zip(_COLUMN_NAMES, coarse, epsilon_columns(PARAMS, CONFIG, columns)):
+        level = round(math.log2(a.nodes_used / base + 1)) - 1
+        assert level >= 2 and a.nodes_used == (2 ** (level + 1) - 1) * base, name
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, name
 
 
 def test_report_verbs_never_call_the_spherical_kernel(monkeypatch, capsys):
@@ -465,7 +503,8 @@ def test_continued_basis_reaches_the_axis_as_the_oracles_real_basis(omega_a):
         coeffs = _h_coefficients(column)
         for key in coeffs:
             real = kx_oracle._basis(key, w, off, w_hi, off_hi, np.empty_like(w))
-            continued[key] = quadrature._basis(key, w + 0j, off + 0j, w_hi, off_hi)
+            continued[key] = quadrature._basis(key, np.append(w, w_hi) + 0j,
+                                               np.append(off, off_hi) + 0j)
             jump = np.where((key[0] == "pole") & (w < key[1]), math.pi, 0.0)
             assert (np.abs(continued[key].real - real) <= 8 * eps * (1.0 + np.abs(real))).all(), key
             assert (continued[key].imag == jump).all(), key
@@ -527,7 +566,7 @@ def test_contour_route_matches_the_real_axis_oracle(x):
                 continue
             columns = _report_columns(params)
             contour = epsilon_columns(params, CONFIG, columns)
-            oracle = kx_oracle.oracle_columns(params, CONFIG, columns)
+            oracle = kx_oracle.oracle_columns(params, kx_oracle.ORACLE, columns)
             for name, a, b in zip(_COLUMN_NAMES, contour, oracle):
                 margins[f"d/L={dl},delta={delta} {name}"] = (
                     abs(a.value - b.value), a.error_estimate + b.error_estimate)
@@ -552,10 +591,11 @@ def test_oracle_low_bits_let_its_two_levels_agree(delta):
     # dropped low bits enter the phase (kx_oracle._kx_nodes, low * slope);
     # without them the Coulomb column's levels disagree past rel_tol to level 4
     params = SystemParams(separation_l=400.0, dipole_d=0.4, omega_b=1.0 + delta)
-    assert _oracle_levels(params, CONFIG, math.ceil(-math.log2(CONFIG.rel_tol))) == [1] * 5
+    oracle = kx_oracle.ORACLE
+    assert _oracle_levels(params, oracle, math.ceil(-math.log2(oracle.rel_tol))) == [1] * 5
 
 
-FLOOR = QuadratureConfig(rel_tol=ROUNDING_FLOOR)
+FLOOR = dataclasses.replace(kx_oracle.ORACLE, rel_tol=ROUNDING_FLOOR)
 
 
 @pytest.mark.parametrize("x, dl", [(20.0, 0.04), (100.0, 0.01)])
@@ -571,7 +611,7 @@ def test_oracle_pole_panels_put_its_first_order_error_below_rounding(monkeypatch
     # only as often as the ones at k_x = 0, the order-1 column's two levels
     # differ by the error, 1e-12 of it, and it needs level 7.
     params = SystemParams(separation_l=x, dipole_d=dl * x, omega_b=1.0 + delta)
-    halvings = math.ceil(-math.log2(CONFIG.rel_tol))  # 30; the floor's own 47 would hide the error
+    halvings = math.ceil(-math.log2(kx_oracle.ORACLE.rel_tol))  # 30; the floor's own 47 would hide the error
     panels = kx_oracle._kx_panels
     monkeypatch.setattr(kx_oracle, "_kx_panels",
                         lambda pole, k_hi, per_unit, _: panels(pole, k_hi, per_unit, halvings))
