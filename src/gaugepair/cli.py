@@ -1,12 +1,15 @@
 """Command-line front end: amplitude reports, parameter sweeps, invariant
 suites, and the small-registry oracle.
 
-Exit codes: 0 success; 1 bad input, including an evaluation exactly on the
-resonance (PoleError, a ValidationError), a vanishing oracle coupling and an
-oracle amplitude within PRUNE_TOL; 2 quadrature non-convergence, an oracle
-failure, or a sweep with any row whose status is not "ok"; 3 invariant
-failure.  All floats print with 9 significant digits; identical config and
-seed give byte-identical output.
+Exit codes: 0 success; 1 bad input (a ValidationError or OSError, one error
+line), including an evaluation exactly on the resonance (PoleError), a
+vanishing coupling in any verb but sweep, an implied mass out of range in
+check or oracle, an oracle amplitude within PRUNE_TOL and a sweep grid numpy
+refuses to build; 2 quadrature non-convergence, an oracle failure, or a
+sweep with any row whose status is not "ok"; 3 invariant failure.  The
+report verbs print through _render, and sweep writes through one sink.  All
+floats print with 9 significant digits; identical config and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, replace as dc_replace
 
 import numpy as np
@@ -179,14 +183,12 @@ def _rounded(doc):
 
 
 def _leaves(doc: dict):
-    """(key, leaf) pairs of a report in document order, checks left out; an
-    integral result (a dict with a "value") is one leaf."""
+    """(key, leaf) pairs of a report in document order, its verdicts (the
+    bools) left out; an integral result (a dict with a "value") is one leaf."""
     for key, value in doc.items():
-        if key == "checks":
-            continue
         if isinstance(value, dict) and "value" not in value:
             yield from _leaves(value)
-        else:
+        elif not isinstance(value, bool):
             yield key, value
 
 
@@ -197,39 +199,40 @@ def _cell(leaf) -> str:
     return _fmt(leaf)
 
 
-def _print_table(rows: list[tuple[str, str]]) -> None:
-    width = max(len(key) for key, _ in rows)
-    for key, value in rows:
-        print(f"  {key:<{width}}  {value}")
+def _render(args, title: str | None, doc: dict, verdicts: dict, rows=None) -> int:
+    """Print a verb's report and return the exit code its verdicts give.
 
-
-def _print_verdicts(verdicts: dict) -> None:
-    for name, ok in verdicts.items():
-        print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-
-
-def _render(args, title: str, doc: dict) -> None:
+    Under --json the document, its floats rounded to nine significant digits.
+    Otherwise the title, then the document's leaves as rows and one
+    [PASS]/[FAIL] line per verdict; a verb that passes its own rows prints
+    those instead, its verdict among them.
+    """
     if args.json:
         print(json.dumps(_rounded(doc), indent=2))
-        return
-    print(title)
-    _print_table([(key, _cell(leaf)) for key, leaf in _leaves(doc)])
-    _print_verdicts(doc.get("checks", {}))
+    else:
+        if title:
+            print(title)
+        table = rows if rows is not None else [(key, _cell(leaf)) for key, leaf in _leaves(doc)]
+        width = max((len(key) for key, _ in table), default=0)
+        for key, value in table:
+            print(f"  {key:<{width}}  {value}")
+        if rows is None:
+            for name, ok in verdicts.items():
+                print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
+    return EXIT_OK if all(verdicts.values()) else EXIT_INVARIANT
 
 
 def cmd_epsilon(args) -> int:
     params, config = _load(args)
     report = _epsilon_report(params, config)
-    _render(args, "amplitude report", report)
-    return EXIT_OK if all(report["checks"].values()) else EXIT_INVARIANT
+    return _render(args, "amplitude report", report, report["checks"])
 
 
 def cmd_expand(args) -> int:
     params, config = _load(args)
     coeffs = series_coefficients(params, config)
-    _render(args, "series coefficients (c1 in detuning/splitting-frequency units,"
-                  " c2 in squared units)", {"params": asdict(params), **asdict(coeffs)})
-    return EXIT_OK
+    return _render(args, "series coefficients (c1 in detuning/splitting-frequency units,"
+                         " c2 in squared units)", {"params": asdict(params), **asdict(coeffs)}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +251,12 @@ def _axis_values(args) -> list[float]:
         raise ValidationError("sweep needs at least one point")
     if args.points == 1:
         return [args.start]
-    if args.log:
-        if args.start <= 0 or args.stop <= 0:
-            raise ValidationError("geometric spacing needs positive endpoints")
-        return list(np.geomspace(args.start, args.stop, args.points))
-    return list(np.linspace(args.start, args.stop, args.points))
+    if args.log and (args.start <= 0 or args.stop <= 0):
+        raise ValidationError("geometric spacing needs positive endpoints")
+    try:
+        return list((np.geomspace if args.log else np.linspace)(args.start, args.stop, args.points))
+    except ValueError as exc:  # numpy refuses a grid past its index range
+        raise ValidationError(f"sweep of {args.points} points: {exc}") from exc
 
 
 def _params_for(base: SystemParams, axis: str, value: float) -> SystemParams:
@@ -284,21 +288,15 @@ def cmd_sweep(args) -> int:
 
     rows = [_sweep_row(base, config, args.axis, value) for value in values]
 
-    if args.plot_data:
-        out = sys.stdout
-        for value, row in zip(values, rows):
-            if row[-1] == "ok":
-                print(f"{_fmt(value)} {row[CSV_HEADER.index('ratio')]}", file=out)
-        return EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_CONVERGENCE
-
-    sink = open(args.csv, "w", newline="") if args.csv else sys.stdout
-    try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-    finally:
-        if args.csv:
-            sink.close()
+    with open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout) as sink:
+        if args.plot_data:
+            ratio = CSV_HEADER.index("ratio")
+            sink.writelines(f"{_fmt(value)} {row[ratio]}\n"
+                            for value, row in zip(values, rows) if row[-1] == "ok")
+        else:
+            writer = csv.writer(sink, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            writer.writerows(rows)
     return EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_CONVERGENCE
 
 
@@ -410,16 +408,13 @@ def cmd_check(args) -> int:
     for name, suite in suites:
         try:
             results[name] = suite()
+        except ValidationError:  # bad input, one error line as in every verb
+            raise
         except Exception as exc:  # a crashed suite is a failed suite
             print(f"  [FAIL] {name}: {exc}", file=sys.stderr)
             results[name] = False
-
-    passed = all(results.values())
-    if args.json:
-        print(json.dumps({"suites": results, "all_passed": passed}, indent=2))
-    else:
-        _print_verdicts(results)
-    return EXIT_OK if passed else EXIT_INVARIANT
+    return _render(args, None, {"suites": results, "all_passed": all(results.values())},
+                   results)
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +432,12 @@ def cmd_oracle(args) -> int:
     exponent, samples = oracle_scaling_exponent(params, registry)
     passed = abs(exponent - 4.0) <= 0.2
     verdict = "pass" if passed else "fail"
-
-    if args.json:
-        doc = {"exponent": exponent, "samples": samples, "verdict": verdict}
-        print(json.dumps(_rounded(doc), indent=2))
-    else:
-        print("oracle report")
-        rows = [("registry", f"+-k pair at |k| = {_fmt(k_mag)}")]
-        rows += [(f"residual at q = {_fmt(q)}", _fmt(r)) for q, r in samples]
-        rows += [("fitted exponent", _fmt(exponent)), ("verdict", verdict)]
-        _print_table(rows)
-    return EXIT_OK if passed else EXIT_INVARIANT
+    rows = [("registry", f"+-k pair at |k| = {_fmt(k_mag)}")]
+    rows += [(f"residual at q = {_fmt(q)}", _fmt(r)) for q, r in samples]
+    rows += [("fitted exponent", _fmt(exponent)), ("verdict", verdict)]
+    return _render(args, "oracle report",
+                   {"exponent": exponent, "samples": samples, "verdict": verdict},
+                   {"fourth-power scaling": passed}, rows)
 
 
 # ---------------------------------------------------------------------------

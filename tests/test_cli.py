@@ -20,7 +20,7 @@ from gaugepair.cli import (
     EXIT_VALIDATION,
     main,
 )
-from gaugepair.core import SystemParams
+from gaugepair.core import PARAM_KEYS, SystemParams
 from gaugepair.fock import PolarizationKind
 from gaugepair.perturbation import PoleError
 from gaugepair.quadrature import coulomb_closed_form
@@ -56,11 +56,44 @@ def test_epsilon_json_shape_and_rounding(coarse_cfg, capsys):
     assert all(report["checks"].values())
 
 
+SUITES = ["metric sector", "subsidiary condition", "form factor oracle",
+          "per-mode gauge equivalence", "four-diagram reconstruction"]
+
+
+def _aligned_rows(lines):
+    """(key, value) of table rows "  key  value" whose values share one column."""
+    matches = [re.fullmatch(r"  (\S+) +(\S.*)", line) for line in lines]
+    assert all(matches), lines
+    assert len({m.start(2) for m in matches}) == 1, lines
+    return [m.groups() for m in matches]
+
+
 def test_epsilon_human_table(coarse_cfg, capsys):
     assert main(["--config", coarse_cfg, "epsilon"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "eps_coulomb" in out and "ratio" in out
-    assert "[PASS] transformed matches covariant" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "amplitude report"
+    rows = _aligned_rows(lines[1:-2])
+    assert [key for key, _ in rows] == [*PARAM_KEYS, "eps_coulomb", "eps_lorentz",
+                                        "eps_transformed", "ratio", "c0", "c1", "c2"]
+    assert lines[-2:] == ["  [PASS] transformed matches covariant",
+                          "  [PASS] per-mode residual vanishes"]
+
+
+def test_expand_table_layout(coarse_cfg, capsys):
+    assert main(["--config", coarse_cfg, "expand"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("series coefficients (c1 in detuning/splitting-frequency units,"
+                        " c2 in squared units)")
+    rows = _aligned_rows(lines[1:])
+    assert [key for key, _ in rows] == [*PARAM_KEYS, "c0", "c1", "c2"]
+    assert all("(err " in value for _, value in rows[-3:])
+
+
+def test_check_table_is_one_verdict_line_per_suite(capsys):
+    assert main(["check"]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out.splitlines() == [f"  [PASS] {suite}" for suite in SUITES]
+    assert out.err == ""
 
 
 def test_check_passes_and_is_deterministic(capsys):
@@ -68,8 +101,9 @@ def test_check_passes_and_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["check", "--json"]) == EXIT_OK
     assert capsys.readouterr().out == first
-    suites = json.loads(first)["suites"]
-    assert all(suites.values()) and len(suites) == 5
+    report = json.loads(first)
+    assert list(report) == ["suites", "all_passed"]
+    assert list(report["suites"]) == SUITES and all(report["suites"].values())
 
 
 def test_one_parser_serves_every_call_of_a_process(capsys):
@@ -165,6 +199,7 @@ def test_a_suite_that_raises_fails_check(monkeypatch, capsys):
 def test_oracle_reports_fourth_power(capsys):
     assert main(["oracle", "--json"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["exponent", "samples", "verdict"]
     assert report["verdict"] == "pass"
     assert 3.8 <= report["exponent"] <= 4.2
     assert len(report["samples"]) == 3
@@ -268,6 +303,17 @@ def test_sweep_plot_data_emits_pairs(coarse_cfg, capsys):
     assert len(pairs) == 2
     xs = [float(x) for x, _ in pairs]
     assert xs == sorted(xs)
+    assert all(0.9 < float(r) < 1.0 for _, r in pairs)
+
+
+def test_sweep_plot_data_goes_to_the_csv_path(coarse_cfg, tmp_path, capsys):
+    out_csv = tmp_path / "pairs.txt"
+    assert main(["--config", coarse_cfg, "sweep", "--axis", "delta_e", "--from", "0.01",
+                 "--to", "0.02", "--points", "2", "--plot-data",
+                 "--csv", str(out_csv)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    pairs = [line.split() for line in out_csv.read_text().splitlines()]
+    assert [float(x) for x, _ in pairs] == [0.01, 0.02]
     assert all(0.9 < float(r) < 1.0 for _, r in pairs)
 
 
@@ -464,6 +510,14 @@ EDGE_INPUTS = [
     # the implied oscillator mass hbar/(2 d^2 omega) squares d past the range
     ("dipole_d = 1e300", ["oracle"], EXIT_VALIDATION),
     ("dipole_d = 1e300", ["check"], EXIT_VALIDATION),
+    # a vanishing coupling leaves the static-route bracket undefined: bad
+    # input, not a failed per-mode suite
+    ("charge_q = 0", ["check"], EXIT_VALIDATION),
+    ("charge_q = 1e-160", ["check"], EXIT_VALIDATION),
+    ("charge_q = 0", ["oracle"], EXIT_VALIDATION),
+    # numpy refuses a grid past its index range before allocating it
+    ("", ["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02",
+          "--points", "100000000000000000000"], EXIT_VALIDATION),
     # a directory where a file is read or written; {dir} is the test's tmp_path
     ("", ["--config", "{dir}", "epsilon"], EXIT_VALIDATION),
     ("", ["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02", "--points", "2",
