@@ -4,12 +4,12 @@ suites, and the small-registry oracle.
 Exit codes: 0 success; 1 bad input (a ValidationError or OSError, one error
 line), including an evaluation exactly on the resonance (PoleError), a
 vanishing coupling in any verb but sweep, an implied mass out of range in
-check or oracle, an oracle amplitude within PRUNE_TOL and a sweep grid numpy
-refuses to build; 2 quadrature non-convergence, an oracle failure, or a
-sweep with any row whose status is not "ok"; 3 invariant failure.  The
-report verbs print through _render, and sweep writes through one sink.  All
-floats print with 9 significant digits; identical config and seed give
-byte-identical output.
+check or oracle, an oracle or check per-mode amplitude within PRUNE_TOL and a
+sweep grid numpy refuses to build; 2 quadrature non-convergence, an oracle
+failure, or a sweep with any row whose status is not "ok"; 3 invariant
+failure.  The report verbs print through _render, and sweep writes through
+one sink.  All floats print with 9 significant digits; identical config and
+seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .core import (
     validate,
 )
 from .fock import (
+    PRUNE_TOL,
     PolarizationKind,
     StateVector,
     apply_scalar_sector_identity,
@@ -56,6 +57,7 @@ from .perturbation import (
     OracleError,
     ResonanceError,
     combined_bracket_form,
+    coulomb_integrand,
     diagram_integrand,
     oracle_scaling_exponent,
     symmetric_diagram_sum,
@@ -334,15 +336,19 @@ def _subsidiary_suite(params: SystemParams, corrupt: bool) -> bool:
 
 
 def _form_factor_suite(params: SystemParams, rng: random.Random) -> bool:
-    for _ in range(20):
-        kd = rng.uniform(1e-3, 3.0)
-        k_x = kd / params.dipole_d
-        # full 0->1 element of exp(-i k_x x): -(i k_x d) times the Gaussian
-        closed = -1j * kd * gaussian_form_factor(params, k_x)
-        numeric = form_factor_oracle(params, OscillatorId.A, k_x)
-        if abs(numeric - closed) > 1e-8 * abs(closed):
-            return False
-    return True
+    kd = np.array([rng.uniform(1e-3, 3.0) for _ in range(20)])
+    k_x = kd / params.dipole_d
+    # full 0->1 element of exp(-i k_x x): -(i k_x d) times the Gaussian
+    closed = -1j * kd * gaussian_form_factor(params, k_x)
+    numeric = form_factor_oracle(params, OscillatorId.A, k_x)
+    return not (np.abs(numeric - closed) > 1e-8 * np.abs(closed)).any()
+
+
+def _within_form_factor(params: SystemParams, k_mags: np.ndarray) -> np.ndarray:
+    """k_mags, the default point's, halved as a whole until the largest |k| d < 1,
+    where exp(-(k d)^2) > 1/e; none reaches a power of two such as the resonance at 1."""
+    _, exponent = math.frexp(k_mags.max() * params.dipole_d)  # = m 2^exponent, 1/2 <= m < 1
+    return k_mags * 2.0 ** -max(0, exponent)
 
 
 def _per_k_suite(params: SystemParams, rng: random.Random) -> bool:
@@ -352,42 +358,32 @@ def _per_k_suite(params: SystemParams, rng: random.Random) -> bool:
     if (np.abs(report.residual) > 1e-12 * np.maximum(np.abs(report.bracket_lorentz), 1e-3)).any():
         return False
     # dual route: explicit state algebra must agree with the closed forms
-    for k_mag in (0.7, 1.9, 3.3):
-        k_vector = (k_mag, 0.0, 0.0)
-        linear, quadratic = operator_route_brackets(params, k_vector)
-        _, lin_closed, quad_closed = transform_brackets(params, k_mag * params.c)
-        if abs(linear - lin_closed) > 1e-10 * max(1.0, abs(lin_closed)):
-            return False
-        if abs(quadratic - quad_closed) > 1e-10 * max(1.0, abs(quad_closed)):
-            return False
-    return True
+    k_mags = _within_form_factor(params, np.array([0.7, 1.9, 3.3]))
+    closed = np.array(transform_brackets(params, k_mags * params.c)[1:])  # linear, quadratic
+    # the amplitudes the state algebra reaches: operator_route_brackets' norm, twice for quadratic
+    reach = np.abs(closed * [[2.0], [4.0]] * coulomb_integrand(params, k_mags[:, None] * [1, 0, 0]))
+    if (reach <= PRUNE_TOL).any():
+        raise ValidationError(f"check's per-mode amplitudes reach {reach.min():.3e}, within "
+                              f"PRUNE_TOL = {PRUNE_TOL:g}, where the state algebra drops them")
+    routed = np.transpose([operator_route_brackets(params, (k, 0.0, 0.0)) for k in k_mags.tolist()])
+    return not (np.abs(routed - closed) > 1e-10 * np.maximum(1.0, np.abs(closed))).any()
 
 
 def _diagram_suite(params: SystemParams, rng: random.Random) -> bool:
-    for _ in range(100):
-        k_mag = rng.uniform(0.05, 6.0)
-        if abs(k_mag * params.c - params.omega_a) < 1e-3:
-            continue
-        mu = rng.uniform(-1.0, 1.0)
-        if abs(mu) < 1e-3:
-            continue
-        k_vector = (k_mag * mu, k_mag * math.sqrt(1.0 - mu * mu), 0.0)
-        total = symmetric_diagram_sum(params, k_vector)
-        closed = combined_bracket_form(params, k_vector)
-        if abs(total - closed) > 1e-12 * max(abs(closed), 1e-6):
-            return False
+    lo, hi = _within_form_factor(params, np.array([0.05, 6.0]))
+    k_mag, mu = np.array([(rng.uniform(lo, hi), rng.uniform(-1.0, 1.0)) for _ in range(100)]).T
+    keep = (np.abs(k_mag * params.c - params.omega_a) >= 1e-3) & (np.abs(mu) >= 1e-3)
+    k_vectors = np.column_stack([k_mag * mu, k_mag * np.sqrt(1 - mu * mu), 0 * mu])[keep]
+    total = symmetric_diagram_sum(params, k_vectors)
+    closed = combined_bracket_form(params, k_vectors)
+    if (np.abs(total - closed) > 1e-12 * np.maximum(np.abs(closed), 1e-6)).any():
+        return False
     # the two resonant-order diagrams cancel where the bracket root sits
-    k_root = math.sqrt(params.omega_a * params.omega_b) / params.c
-    k_vector = (k_root, 0.0, 0.0)
-    scalar_term = diagram_integrand(
-        params, DiagramSpec(ExchangeOrder.RESONANT, PolarizationKind.SCALAR), k_vector
-    )
-    longitudinal_term = diagram_integrand(
-        params,
-        DiagramSpec(ExchangeOrder.RESONANT, PolarizationKind.LONGITUDINAL),
-        k_vector,
-    )
-    return abs(scalar_term + longitudinal_term) < 1e-12 * max(1.0, abs(scalar_term))
+    k_root = (math.sqrt(params.omega_a * params.omega_b) / params.c, 0.0, 0.0)
+    scalar, longitudinal = (
+        diagram_integrand(params, DiagramSpec(ExchangeOrder.RESONANT, kind), k_root)
+        for kind in (PolarizationKind.SCALAR, PolarizationKind.LONGITUDINAL))
+    return abs(scalar + longitudinal) < 1e-12 * max(1.0, abs(scalar))
 
 
 def cmd_check(args) -> int:

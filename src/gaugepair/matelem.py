@@ -53,13 +53,13 @@ class OscillatorId(Enum):
         return 0.0 if self is OscillatorId.A else params.separation_l
 
 
-def _k_parts(k_vector) -> tuple[float, float]:
-    """(k_x, |k|); rejects the zero vector, whose mode frequency vanishes."""
-    kx = float(k_vector[0])
-    k_norm = math.sqrt(sum(float(c) ** 2 for c in k_vector))
-    if k_norm == 0.0:
+def _k_parts(k_vector):
+    """(k_x, |k|) of a k-vector (floats) or (n, 3) array; rejects the zero vector."""
+    k = np.asarray(k_vector, dtype=float)
+    kx, k_norm = k[..., 0], np.sqrt((k * k).sum(axis=-1))
+    if (k_norm == 0.0).any():
         raise ValueError("zero wave vector: mode frequency would vanish")
-    return kx, k_norm
+    return (float(kx), float(k_norm)) if k.ndim == 1 else (kx, k_norm)
 
 
 def mode_scale(params: SystemParams, omega_gamma: float) -> float:
@@ -67,11 +67,12 @@ def mode_scale(params: SystemParams, omega_gamma: float) -> float:
     return math.sqrt(params.hbar / (2.0 * params.eps0 * omega_gamma * TWO_PI_CUBED))
 
 
-def gaussian_form_factor(params: SystemParams, k_x: float) -> float:
+def gaussian_form_factor(params: SystemParams, k_x):
     """exp(-(k_x d)^2 / 2): the beyond-point-dipole factor that regulates all
-    the k integrals.  Real by construction."""
-    kd = k_x * params.dipole_d
-    return math.exp(-0.5 * kd * kd)
+    the k integrals.  Real by construction.  Accepts one k_x or an array."""
+    kd = np.asarray(k_x, dtype=float) * params.dipole_d
+    out = np.exp(-0.5 * kd * kd)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -212,37 +213,34 @@ def _eigenfunction(n: int, x: np.ndarray, length: float) -> np.ndarray:
     return norm * np.polynomial.hermite.hermval(u, [0] * n + [1]) * np.exp(-0.5 * u * u)
 
 
-def form_factor_oracle(params: SystemParams, osc: OscillatorId, k_x: float) -> complex:
-    """integral of phi_0(x) exp(-i k_x x) phi_1(x) dx by Gauss-Hermite quadrature.
+def form_factor_oracle(params: SystemParams, osc: OscillatorId, k_x):
+    """Gauss-Hermite integral of phi_0(x) exp(-i k_x x) phi_1(x) dx at one k_x or an array.
 
     Independent check of the (-i k_x d) exp(-(k_x d)^2/2) closed form: builds
     the eigenfunctions explicitly and never touches the matrix-element code.
     Convergence is verified by doubling the node count from 64; disagreement
-    beyond 1e-10 relative raises ConvergenceError with the residual.
+    beyond 1e-10 relative raises ConvergenceError with the first unsettled residual.
     """
-    if not math.isfinite(k_x):
+    k = np.atleast_1d(np.asarray(k_x, dtype=float))
+    if not np.isfinite(k).all():
         raise ValueError("k_x must be finite")
     d = params.dipole_d
 
-    def quad(n: int) -> complex:
+    def quad(n: int) -> np.ndarray:
         # Gauss-Hermite for weight exp(-t^2); the product phi_0 phi_1 carries
-        # exp(-x^2/(2 d^2)), so substitute x = sqrt(2) d t.
+        # exp(-x^2/(2 d^2)), so substitute x = sqrt(2) d t.  One row per k_x.
         t, w = _hermgauss(n)
         x = math.sqrt(2.0) * d * t
-        f = (
-            _eigenfunction(0, x, d)
-            * _eigenfunction(1, x, d)
-            * np.exp(-1j * k_x * x)
-            * np.exp(t * t)  # strip the weight already in the eigenfunctions
-        )
-        return complex(np.sum(w * f) * math.sqrt(2.0) * d)
+        # np.exp(t * t) strips the weight already in the eigenfunctions
+        f = (_eigenfunction(0, x, d) * _eigenfunction(1, x, d) * np.exp(-1j * k[:, None] * x)
+             * np.exp(t * t))
+        return np.sum(w * f, axis=-1) * math.sqrt(2.0) * d
 
-    coarse = quad(64)
-    fine = quad(128)
-    scale = max(abs(fine), abs(k_x) * d)  # -> 0 limit handled by absolute floor
-    residual = abs(fine - coarse)
-    if scale > 0 and residual > 1e-10 * scale + 1e-14:
-        raise ConvergenceError(
-            f"form-factor quadrature did not settle: residual {residual:.3e} at k_x = {k_x}"
-        )
-    return fine
+    coarse, fine = quad(64), quad(128)
+    scale = np.maximum(np.abs(fine), np.abs(k) * d)  # -> 0 limit handled by absolute floor
+    residual = np.abs(fine - coarse)
+    unsettled = (scale > 0) & (residual > 1e-10 * scale + 1e-14)
+    if unsettled.any():
+        raise ConvergenceError(f"form-factor quadrature did not settle: residual"
+                               f" {residual[unsettled][0]:.3e} at k_x = {k[unsettled][0]}")
+    return fine if np.ndim(k_x) else complex(fine[0])

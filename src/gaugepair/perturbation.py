@@ -5,7 +5,7 @@ registries (operator-route perturbation theory and exact diagonalization).
 Independent code paths compute the same physics on purpose:
 
 * closed-form integrands (diagram_integrand, lorentz_bracket, ...) carry the
-  algebra done by hand once;
+  algebra done by hand once, at one k-vector (or frequency) or an array;
 * the operator route keeps the coupling as one stack of oscillator matrices
   per oscillator and direction (InteractionOperator.matrices; mode j's
   matrix times a photon step on mode j is one vertex), built in one pass.
@@ -16,6 +16,7 @@ Independent code paths compute the same physics on purpose:
   exact_diagonalization_oracle builds H only as photon-sector blocks, from the
   same stacks in Kronecker form with ladders and an H_0 of its own, and
   partitions it sector by sector, so the two share only the vertex matrices.
+  An oracle verdict builds both once and divides them for each lower charge.
 
 Collapsing any two into one would defeat the point: they disagree exactly when
 a sign or a factor is wrong, the dominant failure mode in this calculation.
@@ -23,7 +24,7 @@ a sign or a factor is wrong, the dominant failure mode in this calculation.
 
 from __future__ import annotations
 
-import cmath
+import copy
 import itertools
 import math
 from collections import Counter
@@ -92,15 +93,11 @@ ALL_DIAGRAMS: tuple[DiagramSpec, ...] = (
 
 def common_prefactor(params: SystemParams) -> float:
     """q^2 c / (2 eps0 delta_e (2 pi)^3): shared by all four diagram integrands."""
-    return (
-        params.charge_q**2
-        * params.c
-        / (2.0 * params.eps0 * params.delta_e * TWO_PI_CUBED)
-    )
+    return params.charge_q**2 * params.c / (2.0 * params.eps0 * params.delta_e * TWO_PI_CUBED)
 
 
-def diagram_integrand(params: SystemParams, spec: DiagramSpec, k_vector) -> complex:
-    """One diagram's d^3k integrand, excluding common_prefactor.
+def diagram_integrand(params: SystemParams, spec: DiagramSpec, k_vector):
+    """One diagram's d^3k integrand (common_prefactor excluded) at a k-vector or (n, 3) array.
 
     ((k.d)^2 / k) * phase * exp(-(k.d)^2) * resonance, where the resonant
     order carries phase exp(+i k_x L) and denominator (omega_a - omega_gamma)
@@ -115,32 +112,27 @@ def diagram_integrand(params: SystemParams, spec: DiagramSpec, k_vector) -> comp
 
     if spec.order_type is ExchangeOrder.RESONANT:
         denom = params.omega_a - omega
-        if denom == 0:
-            raise PoleError(
-                f"on the resonance omega_gamma = omega_a = {params.omega_a} with no regulator"
-            )
-        phase = cmath.exp(1j * kl)
+        if np.any(denom == 0):
+            raise PoleError(f"on the resonance omega_gamma = omega_a = {params.omega_a} with no"
+                            " regulator")
+        phase = np.exp(1j * kl)
     else:
         denom = -(params.omega_b + omega)
-        phase = cmath.exp(-1j * kl)
+        phase = np.exp(-1j * kl)
 
-    value = (kd * kd / k_norm) * phase * math.exp(-kd * kd) / denom
+    value = (kd * kd / k_norm) * phase * np.exp(-kd * kd) / denom
     if spec.photon_kind is PolarizationKind.LONGITUDINAL:
-        value *= -(params.omega_a * params.omega_b) / (omega * omega)
-    return value
+        value = value * (-(params.omega_a * params.omega_b) / (omega * omega))
+    return complex(value) if np.ndim(value) == 0 else value
 
 
-def symmetric_diagram_sum(params: SystemParams, k_vector) -> complex:
-    """Average over +-k of the four diagram integrands (common prefactor excluded).
-
-    Real up to rounding; reproduces combined_bracket_form pointwise.
-    """
-    minus_k = tuple(-float(c) for c in k_vector)
-    total = 0.0 + 0.0j
-    for spec in ALL_DIAGRAMS:
-        total += diagram_integrand(params, spec, k_vector)
-        total += diagram_integrand(params, spec, minus_k)
-    return 0.5 * total
+def symmetric_diagram_sum(params: SystemParams, k_vector):
+    """Average over +-k of the four diagram integrands (common prefactor
+    excluded) at a k-vector or (n, 3) array; real up to rounding, it
+    reproduces combined_bracket_form pointwise."""
+    minus_k = -np.asarray(k_vector, dtype=float)
+    return 0.5 * sum((diagram_integrand(params, spec, k) for spec in ALL_DIAGRAMS
+                      for k in (k_vector, minus_k)), 0.0 + 0.0j)
 
 
 def lorentz_bracket(params: SystemParams, omega_gamma):
@@ -161,23 +153,16 @@ def lorentz_bracket(params: SystemParams, omega_gamma):
     return float(out) if out.ndim == 0 else out
 
 
-def combined_bracket_form(params: SystemParams, k_vector) -> float:
-    """Closed form of symmetric_diagram_sum:
+def combined_bracket_form(params: SystemParams, k_vector):
+    """Closed form of symmetric_diagram_sum at a k-vector or (n, 3) array:
     -2 (k.d)^2 cos(k_x L) exp(-(k.d)^2) B(omega) / (k omega/c)."""
     kx, k_norm = _k_parts(k_vector)
     omega = params.c * k_norm
     kd = kx * params.dipole_d
     bracket = lorentz_bracket(params, omega)
-    return (
-        -2.0
-        * kd
-        * kd
-        * math.cos(kx * params.separation_l)
-        * math.exp(-kd * kd)
-        * bracket
-        * params.c
-        / (k_norm * omega)
-    )
+    out = (-2.0 * kd * kd * np.cos(kx * params.separation_l) * np.exp(-kd * kd) * bracket
+           * params.c / (k_norm * omega))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def expansion_terms(params: SystemParams, omega_gamma, order: int):
@@ -207,17 +192,14 @@ def expansion_terms(params: SystemParams, omega_gamma, order: int):
     return float(out) if out.ndim == 0 else out
 
 
-def coulomb_integrand(params: SystemParams, k_vector) -> float:
-    """First-order Coulomb-gauge d^3k integrand, full prefactor included:
+def coulomb_integrand(params: SystemParams, k_vector):
+    """First-order Coulomb-gauge d^3k integrand at a k-vector or (n, 3) array, prefactor included:
     -(q^2/(eps0 delta_e (2pi)^3)) ((k.d)^2/k^2) cos(k_x L) exp(-(k.d)^2)."""
     kx, k_norm = _k_parts(k_vector)
     kd = kx * params.dipole_d
-    return (
-        -(params.charge_q**2 / (params.eps0 * params.delta_e * TWO_PI_CUBED))
-        * (kd * kd / (k_norm * k_norm))
-        * math.cos(kx * params.separation_l)
-        * math.exp(-kd * kd)
-    )
+    out = (-(params.charge_q**2 / (params.eps0 * params.delta_e * TWO_PI_CUBED))
+           * (kd * kd / (k_norm * k_norm)) * np.cos(kx * params.separation_l) * np.exp(-kd * kd))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +328,12 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     """
     if len(registry) == 0:
         return 0.0 + 0.0j
-    op = InteractionOperator(params, registry)
+    return _second_order(InteractionOperator(params, registry))
+
+
+def _second_order(op: InteractionOperator) -> complex:
+    """discrete_second_order on the built coupling op (at op.params' charge)."""
+    params, registry = op.params, op.registry
     start, target = OccupationState(1, 0), OccupationState(0, 1)
     e_n = uncoupled_energy(params, registry, start)
     # every vertex moves one photon: |l> = |n>, excluded by the printed formula, never occurs
@@ -387,16 +374,13 @@ _BLOCK_BUDGET = 2**23
 
 
 def _photon_sectors(params: SystemParams, registry: ModeRegistry, total_photon_cap: int):
-    """H in photon-number sectors, never formed dense.  Sector n holds the
+    """H_0 in photon-number sectors, never formed dense.  Sector n holds the
     states with n <= total_photon_cap photons, at most p_max in a mode: level A
     x level B x its photon states (OccupationState.photons, in the order of
-    their count tuples).  Returns those photon states, each sector's H_0
-    diagonal h0[n], and the blocks up[n] (sector n to n + 1) and down[n]
-    (back): every vertex moves one photon, so that is all of H.  Each element
-    is 0 + (A's term) + (B's term) of kron(oscillator matrix, ladder a_j^+ or
-    its transpose), with no ladder step of the state algebra; H_0 is read from
-    the sector's own occupation numbers, not from uncoupled_energy.  Blocks
-    over _BLOCK_BUDGET elements, counted before anything is built: ValueError.
+    their count tuples).  Returns those photon states and each sector's H_0
+    diagonal h0[n], read from the sector's own occupation numbers, not from
+    uncoupled_energy.  Blocks over _BLOCK_BUDGET elements, counted before
+    anything is built: ValueError.
     """
     n_levels, modes, p_max = registry.n_max + 1, range(len(registry)), registry.p_max
     sizes = [1] + [0] * total_photon_cap  # photon states per sector, counted mode by mode
@@ -418,9 +402,24 @@ def _photon_sectors(params: SystemParams, registry: ModeRegistry, total_photon_c
         for s, photons in enumerate(states):
             for j, count in photons:
                 energy[:, s] += registry.modes[j].omega * count
-    h0 = [params.hbar * energy.ravel() for energy in h0]
+    return sectors, [params.hbar * energy.ravel() for energy in h0]
 
-    stacks = InteractionOperator(params, registry).matrices
+
+def _dropped(block: np.ndarray) -> np.ndarray:
+    """block, its elements within PRUNE_TOL set to 0 as StateVector drops them."""
+    return np.where(np.abs(block) <= PRUNE_TOL, 0.0, block)
+
+
+def _divided(array: np.ndarray, divisor: float) -> np.ndarray:
+    """array / divisor part by part: numpy's complex division flips zeros a fresh build keeps."""
+    return (array.view(float) / divisor).view(complex)
+
+
+def _sector_blocks(registry: ModeRegistry, sectors, stacks: dict[tuple[str, bool], np.ndarray]):
+    """H's blocks up[n] (sector n to n + 1) and down[n] (back), _dropped: each
+    element is 0 + (A's term) + (B's term) of kron(a vertex stack's oscillator
+    matrix, ladder a_j^+ or its transpose), with no ladder step of the state algebra."""
+    n_levels = registry.n_max + 1
     ident, up, down = np.eye(n_levels), [], []
     for lower, upper in zip(sectors, sectors[1:]):
         # (upper state, lower state, mode, ladder factor) of every one-photon step
@@ -437,9 +436,7 @@ def _photon_sectors(params: SystemParams, registry: ModeRegistry, total_photon_c
                 kron = np.kron(matrices, ident) if osc == "A" else np.kron(ident[None], matrices)
                 view = block.reshape(n_levels**2, len(block) // n_levels**2, n_levels**2, -1)
                 view[:, rows, :, cols] += kron * factor[:, None, None]
-        for block in (up[-1], down[-1]):
-            block[np.abs(block) <= PRUNE_TOL] = 0.0  # dropped as StateVector drops them
-    return sectors, h0, up, down
+    return [_dropped(block) for block in up], [_dropped(block) for block in down]
 
 
 def _sector_self_energy(energy: complex, h0: list[np.ndarray], up: list[np.ndarray],
@@ -464,9 +461,9 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     truncated Hamiltonian that grows out of |1_A 0_B, 0 photons>, normalized
     to unit coefficient on the latter.
 
-    H is assembled in photon sectors from the vertex matrices (_photon_sectors,
-    within _BLOCK_BUDGET), with no ladder step of the state algebra and no
-    uncoupled_energy: a slip in either moves only the perturbative sum.
+    H is assembled in photon sectors (_photon_sectors, within _BLOCK_BUDGET)
+    from the vertex matrices (_sector_blocks), with no ladder step of the state
+    algebra and no uncoupled_energy: a slip in either moves only the perturbative sum.
 
     Self-adjointness under the indefinite metric eta (Gupta) makes eta H
     Hermitian in the ordinary sense; the Frobenius norm of its anti-Hermitian
@@ -493,7 +490,14 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
     """
     if total_photon_cap < 0:
         raise ValueError(f"total_photon_cap = {total_photon_cap} must be at least 0")
-    sectors, h0, up, down = _photon_sectors(params, registry, total_photon_cap)
+    sectors, h0 = _photon_sectors(params, registry, total_photon_cap)
+    up, down = _sector_blocks(registry, sectors, InteractionOperator(params, registry).matrices)
+    return _diagonalized(registry, sectors, h0, up, down)
+
+
+def _diagonalized(registry: ModeRegistry, sectors, h0: list[np.ndarray], up: list[np.ndarray],
+                  down: list[np.ndarray]) -> OracleResult:
+    """exact_diagonalization_oracle on the built sectors and blocks."""
     n_levels = registry.n_max + 1
 
     sign = registry.scalar_metric_sign
@@ -533,25 +537,17 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
         if abs(energy - previous) <= 4.0 * np.finfo(float).eps * scale:
             break
     else:
-        raise OracleError(
-            f"partition energy did not settle in {PARTITION_SWEEPS} sweeps "
-            "(no perturbative branch) - reduce the coupling"
-        )
+        raise OracleError(f"partition energy did not settle in {PARTITION_SWEEPS} sweeps "
+                          "(no perturbative branch) - reduce the coupling")
     if abs(energy.imag) > REALITY_TOL * scale:
-        raise OracleError(
-            f"partition energy is not real (Im = {energy.imag:.3e}); "
-            "the perturbative branch merged into a complex pair - reduce the coupling"
-        )
-    return OracleResult(
-        epsilon_exact=complex(epsilon),
-        metric_asymmetry=asymmetry,
-        dimension=sum(len(diagonal) for diagonal in h0),
-    )
+        raise OracleError(f"partition energy is not real (Im = {energy.imag:.3e}); the "
+                          "perturbative branch merged into a complex pair - reduce the coupling")
+    return OracleResult(epsilon_exact=complex(epsilon), metric_asymmetry=asymmetry,
+                        dimension=sum(len(diagonal) for diagonal in h0))
 
 
-def oracle_scaling_exponent(
-    params: SystemParams, registry: ModeRegistry
-) -> tuple[float, list[tuple[float, float]]]:
+def oracle_scaling_exponent(params: SystemParams,
+                            registry: ModeRegistry) -> tuple[float, list[tuple[float, float]]]:
     """Fit |eps_pt - eps_exact| ~ q^p across charge q, q/2, q/4.
 
     Only even orders beyond the second survive (an odd number of photon
@@ -561,17 +557,26 @@ def oracle_scaling_exponent(
     underflowed form factor) has no coupling to test: ValidationError.  So
     has one whose second-order element <m|V|psi_1> = eps_exact (E_n - E_m)
     lies within PRUNE_TOL at any sampled charge, since perturbation theory
-    drops an amplitude that small.
+    drops an amplitude that small.  The stacks, the sectors (at ED's default
+    cap) and their blocks are built once, at q.  Both are linear in q: divided
+    by 2 and 4 they equal a fresh build at q/2 and q/4, the blocks once
+    _dropped again.
     """
-    if all(np.abs(stack).max(initial=0.0) <= PRUNE_TOL
-           for stack in InteractionOperator(params, registry).matrices.values()):
+    sectors, h0 = _photon_sectors(params, registry, total_photon_cap=2)
+    op = InteractionOperator(params, registry)
+    if all(np.abs(stack).max(initial=0.0) <= PRUNE_TOL for stack in op.matrices.values()):
         raise ValidationError(f"the registry's coupling vanishes at charge_q = {params.charge_q}"
                               " (no vertex element above PRUNE_TOL): nothing to compare")
+    up, down = _sector_blocks(registry, sectors, op.matrices)
     samples: list[tuple[float, float]] = []
     for divisor in (1.0, 2.0, 4.0):
         p_q = replace(params, charge_q=params.charge_q / divisor)
-        eps_pt = discrete_second_order(p_q, registry)
-        eps_ed = exact_diagonalization_oracle(p_q, registry).epsilon_exact
+        at_q = copy.copy(op)
+        at_q.params, at_q.matrices = p_q, {key: _divided(stack, divisor)
+                                           for key, stack in op.matrices.items()}
+        blocks = ([_dropped(_divided(block, divisor)) for block in side] for side in (up, down))
+        eps_pt = _second_order(at_q)
+        eps_ed = _diagonalized(registry, sectors, h0, *blocks).epsilon_exact
         if abs(eps_ed * p_q.delta_e) <= PRUNE_TOL:
             raise ValidationError(
                 f"the second-order amplitude eps * delta_e = {abs(eps_ed * p_q.delta_e):.3e} at"

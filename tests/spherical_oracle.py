@@ -54,26 +54,33 @@ def has_pole(fractions: Fractions) -> bool:
     return sum(cf for kind, _, cf in fractions if kind == "pole") != 0.0
 
 
-def spherical_columns(params: SystemParams, config: QuadratureConfig,
+def spherical_columns(params: SystemParams | Sequence[SystemParams], config: QuadratureConfig,
                       brackets: Sequence[Fractions]) -> list[IntegralResult]:
     """The amplitudes of quadrature.epsilon_columns from the spherical engine:
     G(k) on angular panels, then one adaptive radial pass with the pole window.
+
+    params is one point, or one per bracket.  Points that share L, d and
+    omega_a share G, the pole and so every radial node: one pass takes all
+    their columns, each with its own bracket and prefactor.
     """
-    d = params.dipole_d
+    points = [params] * len(brackets) if isinstance(params, SystemParams) else list(params)
+    first = points[0]
+    if any((p.separation_l, p.dipole_d, p.omega_a)
+           != (first.separation_l, first.dipole_d, first.omega_a) for p in points):
+        raise ValueError("one spherical pass needs one L, d and omega_a")
+    d = first.dipole_d
     k_hi = config.kmax_over_invd / d
-    per_unit = params.separation_l / (2.0 * math.pi)  # panels per oscillation
-    forms = closed_forms(params)
+    per_unit = first.separation_l / (2.0 * math.pi)  # panels per oscillation
 
     def radial(ks: np.ndarray) -> np.ndarray:
-        return ks * ks * _g_batch(ks, params.separation_l, d, config.angular_nodes)
+        return ks * ks * _g_batch(ks, first.separation_l, d, config.angular_nodes)
 
     def in_k(bracket: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda ks: bracket(params.c * ks)
+        return lambda ks: bracket(first.c * ks)
 
-    columns = [Column(in_k(forms[b]), has_pole(b)) for b in brackets]
-    k_pole = params.omega_a / params.c
+    columns = [Column(in_k(closed_forms(p)[b]), has_pole(b)) for p, b in zip(points, brackets)]
+    k_pole = first.omega_a / first.c
     split = k_pole if 0.0 < k_pole < k_hi or any(col.pole for col in columns) else None
     raws = radial_columns(radial, columns, split, config, (0.0, k_hi),
                           min_panels_per_unit=per_unit)
-    prefactor = _prefactor(params)
-    return [_rescale(raw, prefactor) for raw in raws]
+    return [_rescale(raw, _prefactor(p)) for raw, p in zip(raws, points)]

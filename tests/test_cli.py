@@ -220,15 +220,16 @@ def _refuse_constant(name):
 
 def test_oracle_fit_stays_finite_on_an_exact_tie(monkeypatch, capsys):
     # perturbation theory equal to ED at q/4 leaves a residual of exactly 0;
-    # the fit's floor keeps its logarithm, the exponent and the JSON finite
-    honest = perturbation.discrete_second_order
+    # the fit's floor keeps its logarithm, the exponent and the JSON finite.
+    # The verdict runs the perturbative sum on its one built coupling
+    honest = perturbation._second_order
 
-    def tied(params, registry):
-        if params.charge_q == 0.25:
-            return perturbation.exact_diagonalization_oracle(params, registry).epsilon_exact
-        return honest(params, registry)
+    def tied(op):
+        if op.params.charge_q == 0.25:
+            return perturbation.exact_diagonalization_oracle(op.params, op.registry).epsilon_exact
+        return honest(op)
 
-    monkeypatch.setattr(perturbation, "discrete_second_order", tied)
+    monkeypatch.setattr(perturbation, "_second_order", tied)
     assert main(["oracle", "--json"]) == EXIT_INVARIANT
     report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert [q for q, _ in report["samples"]] == [1.0, 0.5, 0.25]
@@ -246,9 +247,10 @@ def test_oracle_at_zero_charge_refuses(tmp_path, capsys):
     assert "coupling vanishes" in out.err
 
 
-@pytest.mark.parametrize("k_mag", ["1e3", "1e100", "1e150", "1e154"])
+@pytest.mark.parametrize("k_mag", ["1e3", "1880", "1e100", "1e150", "1e154"])
 def test_oracle_far_past_the_form_factor_refuses(k_mag, capsys):
-    # exp(-(k_x d)^2/2) is below PRUNE_TOL (|k| = 1e3) or underflows, so no
+    # exp(-(k_x d)^2/2) is below PRUNE_TOL (|k| = 1e3), subnormal (1880, where
+    # halving the coupling for q/2 is no longer exact) or underflows, so no
     # vertex survives and there is no residual to fit
     assert main(["oracle", "--json", "--oracle-k", k_mag]) == EXIT_VALIDATION
     out = capsys.readouterr()
@@ -515,6 +517,12 @@ EDGE_INPUTS = [
     ("charge_q = 0", ["check"], EXIT_VALIDATION),
     ("charge_q = 1e-160", ["check"], EXIT_VALIDATION),
     ("charge_q = 0", ["oracle"], EXIT_VALIDATION),
+    # the state algebra would drop the per-mode amplitudes (q^2 = 1e-12)
+    ("charge_q = 1e-6", ["check"], EXIT_VALIDATION),
+    # large dipoles at d/L = 0.01: the per-mode wavevectors follow 1/d, so
+    # check holds and prints its report with no error line
+    ("separation_l = 400\ndipole_d = 4", ["check"], EXIT_OK),
+    ("separation_l = 200\ndipole_d = 2", ["check"], EXIT_OK),
     # numpy refuses a grid past its index range before allocating it
     ("", ["sweep", "--axis", "delta_e", "--from", "0.01", "--to", "0.02",
           "--points", "100000000000000000000"], EXIT_VALIDATION),
@@ -533,9 +541,12 @@ def test_out_of_range_input_exits_with_one_error_line(config, argv, code, tmp_pa
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert main(["--config", str(cfg), *argv]) == code
     out = capsys.readouterr()
-    assert out.out == ""
     # validate's soft-limit warnings may precede the one error line
     errors = [line for line in out.err.splitlines() if not line.startswith("warning: ")]
+    if code == EXIT_OK:
+        assert out.out and errors == []
+        return
+    assert out.out == ""
     assert len(errors) == 1 and errors[0].startswith(("error: ", "convergence failure: "))
 
 

@@ -204,6 +204,20 @@ def test_oracle_matches_closed_element(kd):
     assert abs(numeric - closed) <= 1e-10 * abs(closed)
 
 
+def test_oracle_and_closed_element_on_an_array_equal_their_single_calls():
+    # check's form-factor suite evaluates all its k_x in one call
+    k_x = np.array([1e-3, 0.3, 1.0, 2.2, 3.0]) / PARAMS.dipole_d
+    numeric = form_factor_oracle(PARAMS, OscillatorId.A, k_x)
+    gauss = gaussian_form_factor(PARAMS, k_x)
+    singles = [(form_factor_oracle(PARAMS, OscillatorId.A, k), gaussian_form_factor(PARAMS, k))
+               for k in k_x.tolist()]
+    assert all(type(a) is complex and type(b) is float for a, b in singles)
+    assert numeric.tobytes() == np.array([a for a, _ in singles]).tobytes()
+    assert gauss.tobytes() == np.array([b for _, b in singles]).tobytes()
+
+
 def test_oracle_rejects_nonfinite():
     with pytest.raises(ValueError):
         form_factor_oracle(PARAMS, OscillatorId.A, float("nan"))
+    with pytest.raises(ValueError):
+        form_factor_oracle(PARAMS, OscillatorId.A, np.array([1.0, float("inf")]))

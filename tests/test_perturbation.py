@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from gaugepair import perturbation
-from gaugepair.core import SystemParams
+from gaugepair.core import SystemParams, ValidationError
 from gaugepair.fock import (
     ModeRegistry,
     OccupationState,
@@ -31,6 +31,7 @@ from gaugepair.perturbation import (
     ResonanceError,
     Vertex,
     _photon_sectors,
+    _sector_blocks,
     combined_bracket_form,
     common_prefactor,
     coulomb_integrand,
@@ -97,6 +98,20 @@ def test_cancellation_exact_at_geometric_mean():
         s = diagram_integrand(PARAMS, DiagramSpec(order, PolarizationKind.SCALAR), k)
         l = diagram_integrand(PARAMS, DiagramSpec(order, PolarizationKind.LONGITUDINAL), k)
         assert abs(s + l) <= 1e-15 * abs(s)
+
+
+def test_closed_forms_on_an_array_equal_their_single_calls():
+    # check's diagram suite evaluates all its k-vectors in one call
+    rng = random.Random(5)
+    ks = np.array([[rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)]
+                   for _ in range(64)])
+    forms = [lambda p, k, spec=spec: diagram_integrand(p, spec, k) for spec in ALL_DIAGRAMS]
+    for form in (*forms, symmetric_diagram_sum, combined_bracket_form, coulomb_integrand):
+        on_array = form(PARAMS, ks)
+        assert on_array.shape == (len(ks),)
+        singles = [form(PARAMS, tuple(k)) for k in ks.tolist()]
+        assert {type(value) for value in singles} <= {float, complex}
+        assert on_array.tobytes() == np.array(singles, dtype=on_array.dtype).tobytes()
 
 
 def test_resonant_diagram_pole_errors_without_regulator():
@@ -404,7 +419,8 @@ def _dense_hamiltonian(params, registry, total_photon_cap):
     """The oracle's H as one dense matrix, placed block by block from its
     photon sectors, and its basis (sector by sector, level A x level B x
     photons): the reference the sector-form tests read."""
-    sectors, h0, up, down = _photon_sectors(params, registry, total_photon_cap)
+    sectors, h0 = _photon_sectors(params, registry, total_photon_cap)
+    up, down = _sector_blocks(registry, sectors, InteractionOperator(params, registry).matrices)
     levels = list(itertools.product(range(registry.n_max + 1), repeat=2))
     basis = [OccupationState(la, lb, photons)
              for states in sectors for la, lb in levels for photons in states]
@@ -643,6 +659,65 @@ def test_oracle_residual_scales_as_fourth_power():
     slope, samples = oracle_scaling_exponent(PARAMS, ORACLE_REG)
     assert 3.8 <= slope <= 4.2
     assert all(r > 0 for _, r in samples)
+
+
+def _recording(monkeypatch, owner, name, runs):
+    """owner.name, appending (args, result) of each call to runs."""
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        runs.append((args, original(*args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+def test_one_oracle_verdict_builds_the_coupling_and_the_sectors_once(monkeypatch):
+    # q, q/2 and q/4 share them: one construction and one sector enumeration,
+    # where each charge's perturbative sum and ED once built their own
+    builds, enumerations = [], []
+    _recording(monkeypatch, InteractionOperator, "__init__", builds)
+    _recording(monkeypatch, perturbation, "_photon_sectors", enumerations)
+    oracle_scaling_exponent(PARAMS, ORACLE_REG)
+    assert (len(builds), len(enumerations)) == (1, 1)
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("k_mag", [1.4, 1.7, 37.58])
+def test_shared_build_verdict_equals_fresh_builds(k_mag, monkeypatch):
+    # the stacks and the sector blocks are linear in q, and dividing them by 2
+    # and 4 is exact: every number of the verdict equals the one a fresh build
+    # at that charge gives, bit for bit
+    registry = make_registry(((k_mag, 0.0, 0.0), (-k_mag, 0.0, 0.0)), n_max=2, p_max=2)
+    pt_runs, ed_runs = [], []
+    _recording(monkeypatch, perturbation, "_second_order", pt_runs)
+    _recording(monkeypatch, perturbation, "_diagonalized", ed_runs)
+    _, samples = oracle_scaling_exponent(PARAMS, registry)
+    monkeypatch.undo()
+    for ((op,), eps_pt), (_, ed), (q, residual) in zip(pt_runs, ed_runs, samples, strict=True):
+        fresh = replace(PARAMS, charge_q=q)
+        assert _stack_bytes(op.matrices) == _stack_bytes(InteractionOperator(fresh, registry).matrices)
+        pt = discrete_second_order(fresh, registry)
+        exact = exact_diagonalization_oracle(fresh, registry).epsilon_exact
+        assert (_hex(eps_pt), _hex(ed.epsilon_exact)) == (_hex(pt), _hex(exact))
+        assert residual.hex() == abs(pt - exact).hex()
+    assert [q for q, _ in samples] == [1.0, 0.5, 0.25]
+
+
+def test_oracle_refuses_where_halving_the_coupling_is_inexact():
+    # at |k| = 1880 the vertex elements reach 3e-323, subnormal, where a
+    # fresh build at q/2 no longer equals the build at q halved; every element
+    # lies within PRUNE_TOL, so the verdict refuses before dividing anything
+    registry = make_registry(((1880.0, 0.0, 0.0), (-1880.0, 0.0, 0.0)), n_max=2, p_max=2)
+    stacks = InteractionOperator(PARAMS, registry).matrices
+    halved = InteractionOperator(replace(PARAMS, charge_q=0.5), registry).matrices
+    assert any(np.abs(stack)[stack != 0].min() < np.finfo(float).tiny for stack in stacks.values())
+    assert not all(np.array_equal(halved[key], stacks[key] / 2.0) for key in stacks)
+    with pytest.raises(ValidationError, match="coupling vanishes"):
+        oracle_scaling_exponent(PARAMS, registry)
 
 
 def test_oracle_refuses_blocks_over_the_budget_before_building_any(monkeypatch):
