@@ -388,10 +388,15 @@ def _diagram_suite(params: SystemParams, rng: random.Random) -> bool:
 
 def cmd_check(args) -> int:
     params, _config = _load(args)
-    # an implied mass beyond floating-point range is bad input, one error
-    # line as in oracle, not a failed invariant in each suite that reads it
+    # an implied mass or a q^2 beyond floating-point range is bad input, one
+    # error line as in oracle, not a failed invariant in each suite that reads it
     for omega in (params.omega_a, params.omega_b):
         params.implied_mass(omega)
+    try:
+        params.charge_q**2
+    except OverflowError:
+        raise ValidationError(f"charge_q = {params.charge_q}: q^2, which scales every amplitude, "
+                              "is beyond floating-point range") from None
     rng = random.Random(args.seed)
     suites = (
         ("metric sector", lambda: _metric_suite(args.corrupt == "metric")),

@@ -16,6 +16,11 @@ a list of Vertex (a ladder step on one mode times an oscillator matrix).
 StateVector.create and annihilate are the vertex with the identity on the
 oscillators; the operator route's couplings (perturbation, gauge) are vertex
 lists too.  The truncation wall and its TruncationError live there alone.
+OccupationState.step owns the ladder rule; apply_vertices takes it once per
+term, mode and direction, for A's and B's vertices alike, and sums on plain
+(level A, level B, photons) tuples.  A label is such a tuple (a NamedTuple),
+so it hashes and compares in C, and one is built per key that survives
+PRUNE_TOL.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,19 +142,25 @@ def make_registry(
     return ModeRegistry(tuple(modes), tuple(mode_weights), n_max=n_max, p_max=p_max)
 
 
-@dataclass(frozen=True)
-class OccupationState:
-    """Basis label: oscillator A and B levels, and the non-zero photon counts
-    as (mode, count) pairs sorted by mode, so a label costs O(photons), not
-    O(modes).  photons may be given as a mapping or any iterable of pairs."""
-
+class _Occupation(NamedTuple):
     level_a: int
     level_b: int
     photons: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        pairs = self.photons.items() if isinstance(self.photons, Mapping) else self.photons
-        object.__setattr__(self, "photons", tuple(sorted((j, n) for j, n in pairs if n)))
+
+class OccupationState(_Occupation):
+    """Basis label: oscillator A and B levels, and the non-zero photon counts
+    as (mode, count) pairs sorted by mode, so a label costs O(photons), not
+    O(modes).  photons may be given as a mapping or any iterable of pairs.
+    A label is a tuple, so it hashes and compares in C; _make takes fields
+    that are already in this form and skips the sort."""
+
+    __slots__ = ()
+
+    def __new__(cls, level_a: int, level_b: int,
+                photons: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "OccupationState":
+        pairs = photons.items() if isinstance(photons, Mapping) else photons
+        return tuple.__new__(cls, (level_a, level_b, tuple(sorted((j, n) for j, n in pairs if n))))
 
     def step(self, mode: int, raising: bool, p_max: int):
         """One ordinary ladder step on mode: (new label, sqrt factor), or None
@@ -300,36 +312,41 @@ class Vertex:
 def apply_vertices(registry: ModeRegistry, vertices: list[Vertex], state: StateVector,
                    project: bool = False) -> StateVector:
     """The sum of vertices applied to state, summed term by term in vertex
-    order and level order.
+    order and level order, on (level A, level B, photons) keys; a label is
+    built once per key that survives PRUNE_TOL.
 
     A raising step on a mode that already holds p_max photons raises
     TruncationError; project=True drops that amplitude instead (the operator
     restricted to the kept space).  A lowering step on an empty mode is zero.
     """
-    n_levels = registry.n_max + 1
-    out: dict[OccupationState, complex] = {}
+    p_max = registry.p_max
+    # a term takes each (mode, direction)'s ladder step once, for every vertex
+    # on it, A's and B's alike; per vertex: its step's slot, whether it moves
+    # A, and its columns as Python scalars
+    slots: dict[tuple[int, bool], int] = {}
+    plan = [(slots.setdefault((v.mode_index, v.raising), len(slots)), v.oscillator == "A",
+             v.matrix.T.tolist()) for v in vertices]
+    steps = list(slots)
+    out: dict[tuple[int, int, tuple[tuple[int, int], ...]], complex] = {}
     for occ, amp in state.terms():
-        for v in vertices:
-            stepped = occ.step(v.mode_index, v.raising, registry.p_max)
-            if stepped is None:
-                if v.raising and not project:
-                    raise TruncationError(
-                        f"mode {v.mode_index} ({registry.modes[v.mode_index].kind.value}) "
-                        f"would exceed p_max = {registry.p_max}")
+        level_a, level_b, _ = occ
+        stepped = [occ.step(mode, raising, p_max) for mode, raising in steps]
+        for i, moves_a, columns in plan:
+            if stepped[i] is None:
+                mode, raising = steps[i]
+                if raising and not project:
+                    raise TruncationError(f"mode {mode} ({registry.modes[mode].kind.value}) "
+                                          f"would exceed p_max = {p_max}")
                 continue
-            moved, photon_factor = stepped
-            level = occ.level_a if v.oscillator == "A" else occ.level_b
-            column = v.matrix[:, level]
-            for m in range(n_levels):
-                c = column[m]
+            moved, photon_factor = stepped[i]
+            photons = moved.photons
+            for m, c in enumerate(columns[level_a if moves_a else level_b]):
                 if abs(c) < 1e-300:  # the zeros of the identity and of gauge's two-level matrices
                     continue
-                if v.oscillator == "A":
-                    new_occ = OccupationState(m, occ.level_b, moved.photons)
-                else:
-                    new_occ = OccupationState(occ.level_a, m, moved.photons)
-                out[new_occ] = out.get(new_occ, 0.0) + amp * c * photon_factor
-    return StateVector(registry, out)
+                key = (m, level_b, photons) if moves_a else (level_a, m, photons)
+                out[key] = out.get(key, 0.0) + amp * c * photon_factor
+    return StateVector(registry, {OccupationState._make(key): a for key, a in out.items()
+                                  if abs(a) > PRUNE_TOL})
 
 
 def indefinite_inner(bra: StateVector, ket: StateVector) -> complex:

@@ -19,11 +19,12 @@ Two independent routes produce the same brackets:
   conventions end to end and catches any sign slip in them.
 
 Both operators of that algebra -- the mapping operator's exponent
-(apply_inverse_transform_linear) and the residual coupling -- are vertex
+(inverse_transform_vertices) and the residual coupling -- are vertex
 lists, as the covariant coupling is: a photon step on one mode times a
 two-level oscillator matrix, applied by fock.apply_vertices.  Unlike
 the coupling they project nothing: a raising step past p_max photons raises
-TruncationError.
+TruncationError.  operator_route_brackets builds the map's list once and
+applies it three times.
 
 The coupling left over after the mapping ties the longitudinal current to
 photon-pair combinations that are metric-null; residual_term_physicality
@@ -171,17 +172,16 @@ def _two_level(registry: ModeRegistry, up: complex, down: complex) -> np.ndarray
     return matrix
 
 
-def apply_inverse_transform_linear(
-    params: SystemParams, registry: ModeRegistry, state: StateVector
-) -> StateVector:
-    """One power of the mapping operator's exponent.
+def inverse_transform_vertices(params: SystemParams, registry: ModeRegistry) -> list[Vertex]:
+    """The mapping operator's exponent as a vertex list, one power of it per
+    apply_vertices.
 
     Each scalar mode and oscillator lowers with the charge-density element at
     -k and raises with the one at +k; in ordinary-amplitude bookkeeping the
     metric adjoint of scalar raising carries the metric sign, so the raising
     vertex is weighted by minus the registry's raising_sign: corrupting that
-    sign flips this operator and the closed forms in lockstep.  A term with
-    no photon headroom in a scalar mode raises TruncationError.
+    sign flips this operator and the closed forms in lockstep.  Applied to a
+    term with no photon headroom in a scalar mode, it raises TruncationError.
     """
     vertices = []
     for idx, mode in enumerate(registry.modes):
@@ -203,7 +203,7 @@ def apply_inverse_transform_linear(
                 Vertex(idx, osc.value, True, (-registry.raising_sign(idx) * coeff)
                        * _two_level(registry, rho_plus, rho_plus)),
             ]
-    return apply_vertices(registry, vertices, state)
+    return vertices
 
 
 def _residual_coupling(params: SystemParams, registry: ModeRegistry, state: StateVector,
@@ -271,14 +271,13 @@ def operator_route_brackets(params: SystemParams, k_vector: tuple[float, float, 
         )
     target = OccupationState(0, 1)
 
+    mapping = inverse_transform_vertices(params, registry)  # built once, applied three times
     first_order = residual_first_order_state(params, registry)
-    mapped_once = apply_inverse_transform_linear(params, registry, first_order)
+    mapped_once = apply_vertices(registry, mapping, first_order)
     linear = mapped_once.amplitude(target) / norm
 
     bare = StateVector.basis(registry, level_a=1, level_b=0)
-    mapped_twice = apply_inverse_transform_linear(
-        params, registry, apply_inverse_transform_linear(params, registry, bare)
-    )
+    mapped_twice = apply_vertices(registry, mapping, apply_vertices(registry, mapping, bare))
     quadratic = 0.5 * mapped_twice.amplitude(target) / norm
 
     for name, value in (("linear", linear), ("quadratic", quadratic)):

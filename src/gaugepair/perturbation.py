@@ -24,6 +24,7 @@ a sign or a factor is wrong, the dominant failure mode in this calculation.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import itertools
 import math
@@ -323,8 +324,10 @@ def discrete_second_order(params: SystemParams, registry: ModeRegistry) -> compl
     first vertex builds the whole state psi_1 = (E_n - H_0)^-1 H|n>.  Each of
     its terms holds one photon, in some mode j, so <m|H|psi_1> reads only
     mode j's elements of the lowering stacks, in place, A's before B's as
-    apply sums them, and pruned as StateVector prunes:
-    apply(psi_1).amplitude(m) bit for bit.
+    apply sums them, with one lowering step per photon label of psi_1, and
+    pruned as StateVector prunes: apply(psi_1).amplitude(m) bit for bit.  A
+    sum that is not finite (a charge whose square is beyond floating-point
+    range) raises ValidationError rather than being dropped as zero.
     """
     if len(registry) == 0:
         return 0.0 + 0.0j
@@ -339,16 +342,24 @@ def _second_order(op: InteractionOperator) -> complex:
     # every vertex moves one photon: |l> = |n>, excluded by the printed formula, never occurs
     first = op.apply(StateVector.basis(registry, level_a=1, level_b=0))
     psi1 = resolvent(params, registry, first, e_n)
-    lower_a, lower_b = op.matrices["A", False], op.matrices["B", False]
+    # the second vertex's elements to the target level, per mode, as Python scalars
+    to_a = op.matrices["A", False][:, target.level_a].tolist()
+    to_b = op.matrices["B", False][:, target.level_b].tolist()
+    lowering: dict[tuple[tuple[int, int], ...], tuple[int, float]] = {}  # per photon label
     total = 0.0
     for occ, amp in psi1.terms():
-        ((j, _),) = occ.photons
-        photon_factor = occ.step(j, False, registry.p_max)[1]
+        if occ.photons not in lowering:
+            ((j, _),) = occ.photons
+            lowering[occ.photons] = j, occ.step(j, False, registry.p_max)[1]
+        j, photon_factor = lowering[occ.photons]
         # each vertex moves its own oscillator; the other must sit at the target level
         if occ.level_b == target.level_b:
-            total = total + amp * lower_a[j, target.level_a, occ.level_a] * photon_factor
+            total = total + amp * to_a[j][occ.level_a] * photon_factor
         if occ.level_a == target.level_a:
-            total = total + amp * lower_b[j, target.level_b, occ.level_b] * photon_factor
+            total = total + amp * to_b[j][occ.level_b] * photon_factor
+    if not cmath.isfinite(total):
+        raise ValidationError(f"the second-order sum <m|H|psi_1> = {total} at charge_q = "
+                              f"{params.charge_q} is beyond floating-point range")
     second = complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
     return second / (e_n - uncoupled_energy(params, registry, target))
 
@@ -557,10 +568,11 @@ def oracle_scaling_exponent(params: SystemParams,
     underflowed form factor) has no coupling to test: ValidationError.  So
     has one whose second-order element <m|V|psi_1> = eps_exact (E_n - E_m)
     lies within PRUNE_TOL at any sampled charge, since perturbation theory
-    drops an amplitude that small.  The stacks, the sectors (at ED's default
-    cap) and their blocks are built once, at q.  Both are linear in q: divided
-    by 2 and 4 they equal a fresh build at q/2 and q/4, the blocks once
-    _dropped again.
+    drops an amplitude that small, and so has one whose second-order sum is
+    not finite (discrete_second_order).  The stacks, the sectors (at ED's
+    default cap) and their blocks are built once, at q.  Both are linear in
+    q: divided by 2 and 4 they equal a fresh build at q/2 and q/4, the blocks
+    once _dropped again.
     """
     sectors, h0 = _photon_sectors(params, registry, total_photon_cap=2)
     op = InteractionOperator(params, registry)

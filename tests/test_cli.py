@@ -517,6 +517,10 @@ EDGE_INPUTS = [
     ("charge_q = 0", ["check"], EXIT_VALIDATION),
     ("charge_q = 1e-160", ["check"], EXIT_VALIDATION),
     ("charge_q = 0", ["oracle"], EXIT_VALIDATION),
+    # q^2 beyond floating-point range: bad input, not a failed check suite,
+    # and not a perturbative sum dropped as zero
+    *[(f"charge_q = {charge}", [verb], EXIT_VALIDATION)
+      for charge in ("1e160", "1e300") for verb in ("check", "oracle")],
     # the state algebra would drop the per-mode amplitudes (q^2 = 1e-12)
     ("charge_q = 1e-6", ["check"], EXIT_VALIDATION),
     # large dipoles at d/L = 0.01: the per-mode wavevectors follow 1/d, so

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,9 @@ from gaugepair.fock import (
     RegistryMismatchError,
     StateVector,
     TruncationError,
+    Vertex,
     apply_scalar_sector_identity,
+    apply_vertices,
     check_subsidiary,
     indefinite_inner,
     make_registry,
@@ -140,6 +143,55 @@ def test_ladders_are_the_term_by_term_step():
                 if stepped is not None:
                     expected[stepped[0]] = expected.get(stepped[0], 0.0) + amp * stepped[1]
             assert dict(ladder(j).terms()) == expected, (j, raising)
+
+
+def test_label_is_the_tuple_of_its_normal_fields():
+    # a mapping, unsorted pairs and zero counts all give the one label; it is
+    # the plain tuple of its fields, and its repr (ED's "kept state ... is
+    # degenerate" message prints it) reads as the fields
+    label = OccupationState(1, 0, ((2, 1), (5, 0), (0, 3)))
+    assert label == OccupationState(1, 0, {0: 3, 2: 1, 5: 0}) == (1, 0, ((0, 3), (2, 1)))
+    assert hash(label) == hash(OccupationState(1, 0, {2: 1, 0: 3}))
+    assert hash(label) == hash((1, 0, ((0, 3), (2, 1))))
+    assert OccupationState._make((1, 0, ((0, 3), (2, 1)))) == label
+    assert repr(label) == "OccupationState(level_a=1, level_b=0, photons=((0, 3), (2, 1)))"
+    assert repr(OccupationState(0, 0)) == "OccupationState(level_a=0, level_b=0, photons=())"
+
+
+def _counting_steps(monkeypatch):
+    """Patch OccupationState.step to record each call's (label, mode, raising)."""
+    calls, step = [], OccupationState.step
+
+    def counted(self, mode, raising, p_max):
+        calls.append((self, mode, raising))
+        return step(self, mode, raising, p_max)
+
+    monkeypatch.setattr(OccupationState, "step", counted)
+    return calls
+
+
+def test_a_term_takes_one_ladder_step_per_mode_and_direction(monkeypatch):
+    # A's and B's vertex on one mode and direction share the term's step: on a
+    # two-k registry, 3 terms x 4 modes x 2 directions steps for 16 vertices,
+    # and the sum equals the vertices applied one at a time
+    reg = make_registry((K, (0.4, 0.3, 0.0)), n_max=2, p_max=2)
+    matrices = {"A": np.array([[0.5, 1.0, 0.0], [2.0, 0.0, -1.0], [0.0, 0.25, 1.5]]),
+                "B": np.array([[0.0, -1.0, 0.5j], [1.0, 0.5, 0.0], [0.75, 0.0, 2.0]])}
+    vertices = [Vertex(j, osc, raising, matrices[osc])
+                for j in range(len(reg)) for osc in "AB" for raising in (True, False)]
+    state = StateVector(reg, {OccupationState(1, 2, {0: 1, 3: 2}): 0.5 - 0.25j,
+                              OccupationState(2, 0, {1: 1}): -1.5,
+                              OccupationState(0, 1): 2.0 + 1.0j})
+    calls = _counting_steps(monkeypatch)
+    applied = apply_vertices(reg, vertices, state, project=True)
+    assert len(calls) == len(state) * len(reg) * 2
+    assert len(set(calls)) == len(calls)
+    monkeypatch.undo()
+    one_by_one = {}
+    for v in vertices:
+        for occ, amp in apply_vertices(reg, [v], state, project=True).terms():
+            one_by_one[occ] = one_by_one.get(occ, 0.0) + amp
+    assert dict(applied.terms()) == pytest.approx(one_by_one, rel=1e-15, abs=0.0)
 
 
 def test_registry_mismatch_rejected(registry):

@@ -8,18 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaugepair import gauge
 from gaugepair.core import SystemParams, ValidationError
 from gaugepair.fock import (
     PolarizationKind,
     StateVector,
     TruncationError,
+    apply_vertices,
     make_registry,
     physical_pair_raise,
 )
 from gaugepair.gauge import (
     PerKReport,
     _residual_coupling,
-    apply_inverse_transform_linear,
+    inverse_transform_vertices,
     operator_route_brackets,
     per_k_equivalence,
     residual_first_order_state,
@@ -115,6 +117,16 @@ def test_operator_route_refuses_a_wavevector_with_no_static_integrand():
         operator_route_brackets(PARAMS, (0.0, 1.3, 0.0))
 
 
+def test_operator_route_builds_the_map_once(monkeypatch):
+    # the mapping's vertex list is built once and applied three times: one
+    # charge-density element per scalar mode (+-k), oscillator and sign
+    elements, element = [], gauge.rho_fourier_element
+    monkeypatch.setattr(gauge, "rho_fourier_element",
+                        lambda *args: elements.append(args) or element(*args))
+    operator_route_brackets(PARAMS, (0.9, 0.0, 0.0))
+    assert len(elements) == 2 * 2 * 2
+
+
 def test_first_order_state_is_nonempty_and_finite():
     reg = make_registry(((0.9, 0.0, 0.0), (-0.9, 0.0, 0.0)), n_max=2, p_max=2)
     state = residual_first_order_state(PARAMS, reg)
@@ -180,9 +192,9 @@ def test_gauge_operators_refuse_a_state_at_the_photon_wall(kind):
         _residual_coupling(PARAMS, reg, at_wall)
     if kind is PolarizationKind.SCALAR:
         with pytest.raises(TruncationError, match="would exceed p_max = 1"):
-            apply_inverse_transform_linear(PARAMS, reg, at_wall)
+            apply_vertices(reg, inverse_transform_vertices(PARAMS, reg), at_wall)
     else:  # the map has no longitudinal vertex
-        assert len(apply_inverse_transform_linear(PARAMS, reg, at_wall)) > 0
+        assert len(apply_vertices(reg, inverse_transform_vertices(PARAMS, reg), at_wall)) > 0
 
 
 # -- physicality of the mapped states -------------------------------------------------

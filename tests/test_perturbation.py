@@ -672,6 +672,31 @@ def _recording(monkeypatch, owner, name, runs):
     monkeypatch.setattr(owner, name, recorded)
 
 
+def test_second_order_steps_once_per_mode_direction_and_photon_label(monkeypatch):
+    # the first vertex steps the start term once per mode and direction, A's
+    # and B's vertices alike; the second reads one lowering factor per photon
+    # label of psi_1, not one per term (8 + 4 steps here, 16 + 20 before)
+    steps = []
+    _recording(monkeypatch, OccupationState, "step", steps)
+    discrete_second_order(PARAMS, ORACLE_REG)
+    first, second = steps[:2 * len(ORACLE_REG)], steps[2 * len(ORACLE_REG):]
+    assert [(occ, mode, raising) for (occ, mode, raising, _), _ in first] == [
+        (OccupationState(1, 0), j, raising)
+        for j in range(len(ORACLE_REG)) for raising in (True, False)]
+    assert sorted((occ.photons, mode) for (occ, mode, raising, _), _ in second if not raising) == [
+        (((j, 1),), j) for j in range(len(ORACLE_REG))]
+    assert len(second) == len(ORACLE_REG)
+
+
+@pytest.mark.parametrize("charge", [1e160, 1e200, 1e300])
+def test_second_order_refuses_a_sum_beyond_floating_point_range(charge):
+    # q^2 overflows in <m|H|psi_1>: its sum is not finite and is refused, not
+    # dropped as zero, and no numpy warning (an error here) escapes first
+    registry = make_registry([(1.3, 0.2, 0.0), (-0.7, 0.4, 0.1)])
+    with pytest.raises(ValidationError, match="beyond floating-point range"):
+        discrete_second_order(replace(PARAMS, charge_q=charge), registry)
+
+
 def test_one_oracle_verdict_builds_the_coupling_and_the_sectors_once(monkeypatch):
     # q, q/2 and q/4 share them: one construction and one sector enumeration,
     # where each charge's perturbative sum and ED once built their own
