@@ -11,16 +11,15 @@ of the covariant gauge (negative norms, the vacuum identity
 a_s a_s^dag|0> = -|0>, the flipped absorption elements) falls out of this one
 switch, which is therefore also the negative-control knob.
 
-One loop applies every photon step term by term: apply_vertices, which takes
-a list of Vertex (a ladder step on one mode times an oscillator matrix).
-StateVector.create and annihilate are the vertex with the identity on the
-oscillators; the operator route's couplings (perturbation, gauge) are vertex
-lists too.  The truncation wall and its TruncationError live there alone.
-OccupationState.step owns the ladder rule; apply_vertices takes it once per
-term, mode and direction, for A's and B's vertices alike, and sums on plain
-(level A, level B, photons) tuples.  A label is such a tuple (a NamedTuple),
-so it hashes and compares in C, and one is built per key that survives
-PRUNE_TOL.
+One loop applies every photon step term by term: apply_vertices, which
+takes a coupling in its one form, Stacks.  StateVector.create and annihilate
+are a one-mode identity stack; the operator route's couplings (perturbation,
+gauge) are stacks too.  The truncation wall and its TruncationError live
+there alone.  OccupationState.step owns the ladder rule; apply_vertices
+takes it once per term, mode and direction that some matrix couples, for
+A's and B's matrices alike, and sums on plain (level A, level B, photons)
+tuples.  A label is such a tuple (a NamedTuple), so it hashes and compares
+in C, and one is built per key that survives PRUNE_TOL.
 """
 
 from __future__ import annotations
@@ -34,6 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 PRUNE_TOL = 1e-15
+
+# A coupling: stacks["A" | "B", raising] is a (modes, n_max + 1, n_max + 1)
+# array whose matrix j, times a ladder step on mode j, is one vertex
+Stacks = Mapping[tuple[str, bool], np.ndarray]
 
 
 class TruncationError(RuntimeError):
@@ -255,9 +258,11 @@ class StateVector:
 
     def _photon_step(self, index: int, raising: bool) -> "StateVector":
         """a^+ or a on mode index times the identity on the oscillators, as a
-        vertex on oscillator A."""
-        vertex = Vertex(index, "A", raising, np.eye(self.registry.n_max + 1))
-        return apply_vertices(self.registry, [vertex], self)
+        one-mode identity stack on oscillator A."""
+        size = self.registry.n_max + 1
+        stack = np.zeros((len(self.registry), size, size))
+        stack[index] = np.eye(size)
+        return apply_vertices(self.registry, {("A", raising): stack}, self)
 
     # -- metric ----------------------------------------------------------------
 
@@ -298,34 +303,30 @@ class StateVector:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """One photon step on one mode times an oscillator matrix: the form in
-    which apply_vertices takes every photon step."""
-
-    mode_index: int
-    oscillator: str  # "A" | "B"
-    raising: bool
-    matrix: np.ndarray  # oscillator-space coefficient matrix, couplings folded in
-
-
-def apply_vertices(registry: ModeRegistry, vertices: list[Vertex], state: StateVector,
+def apply_vertices(registry: ModeRegistry, stacks: Stacks, state: StateVector,
                    project: bool = False) -> StateVector:
-    """The sum of vertices applied to state, summed term by term in vertex
-    order and level order, on (level A, level B, photons) keys; a label is
-    built once per key that survives PRUNE_TOL.
+    """The coupling stacks applied to state; a missing key, or a (mode,
+    direction) whose matrices are all zero, takes no step.  Summed term by
+    term, then modes ascending, A's matrix before B's, raising before
+    lowering, and level by level, on (level A, level B, photons) keys; a
+    label is built once per key that survives PRUNE_TOL.
 
     A raising step on a mode that already holds p_max photons raises
     TruncationError; project=True drops that amplitude instead (the operator
     restricted to the kept space).  A lowering step on an empty mode is zero.
     """
     p_max = registry.p_max
-    # a term takes each (mode, direction)'s ladder step once, for every vertex
-    # on it, A's and B's alike; per vertex: its step's slot, whether it moves
-    # A, and its columns as Python scalars
+    # per nonzero matrix (a vertex): its mode, oscillator, direction and columns as Python scalars
+    vertices = []
+    for (osc, raising), stack in stacks.items():
+        coupled = stack.any(axis=(1, 2)).tolist()
+        vertices += [(j, osc, not raising, columns) for j, columns in
+                     enumerate(stack.transpose(0, 2, 1).tolist()) if coupled[j]]
+    vertices.sort()  # (mode, oscillator, lowering) is unique: columns are never compared
+    # a term takes each (mode, direction)'s ladder step once, for A's and B's vertices alike
     slots: dict[tuple[int, bool], int] = {}
-    plan = [(slots.setdefault((v.mode_index, v.raising), len(slots)), v.oscillator == "A",
-             v.matrix.T.tolist()) for v in vertices]
+    plan = [(slots.setdefault((j, not lowering), len(slots)), osc == "A", columns)
+            for j, osc, lowering, columns in vertices]
     steps = list(slots)
     out: dict[tuple[int, int, tuple[tuple[int, int], ...]], complex] = {}
     for occ, amp in state.terms():

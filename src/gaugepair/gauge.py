@@ -19,12 +19,11 @@ Two independent routes produce the same brackets:
   conventions end to end and catches any sign slip in them.
 
 Both operators of that algebra -- the mapping operator's exponent
-(inverse_transform_vertices) and the residual coupling -- are vertex
-lists, as the covariant coupling is: a photon step on one mode times a
-two-level oscillator matrix, applied by fock.apply_vertices.  Unlike
-the coupling they project nothing: a raising step past p_max photons raises
-TruncationError.  operator_route_brackets builds the map's list once and
-applies it three times.
+(inverse_transform_vertices) and the residual coupling -- are fock.Stacks,
+as the covariant coupling is, with a two-level oscillator matrix per mode,
+applied by fock.apply_vertices.  Unlike the coupling they project nothing:
+a raising step past p_max photons raises TruncationError.
+operator_route_brackets builds the map's stacks once and applies them thrice.
 
 The coupling left over after the mapping ties the longitudinal current to
 photon-pair combinations that are metric-null; residual_term_physicality
@@ -45,7 +44,7 @@ from .fock import (
     OccupationState,
     PolarizationKind,
     StateVector,
-    Vertex,
+    Stacks,
     apply_vertices,
     check_subsidiary,
     make_registry,
@@ -163,18 +162,20 @@ def transformed_epsilon(params: SystemParams, config: QuadratureConfig) -> Integ
 # Operator route: the same brackets from explicit state algebra
 # ---------------------------------------------------------------------------
 
-def _two_level(registry: ModeRegistry, up: complex, down: complex) -> np.ndarray:
-    """Oscillator matrix of a two-level source: up on 0 -> 1, down on 1 -> 0.
-    Levels above the qubit subspace are outside the charge/current model and
-    drop out."""
-    matrix = np.zeros((registry.n_max + 1, registry.n_max + 1), dtype=complex)
-    matrix[1, 0], matrix[0, 1] = up, down
-    return matrix
+def _zero_stacks(registry: ModeRegistry) -> Stacks:
+    """A coupling (fock.Stacks) with every vertex matrix zero.  The gauge
+    couplings' sources are two-level: mode j's matrix holds an element up on
+    0 -> 1 at [j, 1, 0] and one down on 1 -> 0 at [j, 0, 1]; levels above the
+    qubit subspace are outside the charge/current model and drop out."""
+    size = registry.n_max + 1
+    return {(osc, raising): np.zeros((len(registry), size, size), dtype=complex)
+            for osc in "AB" for raising in (True, False)}
 
 
-def inverse_transform_vertices(params: SystemParams, registry: ModeRegistry) -> list[Vertex]:
-    """The mapping operator's exponent as a vertex list, one power of it per
-    apply_vertices.
+def inverse_transform_vertices(params: SystemParams, registry: ModeRegistry) -> Stacks:
+    """The mapping operator's exponent as vertex stacks, one power of it per
+    apply_vertices; its longitudinal matrices are zero, so it takes no step
+    on a longitudinal mode.
 
     Each scalar mode and oscillator lowers with the charge-density element at
     -k and raises with the one at +k; in ordinary-amplitude bookkeeping the
@@ -183,7 +184,7 @@ def inverse_transform_vertices(params: SystemParams, registry: ModeRegistry) -> 
     sign flips this operator and the closed forms in lockstep.  Applied to a
     term with no photon headroom in a scalar mode, it raises TruncationError.
     """
-    vertices = []
+    stacks = _zero_stacks(registry)
     for idx, mode in enumerate(registry.modes):
         if mode.kind is not PolarizationKind.SCALAR:
             continue
@@ -194,16 +195,14 @@ def inverse_transform_vertices(params: SystemParams, registry: ModeRegistry) -> 
             * s_full
             / (params.hbar * mode.omega)
         )
+        raise_coeff = -registry.raising_sign(idx) * coeff
         for osc in (OscillatorId.A, OscillatorId.B):
             # the two-level charge density carries the same element both ways
-            rho_minus = rho_fourier_element(params, osc, mode.k_vector, -1)
-            rho_plus = rho_fourier_element(params, osc, mode.k_vector, +1)
-            vertices += [
-                Vertex(idx, osc.value, False, coeff * _two_level(registry, rho_minus, rho_minus)),
-                Vertex(idx, osc.value, True, (-registry.raising_sign(idx) * coeff)
-                       * _two_level(registry, rho_plus, rho_plus)),
-            ]
-    return vertices
+            lowered = coeff * rho_fourier_element(params, osc, mode.k_vector, -1)
+            raised = raise_coeff * rho_fourier_element(params, osc, mode.k_vector, +1)
+            stacks[osc.value, False][idx, 1, 0] = stacks[osc.value, False][idx, 0, 1] = lowered
+            stacks[osc.value, True][idx, 1, 0] = stacks[osc.value, True][idx, 0, 1] = raised
+    return stacks
 
 
 def _residual_coupling(params: SystemParams, registry: ModeRegistry, state: StateVector,
@@ -212,30 +211,31 @@ def _residual_coupling(params: SystemParams, registry: ModeRegistry, state: Stat
 
     Each longitudinal mode couples through the metric-null pair at its wave
     vector: the creating half raises a_l^dag - a_s^dag (metric-adjoint
-    daggers), the annihilating half lowers a_l - a_s.  corrupt=True flips the
-    relative sign inside the created pair -- the negative control.  A term
-    with no photon headroom in a mode of a pair raises TruncationError.
+    daggers), the annihilating half lowers a_l - a_s: the scalar partner's
+    elements are pair_sign * raising_sign and -1 times the longitudinal ones.
+    corrupt=True flips the relative sign inside the created pair -- the
+    negative control.  A term with no photon headroom in a mode of a pair
+    raises TruncationError.
     """
     pair_sign = 1.0 if corrupt else -1.0
-    vertices = []
+    stacks = _zero_stacks(registry)
     for idx, mode in enumerate(registry.modes):
         if mode.kind is not PolarizationKind.LONGITUDINAL:
             continue
         _, s_idx = registry.pair_at(mode.k_vector)
         sw = math.sqrt(registry.weights[idx])
+        partner = pair_sign * registry.raising_sign(s_idx)
         for osc in (OscillatorId.A, OscillatorId.B):
             emission = longitudinal_emission(params, osc, mode.k_vector)
             absorption = longitudinal_absorption(params, osc, mode.k_vector)
-            created = _two_level(registry, -sw * emission, sw * emission)
-            annihilated = _two_level(registry, sw * absorption, -sw * absorption)
-            vertices += [
-                Vertex(idx, osc.value, True, created),
-                Vertex(s_idx, osc.value, True,
-                       (pair_sign * registry.raising_sign(s_idx)) * created),
-                Vertex(idx, osc.value, False, annihilated),
-                Vertex(s_idx, osc.value, False, -annihilated),
-            ]
-    return apply_vertices(registry, vertices, state)
+            created, annihilated = stacks[osc.value, True], stacks[osc.value, False]
+            up, down = -sw * emission, sw * emission
+            created[idx, 1, 0], created[idx, 0, 1] = up, down
+            created[s_idx, 1, 0], created[s_idx, 0, 1] = partner * up, partner * down
+            up, down = sw * absorption, -sw * absorption
+            annihilated[idx, 1, 0], annihilated[idx, 0, 1] = up, down
+            annihilated[s_idx, 1, 0], annihilated[s_idx, 0, 1] = -up, -down
+    return apply_vertices(registry, stacks, state)
 
 
 def residual_first_order_state(params: SystemParams, registry: ModeRegistry) -> StateVector:
@@ -252,8 +252,8 @@ def residual_first_order_state(params: SystemParams, registry: ModeRegistry) -> 
     return resolvent(params, registry, _residual_coupling(params, registry, start), energy)
 
 
-def operator_route_brackets(params: SystemParams, k_vector: tuple[float, float, float],
-                            weight: float = 1.0) -> tuple[float, float]:
+def operator_route_brackets(params: SystemParams,
+                            k_vector: tuple[float, float, float]) -> tuple[float, float]:
     """(linear, quadratic) brackets via explicit state algebra on a +-k mode
     registry, normalized exactly like transform_brackets.
 
@@ -263,8 +263,8 @@ def operator_route_brackets(params: SystemParams, k_vector: tuple[float, float, 
     them, matching the single-photon truncation used throughout.
     """
     negated = tuple(-component for component in k_vector)
-    registry = make_registry((k_vector, negated), weights=(weight, weight), n_max=2, p_max=2)
-    norm = 2.0 * weight * coulomb_integrand(params, k_vector)
+    registry = make_registry((k_vector, negated), n_max=2, p_max=2)
+    norm = 2.0 * coulomb_integrand(params, k_vector)
     if abs(norm) < 1e-300:
         raise ValidationError(
             "static-route integrand vanishes at this wavevector; bracket undefined"

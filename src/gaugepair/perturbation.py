@@ -10,9 +10,9 @@ Independent code paths compute the same physics on purpose:
   per oscillator and direction (InteractionOperator.matrices; mode j's
   matrix times a photon step on mode j is one vertex), built in one pass.
   discrete_second_order takes the first vertex through the state algebra
-  (fock.apply_vertices, the one loop that applies every photon step, the
-  ladders and the gauge module's couplings included; the Vertex list is
-  formed only for it) and reads the second in place from the lowering stacks;
+  (fock.apply_vertices, the one loop that applies every coupling in this
+  form, the ladders and the gauge module's couplings included) and reads
+  the second in place from the lowering stacks;
   exact_diagonalization_oracle builds H only as photon-sector blocks, from the
   same stacks in Kronecker form with ladders and an H_0 of its own, and
   partitions it sector by sector, so the two share only the vertex matrices.
@@ -41,7 +41,6 @@ from .fock import (
     OccupationState,
     PolarizationKind,
     StateVector,
-    Vertex,
     apply_vertices,
 )
 from .matelem import (
@@ -214,10 +213,9 @@ class InteractionOperator:
     matrices["A" | "B", raising][j] is mode j's oscillator matrix.  The
     exact-diagonalization oracle reads only these stacks, and
     discrete_second_order reads its second vertex in place from the lowering
-    ones.  apply() alone forms the per-mode Vertex list (mode, then A and B,
-    then raising and lowering) and runs it through apply_vertices with the
-    photon steps past p_max projected out: the coupling restricted to the
-    kept space, as the second-order sum needs.
+    ones.  apply() runs them through apply_vertices with the photon steps
+    past p_max projected out: the coupling restricted to the kept space, as
+    the second-order sum needs.
 
     The quadratic field term of the minimal coupling is omitted: it is
     diagonal in both oscillators, so it cannot connect the singly-excited
@@ -270,9 +268,7 @@ class InteractionOperator:
         return matrices
 
     def apply(self, state: StateVector) -> StateVector:
-        vertices = [Vertex(j, osc, raising, self.matrices[osc, raising][j])
-                    for j in range(len(self.registry)) for osc in "AB" for raising in (True, False)]
-        return apply_vertices(self.registry, vertices, state, project=True)
+        return apply_vertices(self.registry, self.matrices, state, project=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +371,7 @@ class OracleResult:
     dimension: int
 
 
-REALITY_TOL = 1e-10  # ||eta H's anti-Hermitian part||_F and |Im E|, relative to max |H_ii|
+REALITY_TOL = 1e-10  # ||eta H's anti-Hermitian part||_F and |Im E|, relative to H's size
 # sweeps for E before the branch counts as lost: at the default point and
 # |k| = 1.7, 4 settle q = 1 and 8 settle q = 30; q = 100 never settles
 PARTITION_SWEEPS = 20
@@ -478,8 +474,9 @@ def exact_diagonalization_oracle(params: SystemParams, registry: ModeRegistry,
 
     Self-adjointness under the indefinite metric eta (Gupta) makes eta H
     Hermitian in the ordinary sense; the Frobenius norm of its anti-Hermitian
-    part beyond REALITY_TOL times the largest uncoupled energy signals a sign
-    or scale slip in the vertices and raises OracleError; it is sqrt(1/2)
+    part beyond REALITY_TOL times the size of H (the largest of 1, its
+    uncoupled energies and its block elements) signals a sign or scale slip
+    in the vertices and raises OracleError; it is sqrt(1/2)
     ||eta_n+1 up[n] - (eta_n down[n])^H|| over the sector pairs.  It bounds
     |Im| of every eigenvalue of eta H (Bendixson), so the spectrum is real to
     the same tolerance.  The bare H is only pseudo-Hermitian; its spectator
@@ -518,7 +515,9 @@ def _diagonalized(registry: ModeRegistry, sectors, h0: list[np.ndarray], up: lis
         float(np.linalg.norm(eta_up[:, None] * u - (eta_down[:, None] * d).conj().T)) ** 2
         for eta_down, eta_up, u, d in zip(eta, eta[1:], up, down)))
     scale = max(1.0, float(np.max(np.abs(np.concatenate(h0)))))
-    if asymmetry > REALITY_TOL * scale:
+    # H's size: the blocks' rounding grows with the charge, the uncoupled energies' does not
+    size = max([scale] + [float(np.abs(block).max(initial=0.0)) for block in up + down])
+    if asymmetry > REALITY_TOL * size:
         raise OracleError(f"metric-weighted H not Hermitian: anti-Hermitian norm {asymmetry:.3e}"
                           " (self-adjointness under the metric is broken)")
 
@@ -550,7 +549,7 @@ def _diagonalized(registry: ModeRegistry, sectors, h0: list[np.ndarray], up: lis
     else:
         raise OracleError(f"partition energy did not settle in {PARTITION_SWEEPS} sweeps "
                           "(no perturbative branch) - reduce the coupling")
-    if abs(energy.imag) > REALITY_TOL * scale:
+    if abs(energy.imag) > REALITY_TOL * size:
         raise OracleError(f"partition energy is not real (Im = {energy.imag:.3e}); the "
                           "perturbative branch merged into a complex pair - reduce the coupling")
     return OracleResult(epsilon_exact=complex(epsilon), metric_asymmetry=asymmetry,

@@ -14,7 +14,6 @@ from gaugepair.fock import (
     RegistryMismatchError,
     StateVector,
     TruncationError,
-    Vertex,
     apply_scalar_sector_identity,
     apply_vertices,
     check_subsidiary,
@@ -170,28 +169,54 @@ def _counting_steps(monkeypatch):
     return calls
 
 
+def _one_at_a_time(reg, stacks, state):
+    """Each (mode, oscillator, direction) entry of stacks applied alone, summed
+    label by label in the order apply_vertices documents: modes ascending, A
+    before B, raising before lowering."""
+    total = {}
+    for j in range(len(reg)):
+        for osc in "AB":
+            for raising in (True, False):
+                alone = np.zeros_like(stacks[osc, raising])
+                alone[j] = stacks[osc, raising][j]
+                for occ, amp in apply_vertices(reg, {(osc, raising): alone}, state,
+                                               project=True).terms():
+                    total[occ] = total.get(occ, 0.0) + amp
+    return total
+
+
 def test_a_term_takes_one_ladder_step_per_mode_and_direction(monkeypatch):
-    # A's and B's vertex on one mode and direction share the term's step: on a
-    # two-k registry, 3 terms x 4 modes x 2 directions steps for 16 vertices,
-    # and the sum equals the vertices applied one at a time
+    # A's and B's matrix on one mode and direction share the term's step: on a
+    # two-k registry, 3 terms x 4 modes x 2 directions steps for 16 matrices,
+    # and the stacks applied at once equal each (mode, oscillator, direction)
+    # entry applied alone; from one term, label for label in that order, bit
+    # for bit.  A (mode, direction) whose matrices are all zero takes no step
     reg = make_registry((K, (0.4, 0.3, 0.0)), n_max=2, p_max=2)
     matrices = {"A": np.array([[0.5, 1.0, 0.0], [2.0, 0.0, -1.0], [0.0, 0.25, 1.5]]),
                 "B": np.array([[0.0, -1.0, 0.5j], [1.0, 0.5, 0.0], [0.75, 0.0, 2.0]])}
-    vertices = [Vertex(j, osc, raising, matrices[osc])
-                for j in range(len(reg)) for osc in "AB" for raising in (True, False)]
+    stacks = {(osc, raising): np.array([(1.0 + j) * matrices[osc] for j in range(len(reg))])
+              for osc in "AB" for raising in (True, False)}
     state = StateVector(reg, {OccupationState(1, 2, {0: 1, 3: 2}): 0.5 - 0.25j,
                               OccupationState(2, 0, {1: 1}): -1.5,
                               OccupationState(0, 1): 2.0 + 1.0j})
     calls = _counting_steps(monkeypatch)
-    applied = apply_vertices(reg, vertices, state, project=True)
+    applied = apply_vertices(reg, stacks, state, project=True)
     assert len(calls) == len(state) * len(reg) * 2
     assert len(set(calls)) == len(calls)
     monkeypatch.undo()
-    one_by_one = {}
-    for v in vertices:
-        for occ, amp in apply_vertices(reg, [v], state, project=True).terms():
-            one_by_one[occ] = one_by_one.get(occ, 0.0) + amp
+    one_by_one = _one_at_a_time(reg, stacks, state)
     assert dict(applied.terms()) == pytest.approx(one_by_one, rel=1e-15, abs=0.0)
+    for occ, amp in state.terms():
+        single = StateVector(reg, {occ: amp})
+        assert (list(apply_vertices(reg, stacks, single, project=True).terms())
+                == list(_one_at_a_time(reg, stacks, single).items()))
+
+    for osc in "AB":
+        stacks[osc, True][3] = 0.0
+    calls = _counting_steps(monkeypatch)
+    apply_vertices(reg, stacks, state, project=True)
+    assert len(calls) == len(state) * (len(reg) * 2 - 1)
+    assert (3, True) not in {(mode, raising) for _, mode, raising in calls}
 
 
 def test_registry_mismatch_rejected(registry):

@@ -29,7 +29,14 @@ from gaugepair.gauge import (
     transform_brackets,
     transformed_epsilon,
 )
-from gaugepair.matelem import OscillatorId, longitudinal_emission
+from gaugepair.matelem import (
+    TWO_PI_CUBED,
+    OscillatorId,
+    longitudinal_absorption,
+    longitudinal_emission,
+    mode_scale,
+    rho_fourier_element,
+)
 from gaugepair.perturbation import PoleError, ResonanceError, lorentz_bracket
 from gaugepair.quadrature import QuadratureConfig, epsilon_lorentz
 
@@ -104,13 +111,6 @@ def test_operator_route_matches_closed_forms(k_mag):
     assert quad_op == pytest.approx(quad, rel=1e-10)
 
 
-def test_operator_route_weight_independent():
-    k = (1.3, 0.0, 0.0)
-    a = operator_route_brackets(PARAMS, k, weight=1.0)
-    b = operator_route_brackets(PARAMS, k, weight=0.037)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_operator_route_refuses_a_wavevector_with_no_static_integrand():
     # k_x = 0: (k.d)^2 = 0, so the brackets' normalization vanishes
     with pytest.raises(ValidationError, match="static-route integrand vanishes"):
@@ -167,10 +167,10 @@ def test_first_order_state_equals_hand_built_sum(k_mag, weight, direction):
     reg = make_registry((k, tuple(-c for c in k)), weights=(weight, weight), n_max=2, p_max=2)
     state = residual_first_order_state(PARAMS, reg)
     reference = _hand_built_first_order_state(PARAMS, reg)
-    # term by term in order, bit for bit, signed zeros included
+    # label by label, bit for bit, signed zeros included
     assert len(state) == 8
-    assert ([(occ, repr(a)) for occ, a in state.terms()]
-            == [(occ, repr(a)) for occ, a in reference.terms()])
+    assert ({occ: repr(a) for occ, a in state.terms()}
+            == {occ: repr(a) for occ, a in reference.terms()})
 
 
 def test_first_order_state_rejects_a_mode_on_resonance():
@@ -178,6 +178,68 @@ def test_first_order_state_rejects_a_mode_on_resonance():
     reg = make_registry((k, (-k[0], 0.0, 0.0)), n_max=2, p_max=2)
     with pytest.raises(ResonanceError, match="degenerate with the start state"):
         residual_first_order_state(PARAMS, reg)
+
+
+def _two_level(size, up, down):
+    matrix = np.zeros((size, size), dtype=complex)
+    matrix[1, 0], matrix[0, 1] = up, down
+    return matrix
+
+
+def _hand_built_stacks(params, registry, corrupt):
+    """The map's and the residual coupling's vertex stacks, mode by mode: a
+    scalar mode's residual matrices are read off its longitudinal partner."""
+    size = registry.n_max + 1
+    zero = np.zeros((size, size), dtype=complex)
+    mapping = {(osc, raising): [] for osc in "AB" for raising in (True, False)}
+    residual = {(osc, raising): [] for osc in "AB" for raising in (True, False)}
+    for j, mode in enumerate(registry.modes):
+        scalar = mode.kind is PolarizationKind.SCALAR
+        partner, _ = registry.pair_at(mode.k_vector)
+        sw = math.sqrt(registry.weights[partner])
+        pair = (1.0 if corrupt else -1.0) * registry.raising_sign(j)
+        coeff = (params.c * math.sqrt(registry.weights[j])
+                 * (mode_scale(params, mode.omega) * TWO_PI_CUBED**0.5)
+                 / (params.hbar * mode.omega))
+        for osc in OscillatorId:
+            rho_minus = rho_fourier_element(params, osc, mode.k_vector, -1)
+            rho_plus = rho_fourier_element(params, osc, mode.k_vector, +1)
+            raised = (-registry.raising_sign(j) * coeff) * rho_plus
+            mapping[osc.value, False].append(
+                _two_level(size, coeff * rho_minus, coeff * rho_minus) if scalar else zero)
+            mapping[osc.value, True].append(_two_level(size, raised, raised) if scalar else zero)
+            emission = longitudinal_emission(params, osc, mode.k_vector)
+            absorption = longitudinal_absorption(params, osc, mode.k_vector)
+            up, down = -sw * emission, sw * emission
+            residual[osc.value, True].append(
+                _two_level(size, pair * up, pair * down) if scalar else _two_level(size, up, down))
+            residual[osc.value, False].append(
+                _two_level(size, -(sw * absorption), -(-sw * absorption)) if scalar
+                else _two_level(size, sw * absorption, -sw * absorption))
+    return ({key: np.array(stack) for key, stack in mapping.items()},
+            {key: np.array(stack) for key, stack in residual.items()})
+
+
+def _stack_bytes(stacks):
+    return {key: (stack.shape, stack.tobytes()) for key, stack in stacks.items()}
+
+
+def test_gauge_couplings_equal_a_per_mode_hand_build(monkeypatch):
+    # weights other than 1 keep both couplings' sqrt(w) factors covered
+    k = (0.54, 0.432, 0.576)
+    weighted = make_registry((k, tuple(-c for c in k)), weights=(0.037, 0.037))
+    applied = []
+    monkeypatch.setattr(gauge, "apply_vertices",
+                        lambda reg, stacks, state: applied.append(stacks)
+                        or apply_vertices(reg, stacks, state))
+    for registry in (weighted, weighted.corrupted()):
+        for corrupt in (False, True):
+            mapping, residual = _hand_built_stacks(PARAMS, registry, corrupt)
+            _residual_coupling(PARAMS, registry, StateVector.basis(registry, 1, 0), corrupt)
+            # bit for bit, signed zeros included
+            assert _stack_bytes(applied.pop()) == _stack_bytes(residual)
+            assert (_stack_bytes(inverse_transform_vertices(PARAMS, registry))
+                    == _stack_bytes(mapping))
 
 
 @pytest.mark.parametrize("kind", [PolarizationKind.LONGITUDINAL, PolarizationKind.SCALAR])

@@ -29,7 +29,6 @@ from gaugepair.perturbation import (
     OracleError,
     PoleError,
     ResonanceError,
-    Vertex,
     _photon_sectors,
     _sector_blocks,
     combined_bracket_form,
@@ -355,12 +354,12 @@ def _momentum_matrix(dipole_d, hbar, size):
     return out
 
 
-def _per_mode_vertices(p, reg):
-    """The vertices built one mode at a time, each kind by its own branch,
-    with one exponential_matrix call per mode, oscillator and sign."""
+def _per_mode_stacks(p, reg):
+    """The vertex stacks built one mode at a time, each kind by its own
+    branch, with one exponential_matrix call per mode, oscillator and sign."""
     size = reg.n_max + 1
     pad = reg.n_max + 3  # room for exact operator products before slicing
-    vertices = []
+    matrices = {(osc, raising): [] for osc in "AB" for raising in (True, False)}
     for j, mode in enumerate(reg.modes):
         kx = mode.k_x
         k_norm = mode.omega / p.c
@@ -385,9 +384,9 @@ def _per_mode_vertices(p, reg):
                 )
                 raise_mat = coeff * sign_raise * raise_full[:size, :size]
                 lower_mat = coeff * lower_full[:size, :size]
-            vertices.append(Vertex(j, osc.value, True, raise_mat))
-            vertices.append(Vertex(j, osc.value, False, lower_mat))
-    return vertices
+            matrices[osc.value, True].append(raise_mat)
+            matrices[osc.value, False].append(lower_mat)
+    return {key: np.array(stack) for key, stack in matrices.items()}
 
 
 def _stack_bytes(matrices):
@@ -401,13 +400,8 @@ def test_one_pass_vertices_equal_the_per_mode_build():
     registries.append(make_registry(ks, weights=[5.0**3 / len(ks)] * len(ks)))
     for reg in registries:
         built = InteractionOperator(PARAMS, reg).matrices
-        # the per-mode vertices stacked in mode order, one stack per oscillator and direction
-        per_mode = _per_mode_vertices(PARAMS, reg)
-        expected = {(osc, raising): np.array([v.matrix for v in per_mode
-                                              if (v.oscillator, v.raising) == (osc, raising)])
-                    for osc in "AB" for raising in (True, False)}
         # bit for bit, signed zeros included
-        assert _stack_bytes(built) == _stack_bytes(expected)
+        assert _stack_bytes(built) == _stack_bytes(_per_mode_stacks(PARAMS, reg))
 
 
 # -- exact diagonalization ---------------------------------------------------------
