@@ -319,9 +319,9 @@ def apply_vertices(registry: ModeRegistry, stacks: Stacks, state: StateVector,
     # per nonzero matrix (a vertex): its mode, oscillator, direction and columns as Python scalars
     vertices = []
     for (osc, raising), stack in stacks.items():
-        coupled = stack.any(axis=(1, 2)).tolist()
+        coupled = np.flatnonzero(stack.any(axis=(1, 2)))  # only these modes' matrices are listed
         vertices += [(j, osc, not raising, columns) for j, columns in
-                     enumerate(stack.transpose(0, 2, 1).tolist()) if coupled[j]]
+                     zip(coupled.tolist(), stack[coupled].transpose(0, 2, 1).tolist())]
     vertices.sort()  # (mode, oscillator, lowering) is unique: columns are never compared
     # a term takes each (mode, direction)'s ladder step once, for A's and B's vertices alike
     slots: dict[tuple[int, bool], int] = {}

@@ -21,7 +21,13 @@ bracket B.  Two reductions of it exist here, sharing no node:
   continues into the upper half plane, and Cauchy's theorem moves the
   integral onto the sides k = iy and k = K + iy of a rectangle, where
   exp(i L k) decays as exp(-L y): a side needs the same nodes whatever L
-  and L/d are (_contour_columns).  Each level halves every
+  and L/d are (_contour_columns).  Nodes are taken only where the sums can
+  feel them: the far side k = K + iy, and where the rectangle has no top the
+  sides' panels above an edge Y', are left out whenever closed-form
+  majorants put what they hold below OMIT_FRACTION (2^-10) of each sum's
+  rounding size, and a pass where one does not takes every node.  At the
+  CLI default point that is 672 nodes per column instead of 1,584, with
+  the same values.  Each level halves every
   panel; a column settles once two levels agree to rel_tol of its value or
   to the rounding size of its sum (so it needs levels 0 and 1 at least,
   which one batch evaluates together), and reports their difference plus that
@@ -153,6 +159,10 @@ class IntegralResult:
     value: float
     error_estimate: float
     residue_imag: float  # discarded on-shell imaginary part; 0 when no pole
+    # nodes whose terms entered the sums, through the level the column settled
+    # at: on the contour, its pass's nodes (J's side included whenever
+    # omega_a/c < K); in the spherical engine, its own segments' nodes, and
+    # 2 more for a residue
     nodes_used: int
 
     def __post_init__(self) -> None:
@@ -304,7 +314,9 @@ def _contour_panels(length: float, d: float, k_pole: float,
     pole, and end with the one that reaches x_end = sqrt(746 - L^2/(4 d^2))/d:
     past it exp(-d^2 x^2 - L^2/(4 d^2)) underflows, so the top's terms are
     0.0 and its node count does not grow with K.  Their edges are
-    np.linspace's, lo + i * step, up to there.
+    np.linspace's, lo + i * step, up to there.  These are every panel a pass
+    can take; _contour_columns leaves out the side k = K + iy, and the
+    panels of the sides above an edge, where they cannot move its sums.
     """
     saddle = length / (2.0 * d * d)
     disc = length * length + 4.0 * d * d * _UNDERFLOW
@@ -334,6 +346,100 @@ def _contour_panels(length: float, d: float, k_pole: float,
         right = hi if m == n else lo + m * step
     top = np.concatenate(lefts + [[right]])
     return sides, np.column_stack([top[:-1], top[1:]]), height
+
+
+# A contour part is left out of the sums when a closed-form majorant of what
+# it adds lies below this fraction of the rounding size of the sum it enters.
+OMIT_FRACTION = 2.0**-10
+_OMIT_EXPONENT = -math.log(OMIT_FRACTION * _EPS)  # about 43
+
+
+class _Part(NamedTuple):
+    """A contour part the sums can leave out (_omitted_parts).  Each basis
+    function is F(w) - F(W), at most the length of a path from w to W times
+    max |F'| on it; the path runs across at Im w and then down Re v = W."""
+
+    g: float  # majorant of the integral of |g| over the part
+    g_path: float  # majorant of the integral of |g| times the path's length
+    height: float  # least Im v on the paths' horizontal legs (inf: they have none)
+
+
+def _damped(exponent: float, rest: float) -> float:
+    """exp(exponent) * rest for rest >= 0, formed as one exp: exactly 0.0
+    where that underflows and inf past the float range, and never a product
+    with a subnormal exp(exponent), which keeps only a few digits."""
+    if rest == 0.0:
+        return 0.0
+    x = exponent + math.log(rest)
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _omitted_parts(length: float, d: float, c: float, k_hi: float, k_pole: float,
+                   y_top: float, y_cut: float) -> tuple[dict[str, _Part], float]:
+    """({"far", "near", "closing": _Part}, what J loses) when the side
+    k = K + iy is left out and the sides k = iy and k = p + iy end at y_cut
+    instead of y_top: "near" is the side k = iy above y_cut and "closing" the
+    segment k = x + i y_cut that would join the sides there; J loses g over
+    both sides' tails and the closing segment.  On a side
+    Re z <= -(dq)^2 - a y, a = L - d^2 y_top (at least L/2, as y_top is at
+    most the saddle L/(2 d^2)), and |g| <= 4 pi |k|^2 exp(Re z),
+    |k|^2 = q^2 + y^2, so the moments
+      int_Y'^inf y^n exp(-a y) dy = exp(-a Y') sum_m n!/(n - m)! Y'^(n - m)/a^(m + 1)
+    give each integral in closed form: the far side's paths run down from
+    k = K + iy (length c y), the near side's across from iy (at most
+    W + c y), and on the closing segment exp(-Y'(L - d^2 Y')) and
+    int_0^inf (x^2 + Y'^2) exp(-d^2 x^2) dx = sqrt(pi) (1/(4 d^3) + Y'^2/(2 d))
+    bound |g|, with paths of at most W + c Y'.  "near" alone exceeds
+    8 pi exp(-a Y')/L^3.  Divisions run one at a time, so none divides by an
+    underflowed 0.0."""
+    a = length - d * d * y_top
+    four_pi, big_w = 4.0 * math.pi, c * k_hi
+
+    def moments(q: float, y: float) -> tuple[float, float]:
+        """exp(a y) times 4 pi int_y^inf (q^2 + y'^2) exp(-a y') dy', and
+        times the same with a further factor y'."""
+        m1 = y / a + 1.0 / a / a
+        m2 = y * y / a + 2.0 * m1 / a
+        m3 = y * y * y / a + 3.0 * m2 / a
+        return four_pi * (q * q / a + m2), four_pi * (q * q * m1 + m3)
+
+    e_far, e_near = -(d * k_hi) * (d * k_hi), -a * y_cut
+    e_closing = -y_cut * (length - d * d * y_cut)
+    far, far_y = moments(k_hi, 0.0)
+    near, near_y = moments(0.0, y_cut)
+    closing = four_pi * math.sqrt(math.pi) * (0.25 / d / d / d + 0.5 * y_cut * y_cut / d)
+    parts = {
+        "far": _Part(_damped(e_far, far), _damped(e_far, c * far_y), math.inf),
+        "near": _Part(_damped(e_near, near), _damped(e_near, big_w * near + c * near_y),
+                      c * y_cut),
+        "closing": _Part(_damped(e_closing, closing),
+                         _damped(e_closing, (big_w + c * y_cut) * closing), c * y_cut),
+    }
+    return parts, _damped(e_near, near + moments(k_pole, y_cut)[0]) + parts["closing"].g
+
+
+def _slope_bound(key: tuple[str, float], big_w: float, height: float) -> float:
+    """max |F'| of one basis function (_h_coefficients) on a path that runs
+    across at height Im v and then down Re v = W > s to W.  There
+    |v| >= min(height, W), |v - s| >= min(height, W - s) and
+    |v + s| >= min(height, W + s); F' is 1/v for "log", 1/v^2 for "inv2",
+    s/(v(v - s)) for "pole", s^2/(v(v + s)^2) for "excess" and 1/(s + v)^2
+    for "frac"."""
+    kind, s = key
+    v = min(height, big_w)
+    if kind == "log":
+        return 1.0 / v
+    if kind == "inv2":
+        return 1.0 / v / v
+    if kind == "pole":
+        return s / v / min(height, big_w - s)
+    plus = min(height, big_w + s)
+    return (s * s / v if kind == "excess" else 1.0) / plus / plus
+
+
+def _basis_bound(key: tuple[str, float], big_w: float, part: _Part) -> float:
+    """Majorant of |int g basis| over the part."""
+    return part.g_path * _slope_bound(key, big_w, part.height)
 
 
 def _split(panels: np.ndarray, level: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,6 +483,21 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
     the residue p^3 G(p) is Re J.  A column with c_p = 0 has no pole and
     reports no residue.  Level 0 never settles, so levels 0 and 1 are
     evaluated as one batch; each later level is a batch of its own.
+
+    Two parts are taken only where the sums can feel them: the far side
+    k = K + iy, which carries exp(-(dK)^2), and, where the rectangle has no
+    top, the sides k = iy and k = p + iy above the lowest panel edge Y' where
+    their exp(-L y) has fallen far enough.  The pass first picks that cut
+    from g and the paths alone (against 8 pi/L^3, below which
+    int_0^inf |g(iy)| dy never falls) and leaves those parts out; at every
+    level each live column then checks that the majorants of what is left
+    out (_omitted_parts: the far side, the tail above Y' and the closing
+    segment k = x + iY') lie within OMIT_FRACTION of the rounding size of its
+    H sums, and, if c_p != 0, what J loses within that of J's sum.  If a
+    check fails, the pass starts again on every node, so a part whose bound
+    fails is taken with the same nodes and arithmetic as when no cut exists.
+    nodes_used counts the nodes that enter the pass's sums through the level
+    at which the column settled, J's side included whenever p < K.
     """
     d, length, c = params.dipole_d, params.separation_l, params.c
     k_hi = config.kmax_over_invd / d
@@ -390,77 +511,123 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
         raise ValidationError(f"pole {k_pole} must sit strictly inside (0, {k_hi})")
     nodes = config.radial_nodes
     sides, tops, height = _contour_panels(length, d, k_pole, k_hi)
-    # nodes of level 0, J's side included
-    n_base = ((3 if pole is not None else 2) * sides.shape[0] + tops.shape[0]) * nodes
 
-    def level_sums(levels: tuple[int, ...], keys: set) -> list[tuple[dict, tuple, int]]:
+    def level_sums(levels: tuple[int, ...], keys: set, near: np.ndarray,
+                   far: bool) -> list[tuple[dict, tuple, int]]:
         """Per level of the batch: ({key: (Re sum of the terms times that
         basis function, its rounding size)}, J's (Im, Re, rounding size), the
-        level's nodes), from one _g_terms call and one basis evaluation per key."""
-        splits = [(_split(sides, level, nodes), _split(tops, level, nodes)) for level in levels]
-        k = [np.concatenate([1j * y, k_hi + 1j * y, x + 1j * (height or 0.0)])
-             for (y, _), (x, _) in splits]
-        weights = [np.concatenate([1j * wy, -1j * wy, wx]) for (_, wy), (_, wx) in splits]
-        n_main = sum(part.size for part in k)
-        if pole is not None:  # J's side at k = p + iy, after every level's main nodes
-            k += [pole + 1j * y for (y, _), _ in splits]
-            weights += [-1j * wy for (_, wy), _ in splits]
-        k = np.concatenate(k)
-        terms, sizes = _g_terms(k, np.concatenate(weights), d, length)
+        level's nodes), from one _g_terms call and one basis evaluation per key.
+        near holds the panels of the sides k = iy and k = p + iy; far says
+        whether the side k = K + iy is taken on them."""
+        main, j_sides = [], []
+        for level in levels:
+            y, wy = _split(near, level, nodes)
+            k, weights = [1j * y], [1j * wy]
+            if far:
+                k.append(k_hi + 1j * y)
+                weights.append(-1j * wy)
+            if tops.size:
+                x, wx = _split(tops, level, nodes)
+                k.append(x + 1j * height)
+                weights.append(wx)
+            main.append((np.concatenate(k), np.concatenate(weights)))
+            if pole is not None:  # J's side at k = p + iy, after every level's main nodes
+                j_sides.append((pole + 1j * y, -1j * wy))
+        n_main = sum(part.size for part, _ in main)
+        k = np.concatenate([part for part, _ in main + j_sides])
+        terms, sizes = _g_terms(k, np.concatenate([w for _, w in main + j_sides]), d, length)
         w = np.append(c * k[:n_main], c * k_hi)
         off = np.append(c * (k[:n_main] - k_pole), c * (k_hi - k_pole))
         bases = {key: _basis(key, w, off) for key in keys}
         magnitudes = {key: np.abs(basis) for key, basis in bases.items()}
         out, start, j_start = [], 0, n_main
-        for (y, _), (x, _) in splits:
-            n_level = 2 * y.size + x.size
+        for i, (part, _) in enumerate(main):
+            n_level = part.size
             at = slice(start, start + n_level)
             sums = {key: (_panel_sum((terms[at] * basis[at]).real, nodes),
                           float(sizes[at] @ magnitudes[key][at]))
                     for key, basis in bases.items()}
             j_sums = (0.0, 0.0, 0.0)
             if pole is not None:  # J: the left side, the side at p + iy, the top over [0, p]
-                side = slice(j_start, j_start + y.size)
-                on_j = np.concatenate([np.arange(2 * y.size) < y.size, x < pole])
+                side = slice(j_start, j_start + j_sides[i][0].size)
+                on_j = part.real < pole  # the far side's K and the top past p are not
                 j_terms = np.concatenate([terms[at][on_j], terms[side]])
                 j_sums = (_panel_sum(j_terms.imag, nodes), _panel_sum(j_terms.real, nodes),
                           float(sizes[at][on_j].sum() + sizes[side].sum()))
-                j_start += y.size
-                n_level += y.size
+                j_start = side.stop
+                n_level += side.stop - side.start
             out.append((sums, j_sums, n_level))
             start = at.stop
         return out
 
-    results: list[IntegralResult | None] = [None] * len(columns)
-    prev, used, unsettled = [0.0] * len(columns), 0, math.inf
-    for levels in ((0, 1), *((level,) for level in range(2, _MAX_LEVELS))):
-        # the batch's last level is its largest; nodes^2, the rule's own
-        # companion matrix, caps the nodes per panel before _leggauss builds it
-        if max(n_base << levels[-1], nodes * nodes) > _NODE_BUDGET:
-            _stalled(unsettled, config)
-        live = [j for j, r in enumerate(results) if r is None]
-        batch = level_sums(levels, {key for j in live for key in coeffs[j]})
-        for level, (sums, (j_im, j_re, j_size), n_level) in zip(levels, batch):
-            used += n_level
-            unsettled = 0.0
-            for j in live:
-                c_p = c_ps[j]
-                value = math.fsum([cf * sums[key][0] for key, cf in coeffs[j].items()]
-                                  + [math.pi * c_p * j_im])
-                rounding = _EPS * (sum(abs(cf) * sums[key][1] for key, cf in coeffs[j].items())
-                                  + math.pi * abs(c_p) * j_size)
-                delta, prev[j] = abs(value - prev[j]), value
-                if level == 0:
-                    continue
-                if delta > config.rel_tol * abs(value) + rounding:
-                    unsettled = max(unsettled, delta)
-                    continue
-                results[j] = IntegralResult(
-                    value=value, error_estimate=delta + rounding,
-                    residue_imag=-math.pi * c_p * j_re if c_p else 0.0, nodes_used=used)
-        if all(r is not None for r in results):
+    def settle(near: np.ndarray, far: bool,
+               lost: tuple[list[float], float] | None) -> list[IntegralResult] | None:
+        """Every column on the given sides, or None once a column finds what
+        was left out (lost: per column its H majorant, and J's) too large."""
+        # nodes of level 0, J's side included
+        n_base = (((2 if pole is not None else 1) + far) * near.shape[0] + tops.shape[0]) * nodes
+        results: list[IntegralResult | None] = [None] * len(columns)
+        prev, used, unsettled = [0.0] * len(columns), 0, math.inf
+        for levels in ((0, 1), *((level,) for level in range(2, _MAX_LEVELS))):
+            # the batch's last level is its largest; nodes^2, the rule's own
+            # companion matrix, caps the nodes per panel before _leggauss builds it
+            if max(n_base << levels[-1], nodes * nodes) > _NODE_BUDGET:
+                _stalled(unsettled, config)
+            live = [j for j, r in enumerate(results) if r is None]
+            batch = level_sums(levels, {key for j in live for key in coeffs[j]}, near, far)
+            for level, (sums, (j_im, j_re, j_size), n_level) in zip(levels, batch):
+                used += n_level
+                unsettled = 0.0
+                for j in live:
+                    c_p = c_ps[j]
+                    value = math.fsum([cf * sums[key][0] for key, cf in coeffs[j].items()]
+                                      + [math.pi * c_p * j_im])
+                    h_size = sum(abs(cf) * sums[key][1] for key, cf in coeffs[j].items())
+                    if lost is not None and not (
+                            lost[0][j] <= OMIT_FRACTION * _EPS * h_size
+                            and (not c_p or lost[1] <= OMIT_FRACTION * _EPS * j_size)):
+                        return None
+                    rounding = _EPS * (h_size + math.pi * abs(c_p) * j_size)
+                    delta, prev[j] = abs(value - prev[j]), value
+                    if level == 0:
+                        continue
+                    if delta > config.rel_tol * abs(value) + rounding:
+                        unsettled = max(unsettled, delta)
+                        continue
+                    results[j] = IntegralResult(
+                        value=value, error_estimate=delta + rounding,
+                        residue_imag=-math.pi * c_p * j_re if c_p else 0.0, nodes_used=used)
+            if all(r is not None for r in results):
+                return results
+        _stalled(unsettled, config)
+
+    # The cut, from g and the paths alone: the sides' lowest edge above which
+    # what J loses, and what a basis with |F'| at most 1/height loses, lie
+    # within OMIT_FRACTION eps of 8 pi/L^3, and the far side if what it loses
+    # does with |F'| at most 1/W.  The columns' own bounds then decide.
+    g_floor = OMIT_FRACTION * _EPS * (8.0 * math.pi / length / length / length)
+    edges = sides[:, 1]
+    y_top = float(edges.max())
+    # "near" alone exceeds 8 pi exp(-a y)/L^3, so no edge with a y below
+    # _OMIT_EXPONENT can pass
+    a = length - d * d * y_top
+    tried = sorted({y for y in edges.tolist() if a * y >= _OMIT_EXPONENT}) if height is None else []
+    for y_cut in [*tried, y_top]:
+        parts, lost_j = _omitted_parts(length, d, c, k_hi, k_pole, y_top, y_cut)
+        if y_cut == y_top:
+            lost_j = 0.0
+            break
+        sloped = (parts["near"].g_path + parts["closing"].g_path) / (c * y_cut)
+        if max(lost_j, sloped) <= g_floor:
+            break
+    if parts["far"].g_path / (c * k_hi) <= g_floor:
+        omitted = ("far", "near", "closing") if y_cut < y_top else ("far",)
+        lost_h = [sum(abs(cf) * sum(_basis_bound(key, c * k_hi, parts[name]) for name in omitted)
+                      for key, cf in co.items()) for co in coeffs]
+        results = settle(sides[edges <= y_cut], False, (lost_h, lost_j))
+        if results is not None:
             return results
-    _stalled(unsettled, config)
+    return settle(sides, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +881,7 @@ def _rescale(result: IntegralResult, factor: float) -> IntegralResult:
     return IntegralResult(
         value=result.value * factor,
         error_estimate=result.error_estimate * abs(factor),
-        residue_imag=result.residue_imag * factor,
+        residue_imag=result.residue_imag * factor + 0.0,  # no pole: +0.0, whatever factor's sign
         nodes_used=result.nodes_used,
     )
 

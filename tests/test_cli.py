@@ -89,6 +89,19 @@ def test_expand_table_layout(coarse_cfg, capsys):
     assert all("(err " in value for _, value in rows[-3:])
 
 
+@pytest.mark.parametrize("verb", ["epsilon", "expand"])
+def test_a_column_without_a_pole_prints_its_residue_as_plus_zero(verb, capsys):
+    # the amplitudes' prefactor is negative, and +0.0 times it is -0.0
+    assert main([verb, "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    leaves = ([report["eps_coulomb"], report["coefficients"]["c0"], report["coefficients"]["c2"]]
+              if verb == "epsilon" else [report["c0"], report["c2"]])
+    assert [math.copysign(1.0, leaf["residue_imag"]) for leaf in leaves] == [1.0] * len(leaves)
+    assert main([verb]) == EXIT_OK
+    table = capsys.readouterr().out
+    assert "residue -0," not in table and "residue 0," in table
+
+
 def test_check_table_is_one_verdict_line_per_suite(capsys):
     assert main(["check"]) == EXIT_OK
     out = capsys.readouterr()

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from gaugepair import cli, quadrature
@@ -169,20 +170,24 @@ def test_coulomb_wrapper_returns_the_report_column():
 ], ids=lambda p: f"L={p.separation_l},omega_b={p.omega_b}")
 def test_default_settles_at_level_one(params):
     # every report column settles at level 1: levels 0 and 1 hold 3 times the
-    # base panels' nodes on each of the sides k = iy and k = K + iy and on the
-    # side k = omega_a/c + iy that J takes; at the report grid's d/L = 0.01
-    # the rectangle underflows below the saddle, so it has no top side
+    # base panels' nodes on the sides k = iy and k = omega_a/c + iy (J's) up
+    # to the cut at L Y' = 64, the lowest side edge whose parts above it lie
+    # below their bounds; the far side k = K + iy is left out.  At the report
+    # grid's d/L = 0.01 the rectangle underflows below the saddle, so it has
+    # no top side.  That is at most half of the full count, 3 sides in all
     sides, tops, height = quadrature._contour_panels(
         params.separation_l, params.dipole_d, params.omega_a / params.c,
         CONFIG.kmax_over_invd / params.dipole_d)
     assert height is None and tops.size == 0
+    near = int(np.count_nonzero(sides[:, 1] <= 64.0 / params.separation_l))
     report = cli._epsilon_report(params, CONFIG)
     coeffs = series_coefficients(params, CONFIG)
     used = [report[key]["nodes_used"] for key in ("eps_coulomb", "eps_lorentz",
                                                   "eps_transformed")]
     used += [report["coefficients"][c]["nodes_used"] for c in ("c0", "c1", "c2")]
     used += [coeffs.c0.nodes_used, coeffs.c1.nodes_used, coeffs.c2.nodes_used]
-    assert used == [3 * 3 * sides.shape[0] * CONFIG.radial_nodes] * 9
+    assert used == [3 * 2 * near * CONFIG.radial_nodes] * 9
+    assert 2 * used[0] <= 3 * 3 * sides.shape[0] * CONFIG.radial_nodes
 
 
 @pytest.mark.parametrize("params", [
@@ -209,11 +214,13 @@ def test_levels_past_the_first_batch_run_one_at_a_time():
     # at 4 nodes per panel no column settles at level 1: past the batch of
     # levels 0 and 1 each later level runs once, so a column settled at level
     # n holds (2^(n+1) - 1) times level 0's nodes, and still lies within the
-    # default's estimates
+    # default's estimates.  Level 0 holds the sides k = iy and
+    # k = omega_a/c + iy up to the cut at L Y' = 64, and no top side
     sides, tops, _ = quadrature._contour_panels(
         PARAMS.separation_l, PARAMS.dipole_d, PARAMS.omega_a / PARAMS.c,
         CONFIG.kmax_over_invd / PARAMS.dipole_d)
-    base = (3 * sides.shape[0] + tops.shape[0]) * 4
+    assert tops.size == 0
+    base = 2 * int(np.count_nonzero(sides[:, 1] <= 64.0 / PARAMS.separation_l)) * 4
     columns = _report_columns(PARAMS)
     coarse = epsilon_columns(PARAMS, QuadratureConfig(radial_nodes=4), columns)
     for name, a, b in zip(_COLUMN_NAMES, coarse, epsilon_columns(PARAMS, CONFIG, columns)):
@@ -678,21 +685,134 @@ def test_top_side_ends_where_its_terms_underflow(tmp_path):
     assert cli.main(["--config", str(cfg), "epsilon"]) == cli.EXIT_OK
 
 
-def test_small_dipoles_meet_the_closed_form_on_a_fixed_node_count():
+def test_small_dipoles_meet_the_closed_form_within_a_fixed_node_count():
     # the real-axis route ran through K L/2 pi = 8 L/d periods and gave up at
-    # d/L = 1e-6, where they passed its node budget; the sides take the same
-    # nodes at every d/L.  The gap to the d -> 0 closed form is the physical
-    # 12 (d/L)^2, so it falls by 100 a decade, down to 1.2e-11 at 1e-6.
-    results, gaps = [], []
+    # d/L = 1e-6, where they passed its node budget; the three sides hold the
+    # same panels at every d/L, and no column takes more than their nodes.
+    # The gap to the d -> 0 closed form is the physical 12 (d/L)^2, so it
+    # falls by 100 a decade, down to 1.2e-11 at 1e-6.
+    results, gaps, full = [], [], set()
     for dl in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         params = SystemParams(dipole_d=dl * PARAMS.separation_l)
         results.append(epsilon_coulomb(params, CONFIG))
         gaps.append(results[-1].value / coulomb_closed_form(params) - 1.0)
+        sides, _, _ = quadrature._contour_panels(
+            params.separation_l, params.dipole_d, params.omega_a / params.c,
+            CONFIG.kmax_over_invd / params.dipole_d)
+        full.add(3 * 3 * sides.shape[0] * CONFIG.radial_nodes)
     assert all(r.error_estimate <= 1e-14 * abs(r.value) for r in results)
-    assert len({r.nodes_used for r in results}) == 1
+    assert len(full) == 1 and all(r.nodes_used <= min(full) for r in results)
     assert 0.0 < gaps[-1] <= 1e-10
     for coarse, fine in zip(gaps, gaps[1:]):
         assert coarse / fine == pytest.approx(100.0, rel=2e-3)
+
+
+# -- parts of the contour that the sums leave out ---------------------------------
+
+def _full_nodes(params, config):
+    """Nodes through level 1 on all three sides and the top: the count of a
+    pass that leaves nothing out."""
+    sides, tops, _ = quadrature._contour_panels(
+        params.separation_l, params.dipole_d, params.omega_a / params.c,
+        config.kmax_over_invd / params.dipole_d)
+    return 3 * (3 * sides.shape[0] + tops.shape[0]) * config.radial_nodes
+
+
+def _moduli(params, k_hi, keys, k, weights):
+    """(sum of |g| w, {key: sum of |g basis_key| w}) on complex nodes k with
+    positive weights w: a fine Gauss-Legendre sum of each modulus."""
+    c, k_pole = params.c, params.omega_a / params.c
+    terms = np.abs(quadrature._g_terms(k, weights, params.dipole_d, params.separation_l)[0])
+    w, off = np.append(c * k, c * k_hi), np.append(c * (k - k_pole), c * (k_hi - k_pole))
+    return terms.sum(), {key: (terms * np.abs(quadrature._basis(key, w, off))).sum()
+                         for key in keys}
+
+
+def _fine(panels):
+    return quadrature._split(np.asarray(panels, dtype=float).reshape(-1, 2), 3, 32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-4.0, math.log10(0.3)), st.floats(math.log10(0.05), math.log10(400.0)),
+       st.floats(6.0, 30.0), st.integers(0, 1 << 16))
+def test_each_majorant_covers_the_part_it_stands_for(log_dl, log_x, kmax, pick):
+    # on a fine Gauss grid, the integral of |g| and of |g basis| over the far
+    # side, over the side k = iy above an edge Y' and over the closing segment
+    # k = x + iY' lies within its majorant, and what J loses (g over the tails
+    # of k = iy and k = omega_a/c + iy and over the segment's [0, omega_a/c])
+    # within J's.  Rounding aside: the fine sums' own, and below the smallest
+    # normal float, where a bound keeps only a subnormal's digits
+    params = SystemParams(separation_l=10.0**log_x, dipole_d=10.0**(log_dl + log_x))
+    d, length, c = params.dipole_d, params.separation_l, params.c
+    k_hi, k_pole = kmax / d, params.omega_a / c
+    assume(k_pole < k_hi)
+    keys = {key for column in _report_columns(params) for key in _h_coefficients(column)}
+    sides, _, _ = quadrature._contour_panels(length, d, k_pole, k_hi)
+    edges = np.sort(sides[:, 1])
+    y_top, y_cut = edges[-1], edges[pick % (edges.size - 1)]
+    parts, lost_j = quadrature._omitted_parts(length, d, c, k_hi, k_pole, y_top, y_cut)
+    tail = sides[sides[:, 0] >= y_cut]
+    x_edges = np.unique(np.concatenate([np.linspace(0.0, k_hi, 65), [k_pole]]))
+    y, wy = _fine(sides)
+    yt, wyt = _fine(tail)
+    x, wx = _fine(np.column_stack([x_edges[:-1], x_edges[1:]]))
+    covered = {
+        "far": _moduli(params, k_hi, keys, k_hi + 1j * y, wy),
+        "near": _moduli(params, k_hi, keys, 1j * yt, wyt),
+        "closing": _moduli(params, k_hi, keys, x + 1j * y_cut, wx),
+    }
+
+    def covers(bound, integral):
+        return integral <= (1.0 + 1e-9) * bound + np.finfo(float).tiny
+
+    for name, (g, per_key) in covered.items():
+        assert covers(parts[name].g, g), name
+        for key, integral in per_key.items():
+            bound = quadrature._basis_bound(key, c * k_hi, parts[name])
+            assert covers(bound, integral), (name, key, integral, bound)
+    j_side = _moduli(params, k_hi, (), k_pole + 1j * yt, wyt)[0]
+    on_j = _moduli(params, k_hi, (), x[x < k_pole] + 1j * y_cut, wx[x < k_pole])[0]
+    assert covers(lost_j, covered["near"][0] + j_side + on_j)
+
+
+@pytest.mark.parametrize("params", [
+    SystemParams(separation_l=sep_l, dipole_d=dl * sep_l, omega_b=1.0 + delta)
+    for sep_l in (1.8, 2.196) for delta in (0.002, 0.05) for dl in (0.01, 0.1)
+], ids=lambda p: f"L={p.separation_l},d={p.dipole_d},omega_b={p.omega_b}")
+def test_leaving_parts_out_moves_no_value_at_the_report_grid_corners(monkeypatch, params):
+    # the parts left out lie below 2^-10 of each sum's rounding size, so every
+    # value and residue equals, bit for bit, a pass that takes every node
+    # (a fraction of 0 leaves out only what is exactly 0.0)
+    columns = _report_columns(params)
+    cut = epsilon_columns(params, CONFIG, columns)
+    monkeypatch.setattr(quadrature, "OMIT_FRACTION", 0.0)
+    full = epsilon_columns(params, CONFIG, columns)
+    assert [r.nodes_used for r in full] == [_full_nodes(params, CONFIG)] * len(columns)
+    for name, a, b in zip(_COLUMN_NAMES, cut, full):
+        assert (a.value.hex(), a.residue_imag.hex()) == (b.value.hex(), b.residue_imag.hex()), name
+        assert a.nodes_used < b.nodes_used, name
+
+
+@pytest.mark.parametrize("params, kmax", [(PARAMS, 6.0), (SystemParams(separation_l=1e20), 8.0)],
+                         ids=["kmax=6", "L=1e20"])
+def test_the_far_side_is_taken_where_its_bound_fails(params, kmax):
+    # at K = 6/d the far side carries exp(-36); at L = 1e20 the sum it would
+    # leave is 1e40 times smaller than at L = 2: every node is taken
+    config = QuadratureConfig(kmax_over_invd=kmax)
+    results = epsilon_columns(params, config, _report_columns(params))
+    assert [r.nodes_used for r in results] == [_full_nodes(params, config)] * 5
+
+
+def test_leaving_the_far_side_out_regardless_moves_the_coulomb_value(monkeypatch):
+    # negative control: with every bound taken as passed (a fraction of inf),
+    # the far side at K = 6/d is left out and the Coulomb column moves by
+    # more than its own estimate (about 13 of them)
+    config = QuadratureConfig(kmax_over_invd=6.0)
+    taken = epsilon_coulomb(PARAMS, config)
+    monkeypatch.setattr(quadrature, "OMIT_FRACTION", math.inf)
+    omitted = epsilon_coulomb(PARAMS, config)
+    assert omitted.nodes_used < taken.nodes_used
+    assert abs(omitted.value - taken.value) > taken.error_estimate
 
 
 # -- the k_x route against the spherical oracle -----------------------------------
