@@ -328,7 +328,7 @@ def _metric_suite(corrupt: bool) -> bool:
 
 
 def _subsidiary_suite(params: SystemParams, corrupt: bool) -> bool:
-    k_vector = (0.9, 0.0, 0.0)
+    k_vector = (float(_within_form_factor(params, np.array([0.9]))[0]), 0.0, 0.0)
     bare = residual_term_physicality(params, k_vector, photon_quanta=0, corrupt=corrupt)
     seeded = residual_term_physicality(params, k_vector, photon_quanta=1, corrupt=corrupt)
     scale = abs(params.charge_q) + 1.0

@@ -24,17 +24,18 @@ bracket B.  Two reductions of it exist here, sharing no node:
   and L/d are (_contour_columns).  Nodes are taken only where the sums can
   feel them: the far side k = K + iy, and where the rectangle has no top the
   sides' panels above an edge Y', are left out whenever closed-form
-  majorants put what they hold below OMIT_FRACTION (2^-10) of each sum's
-  rounding size, and a pass where one does not takes every node.  At the
-  CLI default point that is 672 nodes per column instead of 1,584, with
-  the same values.  Each level halves every
-  panel; a column settles once two levels agree to rel_tol of its value or
-  to the rounding size of its sum (so it needs levels 0 and 1 at least,
-  which one batch evaluates together), and reports their difference plus that
-  size as its error estimate; a level past the node budget (which also caps
-  the nodes per panel) stops the pass as stalled.  Config keys: radial_nodes
-  (nodes per panel, 16 by default), kmax_over_invd (K) and rel_tol.  The
-  real-axis route is the test-side oracle of this one (tests/kx_oracle.py).
+  majorants, one per basis key of H, put what they hold below OMIT_FRACTION
+  (2^-10) of that key's rounding size, and J's loss below that of J's; a
+  pass where one does not takes every node.  At the CLI default point that
+  is 672 nodes per column instead of 1,584, with the same values.  Each
+  level halves every panel; a column settles once two levels agree to
+  rel_tol of its value or to the rounding size of its sum (so it needs
+  levels 0 and 1 at least, which one batch evaluates together), and reports
+  their difference plus that size as its error estimate; a level past the
+  node budget (which also caps the nodes per panel) stops the pass as
+  stalled.  Config keys: radial_nodes (nodes per panel, 16 by default),
+  kmax_over_invd (K) and rel_tol.  The real-axis route is the test-side
+  oracle of this one (tests/kx_oracle.py).
 
 * The spherical engine (radial_columns and _g_batch).  No CLI verb runs
   it; the test-side oracle tests/spherical_oracle.py does, pairing each
@@ -359,7 +360,6 @@ class _Part(NamedTuple):
     function is F(w) - F(W), at most the length of a path from w to W times
     max |F'| on it; the path runs across at Im w and then down Re v = W."""
 
-    g: float  # majorant of the integral of |g| over the part
     g_path: float  # majorant of the integral of |g| times the path's length
     height: float  # least Im v on the paths' horizontal legs (inf: they have none)
 
@@ -409,13 +409,11 @@ def _omitted_parts(length: float, d: float, c: float, k_hi: float, k_pole: float
     near, near_y = moments(0.0, y_cut)
     closing = four_pi * math.sqrt(math.pi) * (0.25 / d / d / d + 0.5 * y_cut * y_cut / d)
     parts = {
-        "far": _Part(_damped(e_far, far), _damped(e_far, c * far_y), math.inf),
-        "near": _Part(_damped(e_near, near), _damped(e_near, big_w * near + c * near_y),
-                      c * y_cut),
-        "closing": _Part(_damped(e_closing, closing),
-                         _damped(e_closing, (big_w + c * y_cut) * closing), c * y_cut),
+        "far": _Part(_damped(e_far, c * far_y), math.inf),
+        "near": _Part(_damped(e_near, big_w * near + c * near_y), c * y_cut),
+        "closing": _Part(_damped(e_closing, (big_w + c * y_cut) * closing), c * y_cut),
     }
-    return parts, _damped(e_near, near + moments(k_pole, y_cut)[0]) + parts["closing"].g
+    return parts, _damped(e_near, near + moments(k_pole, y_cut)[0]) + _damped(e_closing, closing)
 
 
 def _slope_bound(key: tuple[str, float], big_w: float, height: float) -> float:
@@ -437,9 +435,9 @@ def _slope_bound(key: tuple[str, float], big_w: float, height: float) -> float:
     return (s * s / v if kind == "excess" else 1.0) / plus / plus
 
 
-def _basis_bound(key: tuple[str, float], big_w: float, part: _Part) -> float:
-    """Majorant of |int g basis| over the part."""
-    return part.g_path * _slope_bound(key, big_w, part.height)
+def _omitted_bound(key: tuple[str, float], big_w: float, parts: Sequence[_Part]) -> float:
+    """Majorant of |int g basis| over the parts, for one basis key."""
+    return sum(part.g_path * _slope_bound(key, big_w, part.height) for part in parts)
 
 
 def _split(panels: np.ndarray, level: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -487,15 +485,16 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
     Two parts are taken only where the sums can feel them: the far side
     k = K + iy, which carries exp(-(dK)^2), and, where the rectangle has no
     top, the sides k = iy and k = p + iy above the lowest panel edge Y' where
-    their exp(-L y) has fallen far enough.  The pass first picks that cut
-    from g and the paths alone (against 8 pi/L^3, below which
-    int_0^inf |g(iy)| dy never falls) and leaves those parts out; at every
-    level each live column then checks that the majorants of what is left
-    out (_omitted_parts: the far side, the tail above Y' and the closing
-    segment k = x + iY') lie within OMIT_FRACTION of the rounding size of its
-    H sums, and, if c_p != 0, what J loses within that of J's sum.  If a
-    check fails, the pass starts again on every node, so a part whose bound
-    fails is taken with the same nodes and arithmetic as when no cut exists.
+    their exp(-L y) has fallen far enough.  What is left out (_omitted_parts:
+    the far side, the tail above Y' and the closing segment k = x + iY') has
+    one majorant per basis key (_omitted_bound).  The cut is picked from the
+    "log" key's against 8 pi/L^3, below which int_0^inf |g(iy)| dy never
+    falls; at every level each live key's majorant must then lie within
+    OMIT_FRACTION of that key's rounding size, and, if a live column has a
+    pole, J's loss within that of J's sum.  That holds each column, whose
+    sizes are |cf|-weighted sums of its keys', whatever shares the pass.  If
+    a check fails, the pass starts again on every node, with the same nodes
+    and arithmetic as when no cut exists.
     nodes_used counts the nodes that enter the pass's sums through the level
     at which the column settled, J's side included whenever p < K.
     """
@@ -561,9 +560,10 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
         return out
 
     def settle(near: np.ndarray, far: bool,
-               lost: tuple[list[float], float] | None) -> list[IntegralResult] | None:
-        """Every column on the given sides, or None once a column finds what
-        was left out (lost: per column its H majorant, and J's) too large."""
+               lost: tuple[dict, float] | None) -> list[IntegralResult] | None:
+        """Every column on the given sides, or None once what was left out
+        (lost: per basis key its majorant, and J's) is too large for a level's
+        sums."""
         # nodes of level 0, J's side included
         n_base = (((2 if pole is not None else 1) + far) * near.shape[0] + tops.shape[0]) * nodes
         results: list[IntegralResult | None] = [None] * len(columns)
@@ -574,8 +574,14 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
             if max(n_base << levels[-1], nodes * nodes) > _NODE_BUDGET:
                 _stalled(unsettled, config)
             live = [j for j, r in enumerate(results) if r is None]
-            batch = level_sums(levels, {key for j in live for key in coeffs[j]}, near, far)
+            keys = {key for j in live for key in coeffs[j]}
+            batch = level_sums(levels, keys, near, far)
             for level, (sums, (j_im, j_re, j_size), n_level) in zip(levels, batch):
+                if lost is not None and not (
+                        all(lost[0][key] <= OMIT_FRACTION * _EPS * sums[key][1] for key in keys)
+                        and (not any(c_ps[j] for j in live)
+                             or lost[1] <= OMIT_FRACTION * _EPS * j_size)):
+                    return None
                 used += n_level
                 unsettled = 0.0
                 for j in live:
@@ -583,10 +589,6 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
                     value = math.fsum([cf * sums[key][0] for key, cf in coeffs[j].items()]
                                       + [math.pi * c_p * j_im])
                     h_size = sum(abs(cf) * sums[key][1] for key, cf in coeffs[j].items())
-                    if lost is not None and not (
-                            lost[0][j] <= OMIT_FRACTION * _EPS * h_size
-                            and (not c_p or lost[1] <= OMIT_FRACTION * _EPS * j_size)):
-                        return None
                     rounding = _EPS * (h_size + math.pi * abs(c_p) * j_size)
                     delta, prev[j] = abs(value - prev[j]), value
                     if level == 0:
@@ -601,10 +603,9 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
                 return results
         _stalled(unsettled, config)
 
-    # The cut, from g and the paths alone: the sides' lowest edge above which
-    # what J loses, and what a basis with |F'| at most 1/height loses, lie
-    # within OMIT_FRACTION eps of 8 pi/L^3, and the far side if what it loses
-    # does with |F'| at most 1/W.  The columns' own bounds then decide.
+    # The cut: the sides' lowest edge above which what J loses, and the "log"
+    # key's majorant, lie within OMIT_FRACTION eps of 8 pi/L^3, and the far
+    # side if its "log" majorant does.  The keys' own sums then decide.
     g_floor = OMIT_FRACTION * _EPS * (8.0 * math.pi / length / length / length)
     edges = sides[:, 1]
     y_top = float(edges.max())
@@ -614,17 +615,16 @@ def _contour_columns(params: SystemParams, config: QuadratureConfig,
     tried = sorted({y for y in edges.tolist() if a * y >= _OMIT_EXPONENT}) if height is None else []
     for y_cut in [*tried, y_top]:
         parts, lost_j = _omitted_parts(length, d, c, k_hi, k_pole, y_top, y_cut)
+        tail = (parts["near"], parts["closing"])
         if y_cut == y_top:
-            lost_j = 0.0
+            lost_j, tail = 0.0, ()
             break
-        sloped = (parts["near"].g_path + parts["closing"].g_path) / (c * y_cut)
-        if max(lost_j, sloped) <= g_floor:
+        if max(lost_j, _omitted_bound(("log", 0.0), c * k_hi, tail)) <= g_floor:
             break
-    if parts["far"].g_path / (c * k_hi) <= g_floor:
-        omitted = ("far", "near", "closing") if y_cut < y_top else ("far",)
-        lost_h = [sum(abs(cf) * sum(_basis_bound(key, c * k_hi, parts[name]) for name in omitted)
-                      for key, cf in co.items()) for co in coeffs]
-        results = settle(sides[edges <= y_cut], False, (lost_h, lost_j))
+    if _omitted_bound(("log", 0.0), c * k_hi, (parts["far"],)) <= g_floor:
+        omitted = (parts["far"], *tail)
+        lost = {key: _omitted_bound(key, c * k_hi, omitted) for co in coeffs for key in co}
+        results = settle(sides[edges <= y_cut], False, (lost, lost_j))
         if results is not None:
             return results
     return settle(sides, True, None)

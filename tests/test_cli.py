@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gaugepair import cli, gauge, perturbation
 from gaugepair.cli import (
@@ -145,6 +146,27 @@ def test_corruption_switches_break_named_suites(mode, broken_suite, capsys):
     assert suites[broken_suite] is False
     others = {k: v for k, v in suites.items() if k != broken_suite}
     assert all(others.values())
+
+
+@settings(max_examples=100, deadline=None)
+@example(log_dl=math.log10(0.025), log_x=math.log10(400.0), delta=0.01)  # d = 10 at L = 400
+@given(st.floats(-4.0, math.log10(0.3)), st.floats(math.log10(0.05), math.log10(400.0)),
+       st.floats(0.002, 0.05))
+def test_check_holds_and_both_corruptions_fail_on_valid_geometries(tmp_path_factory,
+                                                                    log_dl, log_x, delta):
+    # omega_a = c = 1: d/L from 1e-4 to 0.3, omega_a L/c from 0.05 to 400 and
+    # delta/omega_a from 0.002 to 0.05.  check passes or refuses the geometry
+    # with exit 1; where it does not refuse, each negative control fails it.
+    # Past k d of about 5 the corrupted pair's residual falls under the
+    # subsidiary suite's bound, so that suite's |k| must scale with 1/d; the
+    # example is such a point, which random draws seldom reach
+    cfg = tmp_path_factory.mktemp("geometry") / "point.cfg"
+    sep_l = 10.0**log_x
+    cfg.write_text(f"separation_l = {sep_l!r}\ndipole_d = {10.0**log_dl * sep_l!r}\n"
+                   f"omega_b = {1.0 + delta!r}\n")
+    codes = [main(["--config", str(cfg), "check", "--json", *extra])
+             for extra in ([], ["--corrupt", "metric"], ["--corrupt", "pair"])]
+    assert codes[0] == EXIT_VALIDATION or codes == [EXIT_OK, EXIT_INVARIANT, EXIT_INVARIANT]
 
 
 def _scaled(name, factor, pick=lambda *args: True):

@@ -736,12 +736,14 @@ def _fine(panels):
 @given(st.floats(-4.0, math.log10(0.3)), st.floats(math.log10(0.05), math.log10(400.0)),
        st.floats(6.0, 30.0), st.integers(0, 1 << 16))
 def test_each_majorant_covers_the_part_it_stands_for(log_dl, log_x, kmax, pick):
-    # on a fine Gauss grid, the integral of |g| and of |g basis| over the far
-    # side, over the side k = iy above an edge Y' and over the closing segment
-    # k = x + iY' lies within its majorant, and what J loses (g over the tails
-    # of k = iy and k = omega_a/c + iy and over the segment's [0, omega_a/c])
-    # within J's.  Rounding aside: the fine sums' own, and below the smallest
-    # normal float, where a bound keeps only a subnormal's digits
+    # on a fine Gauss grid, the integral of |g basis| for each basis key over
+    # the far side, over the side k = iy above an edge Y' and over the closing
+    # segment k = x + iY' lies within that key's majorant of the part, and
+    # over all three within its majorant of them together; what J loses (g
+    # over the tails of k = iy and k = omega_a/c + iy and over the whole
+    # closing segment) lies within J's.  Rounding aside: the fine sums' own,
+    # and below the smallest normal float, where a bound keeps only a
+    # subnormal's digits
     params = SystemParams(separation_l=10.0**log_x, dipole_d=10.0**(log_dl + log_x))
     d, length, c = params.dipole_d, params.separation_l, params.c
     k_hi, k_pole = kmax / d, params.omega_a / c
@@ -765,14 +767,74 @@ def test_each_majorant_covers_the_part_it_stands_for(log_dl, log_x, kmax, pick):
     def covers(bound, integral):
         return integral <= (1.0 + 1e-9) * bound + np.finfo(float).tiny
 
-    for name, (g, per_key) in covered.items():
-        assert covers(parts[name].g, g), name
-        for key, integral in per_key.items():
-            bound = quadrature._basis_bound(key, c * k_hi, parts[name])
-            assert covers(bound, integral), (name, key, integral, bound)
+    for key in keys:
+        for name, (_, per_key) in covered.items():
+            bound = quadrature._omitted_bound(key, c * k_hi, [parts[name]])
+            assert covers(bound, per_key[key]), (name, key, per_key[key], bound)
+        bound = quadrature._omitted_bound(key, c * k_hi, list(parts.values()))
+        assert covers(bound, sum(per_key[key] for _, per_key in covered.values())), key
     j_side = _moduli(params, k_hi, (), k_pole + 1j * yt, wyt)[0]
-    on_j = _moduli(params, k_hi, (), x[x < k_pole] + 1j * y_cut, wx[x < k_pole])[0]
-    assert covers(lost_j, covered["near"][0] + j_side + on_j)
+    assert covers(lost_j, covered["near"][0] + j_side + covered["closing"][0])
+
+
+def _passes(monkeypatch, params, config, columns):
+    """(results, nodes of each _g_terms call): one call per batch of levels."""
+    seen, real = [], quadrature._g_terms
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_g_terms",
+                      lambda k, *args: seen.append(k.size) or real(k, *args))
+        return epsilon_columns(params, config, columns), seen
+
+
+def _assert_as_on_every_node(monkeypatch, params, config, columns, results):
+    """Every value, estimate, residue and nodes_used of results equals, bit
+    for bit, a pass that takes every node (a fraction of 0 leaves out only
+    what is exactly 0.0)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "OMIT_FRACTION", 0.0)
+        full = epsilon_columns(params, config, columns)
+    assert [r.nodes_used for r in full] == [_full_nodes(params, config)] * len(columns)
+    for name, a, b in zip(_COLUMN_NAMES, results, full):
+        assert a.nodes_used == b.nodes_used, name
+        assert ([a.value.hex(), a.error_estimate.hex(), a.residue_imag.hex()]
+                == [b.value.hex(), b.error_estimate.hex(), b.residue_imag.hex()]), name
+
+
+@pytest.mark.parametrize("params, kmax, cut", [
+    (PARAMS, 6.0, None), (SystemParams(separation_l=1e20), 8.0, None),
+    *((SystemParams(separation_l=400.0, dipole_d=1.2, omega_b=1.0 + delta), 12.0, 672)
+      for delta in (0.002, 0.05)),
+], ids=["kmax=6", "L=1e20", "L=400,delta=0.002", "L=400,delta=0.05"])
+def test_every_node_is_taken_where_a_bound_fails(monkeypatch, params, kmax, cut):
+    # at K = 6/d the far side carries exp(-36); at L = 1e20 the sum it would
+    # leave is 1e40 times smaller than at L = 2: no cut is tried.  At
+    # omega_a L/c = 400, d/L = 0.003 and K = 12/d the cut that the "log"
+    # key's majorant picks fails another key's at level 0, and the batch of
+    # levels 0 and 1 on the cut sides is thrown away.  Either way every
+    # column equals, bit for bit, a pass that leaves nothing out
+    config = QuadratureConfig(kmax_over_invd=kmax)
+    columns = _report_columns(params)
+    results, seen = _passes(monkeypatch, params, config, columns)
+    assert seen == [n for n in (cut, _full_nodes(params, config)) if n is not None]
+    _assert_as_on_every_node(monkeypatch, params, config, columns, results)
+
+
+def test_a_key_whose_majorant_fails_sends_the_pass_to_every_node(monkeypatch):
+    # negative control: with the "excess" key's slope bound 2^20 times too
+    # large, its majorant lies 12 times above its bound at the default point,
+    # and the Lorentz column, which holds that key, rejects the cut at level 0
+    # and runs again on every node.  The column's own weighted majorant would
+    # still pass, 370 times below its bound: the test is per key.  The
+    # Coulomb column alone holds only "log" and keeps its cut
+    columns = [COULOMB, lorentz_column(PARAMS)]
+    coulomb = epsilon_coulomb(PARAMS, CONFIG)
+    real = quadrature._slope_bound
+    monkeypatch.setattr(quadrature, "_slope_bound", lambda key, *args:
+                        real(key, *args) * (2.0**20 if key[0] == "excess" else 1.0))
+    assert epsilon_coulomb(PARAMS, CONFIG) == coulomb
+    results, seen = _passes(monkeypatch, PARAMS, CONFIG, columns)
+    assert seen == [coulomb.nodes_used, _full_nodes(PARAMS, CONFIG)]
+    _assert_as_on_every_node(monkeypatch, PARAMS, CONFIG, columns, results)
 
 
 @pytest.mark.parametrize("params", [
@@ -791,16 +853,6 @@ def test_leaving_parts_out_moves_no_value_at_the_report_grid_corners(monkeypatch
     for name, a, b in zip(_COLUMN_NAMES, cut, full):
         assert (a.value.hex(), a.residue_imag.hex()) == (b.value.hex(), b.residue_imag.hex()), name
         assert a.nodes_used < b.nodes_used, name
-
-
-@pytest.mark.parametrize("params, kmax", [(PARAMS, 6.0), (SystemParams(separation_l=1e20), 8.0)],
-                         ids=["kmax=6", "L=1e20"])
-def test_the_far_side_is_taken_where_its_bound_fails(params, kmax):
-    # at K = 6/d the far side carries exp(-36); at L = 1e20 the sum it would
-    # leave is 1e40 times smaller than at L = 2: every node is taken
-    config = QuadratureConfig(kmax_over_invd=kmax)
-    results = epsilon_columns(params, config, _report_columns(params))
-    assert [r.nodes_used for r in results] == [_full_nodes(params, config)] * 5
 
 
 def test_leaving_the_far_side_out_regardless_moves_the_coulomb_value(monkeypatch):
