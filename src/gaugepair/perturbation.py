@@ -16,7 +16,7 @@ Independent code paths compute the same physics on purpose:
   exact_diagonalization_oracle builds H only as photon-sector blocks, from the
   same stacks in Kronecker form with ladders and an H_0 of its own, and
   partitions it sector by sector, so the two share only the vertex matrices.
-  An oracle verdict builds both once and divides them for each lower charge.
+  An oracle verdict builds both once and sums perturbation theory once.
 
 Collapsing any two into one would defeat the point: they disagree exactly when
 a sign or a factor is wrong, the dominant failure mode in this calculation.
@@ -25,11 +25,10 @@ a sign or a factor is wrong, the dominant failure mode in this calculation.
 from __future__ import annotations
 
 import cmath
-import copy
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -558,20 +557,23 @@ def _diagonalized(registry: ModeRegistry, sectors, h0: list[np.ndarray], up: lis
 
 def oracle_scaling_exponent(params: SystemParams,
                             registry: ModeRegistry) -> tuple[float, list[tuple[float, float]]]:
-    """Fit |eps_pt - eps_exact| ~ q^p across charge q, q/2, q/4.
+    """The exponent p of |eps_pt - eps_exact| ~ q^p across charge q, q/2, q/4.
 
     Only even orders beyond the second survive (an odd number of photon
     vertices cannot return to the zero-photon sector), so p should be 4.
-    Returns (fitted exponent, [(q, residual)] samples).  A registry whose
-    vertex elements all lie within PRUNE_TOL of 0 (charge_q = 0, or an
-    underflowed form factor) has no coupling to test: ValidationError.  So
-    has one whose second-order element <m|V|psi_1> = eps_exact (E_n - E_m)
-    lies within PRUNE_TOL at any sampled charge, since perturbation theory
-    drops an amplitude that small, and so has one whose second-order sum is
-    not finite (discrete_second_order).  The stacks, the sectors (at ED's
-    default cap) and their blocks are built once, at q.  Both are linear in
-    q: divided by 2 and 4 they equal a fresh build at q/2 and q/4, the blocks
-    once _dropped again.
+    Returns (log(r_q / r_{q/4}) / log 4, [(q, residual)] samples): the
+    end-point slope, which a least-squares line through three equally spaced
+    log-charges equals.  A registry whose vertex elements all lie within
+    PRUNE_TOL of 0 (charge_q = 0, or an underflowed form factor) has no
+    coupling to test: ValidationError.  So has one whose second-order element
+    <m|V|psi_1> = eps_exact (E_n - E_m) lies within PRUNE_TOL at any sampled
+    charge, since perturbation theory drops an amplitude that small, and so
+    has one whose second-order sum is not finite (discrete_second_order).  A
+    residual of exactly 0 leaves nothing to scale: OracleError.  The stacks,
+    the sectors (at ED's default cap) and their blocks are built once, at q,
+    and the second-order sum runs once, at q: at q/2 and q/4 it is eps_pt / 4
+    and / 16.  The blocks, linear in q, are divided by 2 and 4 and _dropped
+    again, which equals a fresh build at q/2 and q/4.
     """
     sectors, h0 = _photon_sectors(params, registry, total_photon_cap=2)
     op = InteractionOperator(params, registry)
@@ -579,23 +581,20 @@ def oracle_scaling_exponent(params: SystemParams,
         raise ValidationError(f"the registry's coupling vanishes at charge_q = {params.charge_q}"
                               " (no vertex element above PRUNE_TOL): nothing to compare")
     up, down = _sector_blocks(registry, sectors, op.matrices)
+    eps_pt = _second_order(op)
     samples: list[tuple[float, float]] = []
     for divisor in (1.0, 2.0, 4.0):
-        p_q = replace(params, charge_q=params.charge_q / divisor)
-        at_q = copy.copy(op)
-        at_q.params, at_q.matrices = p_q, {key: _divided(stack, divisor)
-                                           for key, stack in op.matrices.items()}
+        charge = params.charge_q / divisor
         blocks = ([_dropped(_divided(block, divisor)) for block in side] for side in (up, down))
-        eps_pt = _second_order(at_q)
         eps_ed = _diagonalized(registry, sectors, h0, *blocks).epsilon_exact
-        if abs(eps_ed * p_q.delta_e) <= PRUNE_TOL:
+        if abs(eps_ed * params.delta_e) <= PRUNE_TOL:
             raise ValidationError(
-                f"the second-order amplitude eps * delta_e = {abs(eps_ed * p_q.delta_e):.3e} at"
-                f" charge_q = {p_q.charge_q} lies within PRUNE_TOL, where perturbation theory"
+                f"the second-order amplitude eps * delta_e = {abs(eps_ed * params.delta_e):.3e}"
+                f" at charge_q = {charge} lies within PRUNE_TOL, where perturbation theory"
                 " drops it: nothing to compare")
-        samples.append((p_q.charge_q, abs(eps_pt - eps_ed)))
-    # least-squares slope in log-log across the three points
-    qs = np.log([s[0] for s in samples])
-    rs = np.log([max(s[1], 1e-300) for s in samples])
-    slope = float(np.polyfit(qs, rs, 1)[0])
-    return slope, samples
+        residual = abs(eps_pt / divisor**2 - eps_ed)
+        if residual == 0.0:
+            raise OracleError(f"perturbation theory equals ED exactly at charge_q = {charge}:"
+                              " no residual to scale")
+        samples.append((charge, residual))
+    return math.log(samples[0][1] / samples[2][1]) / math.log(4.0), samples

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -253,23 +255,70 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def test_oracle_fit_stays_finite_on_an_exact_tie(monkeypatch, capsys):
-    # perturbation theory equal to ED at q/4 leaves a residual of exactly 0;
-    # the fit's floor keeps its logarithm, the exponent and the JSON finite.
-    # The verdict runs the perturbative sum on its one built coupling
-    honest = perturbation._second_order
+def test_oracle_stops_on_an_exact_tie(monkeypatch, capsys):
+    # ED equal to perturbation theory at q/4 leaves a residual of exactly 0,
+    # which has no logarithm to scale: an oracle failure that names the
+    # charge, not a verdict.  The verdict runs ED once per charge, q/4 third
+    honest, calls = perturbation._diagonalized, []
 
-    def tied(op):
-        if op.params.charge_q == 0.25:
-            return perturbation.exact_diagonalization_oracle(op.params, op.registry).epsilon_exact
-        return honest(op)
+    def tied(registry, *args):
+        calls.append(registry)
+        result = honest(registry, *args)
+        if len(calls) < 3:
+            return result
+        fresh = perturbation.discrete_second_order(SystemParams(charge_q=0.25), registry)
+        return replace(result, epsilon_exact=fresh)
 
-    monkeypatch.setattr(perturbation, "_second_order", tied)
-    assert main(["oracle", "--json"]) == EXIT_INVARIANT
-    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
-    assert [q for q, _ in report["samples"]] == [1.0, 0.5, 0.25]
-    assert report["samples"][2][1] == 0.0
-    assert math.isfinite(report["exponent"]) and report["verdict"] == "fail"
+    monkeypatch.setattr(perturbation, "_diagonalized", tied)
+    assert main(["oracle", "--json"]) == EXIT_CONVERGENCE
+    out = capsys.readouterr()
+    assert out.out == "" and len(calls) == 3
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("oracle failure: ")
+    assert "exactly at charge_q = 0.25" in out.err
+
+
+def _oracle_run(cfg, k_mag):
+    """main's exit code, stdout and stderr for one `oracle --json` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "oracle", "--json", "--oracle-k", repr(k_mag)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _charge_flipped(text):
+    """text with the sign of every printed charge_q flipped."""
+    return re.sub(r"charge_q = (-?)", lambda m: "charge_q = " + ("" if m[1] else "-"), text)
+
+
+@settings(max_examples=60, deadline=None)
+@example(log_q=0.0, negative=True, delta=0.01, k_mag=1.7)  # charge_q = -1 at the default point
+@given(st.floats(-3.0, math.log10(30.0)), st.booleans(), st.floats(0.002, 0.05),
+       st.floats(1.1, 3.0))
+def test_oracle_keeps_its_exit_contract_at_either_sign_of_the_charge(tmp_path_factory, log_q,
+                                                                     negative, delta, k_mag):
+    # exit 0 or 3 prints strict JSON with a finite exponent, exit 1 or 2 one
+    # error line and nothing on stdout.  Every vertex moves one photon, so
+    # (-1)^(photon number) maps H(q) onto H(-q): at -q the verdict is the one
+    # at q with only the signs of the charges flipped
+    charge = -(10.0**log_q) if negative else 10.0**log_q
+    folder = tmp_path_factory.mktemp("charge")
+    runs = []
+    for name, q in (("q", charge), ("minus_q", -charge)):
+        cfg = folder / f"{name}.cfg"
+        cfg.write_text(f"omega_b = {1.0 + delta!r}\ncharge_q = {q!r}\n")
+        runs.append(_oracle_run(cfg, k_mag))
+    (code, out, err), flipped = runs
+    if code in (EXIT_VALIDATION, EXIT_CONVERGENCE):
+        prefix = "error: " if code == EXIT_VALIDATION else "oracle failure: "
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith(prefix)
+        assert flipped == (code, out, _charge_flipped(err))
+    else:
+        assert code in (EXIT_OK, EXIT_INVARIANT) and err == ""
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert math.isfinite(report["exponent"])
+        samples = [[-q, residual] for q, residual in report["samples"]]
+        assert (flipped[0], flipped[2]) == (code, "")
+        assert json.loads(flipped[1]) == {**report, "samples": samples}
 
 
 def test_oracle_at_zero_charge_refuses(tmp_path, capsys):
